@@ -657,10 +657,33 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--flag -8e-05" into "--flag=-8e-05".
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain decimal such as -1 or -0.5, so exponent-form negative values would
+    be refused; attached with "=" they parse for every numeric flag.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and "=" not in prev:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the validation code
         code = exc.code if exc.code is not None else 0

@@ -60,6 +60,39 @@ class TestPotentialCommand:
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
 
 
+class TestNegativeExponentValues:
+    """Exponent-form negatives such as -8.02e-05 parse for every numeric flag."""
+
+    def test_potential(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, ["potential", "--A", "1.5", "--B", "2e0", "--cpt", "-5e-1"]
+        )
+        assert code == 0
+        assert json.loads(text)["params"]["c_pt"] == -0.5
+
+    def test_verify(self, tmp_path):
+        code, text = run_cli(tmp_path, ["--B", "-8.02e-05", "verify", "--A", "1.5"])
+        assert code == 0
+        assert json.loads(text)["params"]["B"] == -8.02e-05
+
+    def test_scan(self, tmp_path):
+        code, text = run_cli(
+            tmp_path,
+            [
+                "scan", "--A", "1.5", "--points", "301",
+                "--scan-min", "-5e-1", "--scan-max", "-2.5E-1", "--scan-steps", "2",
+            ],
+            name="scan.csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert sorted({float(r["c_pt"]) for r in rows}) == [-0.5, -0.25]
+
+    def test_non_numeric_dash_token_is_still_an_option(self, tmp_path):
+        code, _ = run_cli(tmp_path, ["potential", "--A", "-x1", "--B", "2"])
+        assert code == 3
+
+
 class TestValidation:
     def test_missing_b(self, tmp_path):
         code, _ = run_cli(tmp_path, ["potential", "--A", "1"])

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptscarf import (
     Grid,
@@ -19,6 +23,7 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
+from ptscarf.solver import _bands, _pt_real_form
 from conftest import assert_multiset_close
 
 FREE = PotentialCoeffs(0.0, 0.0, 0.0, 1.0)
@@ -136,6 +141,20 @@ class TestEigComplexDense:
             eigs = eig_complex_dense(m)
             assert abs(np.sum(eigs) - np.trace(m)) <= 1e-8 * np.linalg.norm(m)
 
+    def test_real_companion_of_quartic(self):
+        # real input runs dgeev; z^4 - 1 has the roots +-1, +-i
+        c = np.zeros((4, 4))
+        c[0, 3] = 1.0
+        c[1:, :3] = np.eye(3)
+        assert_multiset_close(eig_complex_dense(c), [1.0, -1.0, 1.0j, -1.0j], 1e-10)
+
+    def test_trace_identity_random_real(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(5, 120))
+            m = rng.standard_normal((n, n))
+            eigs = eig_complex_dense(m)
+            assert abs(np.sum(eigs) - np.trace(m)) <= 1e-8 * np.linalg.norm(m)
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             eig_complex_dense(np.eye(11, dtype=complex), max_dim=10)
@@ -143,6 +162,61 @@ class TestEigComplexDense:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eig_complex_dense(np.zeros((3, 4), dtype=complex))
+
+
+class TestPTRealForm:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        s=st.floats(-20.0, 5.0),
+        t_im=st.floats(-10.0, 10.0),
+        alpha=st.floats(0.5, 2.0),
+        half_width=st.floats(3.0, 10.0),
+        n_points=st.integers(5, 30).map(lambda k: 2 * k + 1),
+        order=st.sampled_from((2, 4)),
+    )
+    def test_same_spectrum_as_the_complex_matrix(
+        self, s, t_im, alpha, half_width, n_points, order
+    ):
+        v = PotentialCoeffs(s, 1j * t_im, 0.0, alpha)
+        g = Grid(half_width, n_points)
+        real, defect = _pt_real_form(_bands(v, g, order))
+        assert real.dtype == np.float64 and real.flags.f_contiguous
+        assert defect == 0.0
+        expected = eig_complex_dense(discretize(v, g, order=order))
+        computed = list(eig_complex_dense(real))
+        for e in expected:
+            errs = [abs(e - c) for c in computed]
+            k = int(np.argmin(errs))
+            assert errs[k] <= 1e-9 * max(1.0, abs(e))
+            computed.pop(k)
+
+    def test_real_t_potential_refused(self):
+        with pytest.raises(RegimeError):
+            solve_bound_states(PotentialCoeffs(-9.75, 6.0, 0.0, 1.0), Grid(10.0, 41))
+
+    def test_tiny_anti_pt_perturbation_refused(self):
+        class Perturbed(PotentialCoeffs):
+            def evaluate(self, x):
+                vx = super().evaluate(x)
+                vx[7] += 1e-10
+                return vx
+
+        v = Perturbed(-9.75, 6.0j, 0.0, 1.0)
+        g = Grid(10.0, 41)
+        vx = v.evaluate(g.x())
+        assert np.max(np.abs(np.conj(vx[::-1]) - vx)) == pytest.approx(1e-10)
+        for order in (2, 4):
+            with pytest.raises(RegimeError):
+                solve_bound_states(v, g, order=order)
+
+    def test_debug_log_names_driver_order_time_and_defect(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        solve_bound_states(PotentialCoeffs(-9.75, 6.0j, 0.0, 1.0), Grid(10.0, 41))
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(
+            m.startswith("dgeev order 39 took ") and m.endswith("s") for m in messages
+        )
+        assert "anti-PT defect of H: 0.000e+00" in messages
 
 
 class TestBoundStateFilter:
