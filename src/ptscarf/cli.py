@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import solver
+from . import lapack, solver
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -432,6 +432,12 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     return rows
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_scan(cfg: RunConfig) -> tuple[int, str]:
     """Sweep c_pt along the broken constraint and tabulate both branches."""
     lo, hi, steps = cfg.scan
@@ -441,19 +447,33 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
     for c in values:
         if not c_values or c != c_values[-1]:
             c_values.append(float(c))
-    results: dict[int, list[ScanRow]] = {}
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                i: pool.submit(_scan_point_rows, cfg, f"{i:03d}", c)
+    # One BLAS thread for every job count: the thread count moves the last
+    # digits of the eigenvalues, and the output must not depend on --jobs.
+    # The dense solve releases the interpreter lock, so jobs run in parallel.
+    blas_before = lapack.blas_thread_count()
+    rows: list[ScanRow] = []
+    with lapack.blas_threads(1):
+        logger.debug(
+            "scan: points=%d jobs=%d usable_cpus=%d blas_threads=%s->%s",
+            len(c_values),
+            cfg.jobs,
+            _usable_cpus(),
+            blas_before,
+            lapack.blas_thread_count(),
+        )
+        pool = ThreadPoolExecutor(max_workers=cfg.jobs)
+        try:
+            futures = [
+                pool.submit(_scan_point_rows, cfg, f"{i:03d}", c)
                 for i, c in enumerate(c_values)
-            }
-            results = {i: f.result() for i, f in futures.items()}
-    else:
-        for i, c in enumerate(c_values):
-            results[i] = _scan_point_rows(cfg, f"{i:03d}", c)
-            logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
-    rows = [row for i in sorted(results) for row in results[i]]
+            ]
+            for i, (c, future) in enumerate(zip(c_values, futures)):
+                rows.extend(future.result())
+                logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
+        finally:
+            # not a with block: that would run every queued point before a
+            # failure or an interrupt propagates
+            pool.shutdown(cancel_futures=True)
     if cfg.fmt == "csv":
         return 0, scan_rows_to_csv(rows)
     return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})

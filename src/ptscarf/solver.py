@@ -25,7 +25,16 @@ Notes on the numerics:
     (rounding in the coefficients and near the centre node); anything
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
-  * The eigenvalue sum is checked against the trace on every dense solve.
+  * The real form goes to scipy's own dgeev through lapack.dgeev, in place
+    and with the interpreter lock released, so solves on threads (scan
+    points under --jobs) run in parallel; the eigenvalues are bit-identical
+    to scipy.linalg.eigvals.
+  * The BLAS thread count changes the last digits of the eigenvalues.  A
+    scan runs every solve on one BLAS thread whatever --jobs is, so its
+    output does not depend on --jobs; a single solve keeps the process's
+    count, since at order ~1500 two threads are faster than one.
+  * The eigenvalue sum is checked against the trace on every dense solve;
+    a non-finite matrix or eigenvalue sum fails the check.
   * Eigenvectors are recovered only for candidate eigenvalues, by inverse
     iteration with the computed eigenvalue as shift, solving the shifted
     complex system in banded form.
@@ -38,6 +47,7 @@ Notes on the numerics:
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,6 +57,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
+from . import lapack
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
 from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
 from .params import Params, Regime, Sector, classify_regime
@@ -177,13 +188,17 @@ def eig_complex_dense(
 ) -> np.ndarray:
     """All eigenvalues of a dense matrix: LAPACK zgeev, or dgeev if it is real.
 
-    A real input is solved as float64.  The eigenvalue sum is checked
-    against the trace to 1e-8 relative to the Frobenius norm as a sanity
-    guard on the backend.
+    A real input is solved as float64 by lapack.dgeev, which releases the
+    interpreter lock; with overwrite=True a Fortran-ordered float64 input is
+    solved in place, without a copy.  A complex input goes to
+    scipy.linalg.eigvals.  The eigenvalue sum is checked against the trace
+    to 1e-8 relative to the Frobenius norm as a sanity guard on the backend;
+    a matrix with a non-finite entry is refused before the solve.
 
     Raises:
-      ConvergenceError: if the QR iteration fails or the trace identity is
-        violated; whatever was computed is attached as .partial.
+      ConvergenceError: if the matrix is not finite, the QR iteration fails
+        or the trace identity is violated; whatever was computed is
+        attached as .partial.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -198,14 +213,20 @@ def eig_complex_dense(
         m = m.astype(float, copy=False)
     trace = complex(np.trace(m))
     frob = float(np.linalg.norm(m))
+    if not math.isfinite(frob):
+        raise ConvergenceError(f"matrix has non-finite entries (norm {frob})")
     t0 = time.perf_counter()
     try:
-        eigs = scipy.linalg.eigvals(m, overwrite_a=overwrite, check_finite=False)
+        if driver == "zgeev":
+            eigs = scipy.linalg.eigvals(m, overwrite_a=overwrite, check_finite=False)
+        else:
+            in_place = overwrite and m.flags.writeable
+            eigs = lapack.dgeev(np.array(m, order="F", copy=None if in_place else True))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     logger.debug("%s order %d took %.3fs", driver, dim, time.perf_counter() - t0)
     defect = abs(complex(np.sum(eigs)) - trace)
-    if defect > 1e-8 * max(frob, 1.0):
+    if not defect <= 1e-8 * max(frob, 1.0):
         raise ConvergenceError(
             f"eigenvalue sum deviates from trace by {defect:.3e} "
             f"(matrix norm {frob:.3e})",

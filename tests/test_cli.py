@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import logging
+import os
 
 import pytest
 
+from ptscarf import lapack, solver
 from ptscarf.cli import main
 
 
@@ -198,6 +201,70 @@ class TestScanCommand:
         _, second = run_cli(tmp_path, args, name="b.csv")
         _, threaded = run_cli(tmp_path, [*args, "--jobs", "2"], name="c.csv")
         assert first == second == threaded
+
+    def test_jobs_never_change_the_bytes(self, tmp_path):
+        args = [*self.BASE, "--scan-min", "0", "--scan-max", "0.6", "--scan-steps", "4"]
+        outputs = [
+            run_cli(tmp_path, [*args, "--jobs", str(jobs)], name=f"jobs{jobs}.csv")
+            for jobs in (1, 2, 3)
+        ]
+        assert outputs[0][0] == 0
+        assert "\n000,0.0," in outputs[0][1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_scan_solves_on_one_blas_thread_and_restores_the_count(
+        self, tmp_path, monkeypatch
+    ):
+        if lapack.blas_thread_count() is None:
+            pytest.skip("scipy's bundled OpenBLAS is not present")
+        seen = []
+        verify = solver.verify_spectrum
+
+        def recording(*args, **kwargs):
+            seen.append(lapack.blas_thread_count())
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "verify_spectrum", recording)
+        args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "2"]
+        with lapack.blas_threads(2):
+            code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
+            assert lapack.blas_thread_count() == 2
+        assert code == 0
+        assert seen == [1, 1]
+
+    def test_blas_thread_count_restored_when_a_point_raises(self, tmp_path, monkeypatch):
+        if lapack.blas_thread_count() is None:
+            pytest.skip("scipy's bundled OpenBLAS is not present")
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("point failed")
+
+        monkeypatch.setattr(solver, "verify_spectrum", failing)
+        args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "4"]
+        with lapack.blas_threads(2):
+            with pytest.raises(RuntimeError, match="point failed"):
+                main([*args, "--out", str(tmp_path / "scan.csv")])
+            assert lapack.blas_thread_count() == 2
+
+    def test_debug_line_records_jobs_cpus_and_blas_threads(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("PTSCARF_LOG", "debug")
+        caplog.set_level(logging.DEBUG, logger="ptscarf")
+        args = [*self.BASE, "--scan-min", "0.5", "--scan-max", "0.5", "--scan-steps", "2"]
+        code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
+        assert code == 0
+        lines = [
+            r.getMessage() for r in caplog.records
+            if r.name == "ptscarf.cli" and r.getMessage().startswith("scan: ")
+        ]
+        assert len(lines) == 1
+        before = lapack.blas_thread_count()
+        during = None if before is None else 1
+        assert lines[0] == (
+            f"scan: points=1 jobs=2 usable_cpus={len(os.sched_getaffinity(0))} "
+            f"blas_threads={before}->{during}"
+        )
 
     def test_degenerate_span_collapses_to_one_point(self, tmp_path):
         code, text = run_cli(

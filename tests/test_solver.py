@@ -1,11 +1,15 @@
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptscarf import (
+    ConvergenceError,
     Grid,
     GridError,
     MatchError,
@@ -23,6 +27,7 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
+from ptscarf import lapack
 from ptscarf.solver import _bands, _pt_real_form
 from conftest import assert_multiset_close
 
@@ -162,6 +167,119 @@ class TestEigComplexDense:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eig_complex_dense(np.zeros((3, 4), dtype=complex))
+
+    def test_real_path_is_bit_identical_to_scipy(self, rng):
+        for n in (1, 2, 3, 37, 120, 301):
+            m = rng.standard_normal((n, n))
+            expected = scipy.linalg.eigvals(m)
+            np.testing.assert_array_equal(eig_complex_dense(m), expected)
+            f = np.asfortranarray(m)
+            np.testing.assert_array_equal(eig_complex_dense(f, overwrite=True), expected)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_false_leaves_the_input_untouched(self, rng, order):
+        m = np.array(rng.standard_normal((40, 40)), order=order)
+        kept = m.copy(order=order)
+        eig_complex_dense(m)
+        np.testing.assert_array_equal(m, kept)
+
+    def test_overwrite_solves_a_fortran_float64_matrix_in_place(self, rng):
+        m = np.asfortranarray(rng.standard_normal((40, 40)))
+        kept = m.copy(order="F")
+        eig_complex_dense(m, overwrite=True)
+        assert not np.array_equal(m, kept)  # LAPACK worked on m itself, no copy
+
+    def test_real_solve_releases_the_interpreter_lock(self, rng):
+        # A pure-Python thread that ticks while a solve runs: if the solve
+        # held the lock, one gap between ticks would span the whole solve.
+        m = rng.standard_normal((400, 400))
+        stop = threading.Event()
+        started = threading.Event()
+        longest = [0.0]
+
+        def tick():
+            last = time.perf_counter()
+            started.set()
+            while not stop.is_set():
+                now = time.perf_counter()
+                longest[0] = max(longest[0], now - last)
+                last = now
+
+        ticker = threading.Thread(target=tick)
+        ticker.start()
+        try:
+            assert started.wait(timeout=10.0)
+            t0 = time.perf_counter()
+            eig_complex_dense(m)
+            solve = time.perf_counter() - t0
+        finally:
+            stop.set()
+            ticker.join(timeout=10.0)
+        assert not ticker.is_alive()
+        assert longest[0] < 0.5 * solve
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[1.0, np.nan], [0.0, 2.0]]),
+            np.array([[1.0, np.inf], [0.0, 2.0]]),
+            np.array([[1.0, np.nan], [0.0, 2.0]], dtype=complex),
+        ],
+        ids=["real-nan", "real-inf", "complex-nan"],
+    )
+    def test_non_finite_matrix_refused(self, m):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            eig_complex_dense(m)
+
+    def test_non_finite_eigenvalue_sum_fails_the_trace_guard(self, monkeypatch):
+        monkeypatch.setattr(lapack, "dgeev", lambda a: np.full(a.shape[0], np.nan + 0j))
+        with pytest.raises(ConvergenceError, match="deviates from trace") as info:
+            eig_complex_dense(np.eye(3))
+        assert len(info.value.partial) == 3
+
+    def test_dgeev_failure_is_a_convergence_error(self, monkeypatch):
+        def no_convergence(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr,
+                           work, lwork, info):
+            if lwork[0] == -1:
+                work[0] = 4.0 * n[0]
+            else:
+                info[0] = 2
+
+        monkeypatch.setattr(lapack, "_dgeev", lapack._DGEEV(no_convergence))
+        with pytest.raises(ConvergenceError, match="order >= 3 have converged"):
+            eig_complex_dense(np.eye(3))
+
+
+class TestLapack:
+    def test_dgeev_needs_a_writeable_fortran_float64_matrix(self):
+        for a in (np.eye(3, dtype=np.float32), np.zeros((3, 4), order="F")):
+            with pytest.raises(ValueError, match="square float64"):
+                lapack.dgeev(a)
+        read_only = np.asfortranarray(np.eye(3))
+        read_only.flags.writeable = False
+        for a in (np.ascontiguousarray(np.arange(9.0).reshape(3, 3)), read_only):
+            with pytest.raises(ValueError, match="writeable Fortran"):
+                lapack.dgeev(a)
+
+    def test_blas_threads_sets_and_restores_the_count(self):
+        if lapack.blas_thread_count() is None:
+            pytest.skip("scipy's bundled OpenBLAS is not present")
+        with lapack.blas_threads(2):
+            with pytest.raises(RuntimeError):
+                with lapack.blas_threads(1):
+                    assert lapack.blas_thread_count() == 1
+                    raise RuntimeError("inside the block")
+            assert lapack.blas_thread_count() == 2
+
+    def test_blas_threads_without_the_library_changes_nothing(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="ptscarf.lapack")
+        before = lapack.blas_thread_count()
+        monkeypatch.setattr(lapack, "_openblas", lambda: None)
+        with lapack.blas_threads(1):
+            assert lapack.blas_thread_count() is None
+        monkeypatch.undo()
+        assert lapack.blas_thread_count() == before
+        assert any("BLAS thread count unchanged" in r.getMessage() for r in caplog.records)
 
 
 class TestPTRealForm:
