@@ -64,7 +64,6 @@ from .superpotential import (
     ground_state_wavefunction,
     partner_potential_minus,
     partner_potential_plus,
-    superpotential_for,
 )
 
 __version__ = "0.1.0"
@@ -121,6 +120,5 @@ __all__ = [
     "sl2_exchange",
     "solve_bound_states",
     "spectrum_family",
-    "superpotential_for",
     "verify_spectrum",
 ]

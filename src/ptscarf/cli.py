@@ -18,6 +18,7 @@ variable (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import lapack, solver
+from . import solver
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -40,7 +41,7 @@ from .errors import (
     RegimeError,
     ValidationError,
 )
-from .grids import Grid, pt_apply
+from .grids import Grid, overlap_ratio, pt_apply
 from .params import (
     TAU_PARAM,
     Params,
@@ -70,7 +71,6 @@ from .superpotential import (
     ground_state_wavefunction,
     partner_potential_minus,
 )
-from .grids import overlap_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +176,13 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ptscarf argument parser, built once per process and shared.
+
+    Parsing leaves the parser unchanged (every flag defaults to SUPPRESS,
+    so each parse returns a fresh namespace); callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="ptscarf",
         description=(
@@ -440,6 +446,8 @@ def _usable_cpus() -> int:
 
 def run_scan(cfg: RunConfig) -> tuple[int, str]:
     """Sweep c_pt along the broken constraint and tabulate both branches."""
+    from . import lapack
+
     lo, hi, steps = cfg.scan
     values = list(np.linspace(lo, hi, steps))
     # collapse exact duplicates (e.g. a [0, 0] sweep) to a single point

@@ -50,14 +50,15 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.optimize import linear_sum_assignment
 
-from . import lapack
+# scipy, and .lapack with it, is imported inside the functions that solve:
+# the closed-form commands import this module and never load it.
+if TYPE_CHECKING:
+    import scipy.sparse
+
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
 from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
 from .params import Params, Regime, Sector, classify_regime
@@ -89,7 +90,7 @@ REAL_IM_TOL = 1e-6
 MAX_DENSE_DIM = 6000
 # Largest imaginary part of the PT-basis form, in ulps of max |H_ij|, that
 # still counts as rounding: a PT-symmetric potential leaves at most a few
-# (cancellations near the centre node), far below zgeev's own backward error.
+# (cancellations near the centre node), far below dgeev's own backward error.
 ANTI_PT_ULPS = 4
 _GS_PT_TOL = 1e-6
 
@@ -119,6 +120,8 @@ def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
 
 
 def _banded_to_sparse(ab: np.ndarray) -> scipy.sparse.dia_matrix:
+    import scipy.sparse
+
     halfwidth = ab.shape[0] // 2
     offsets = np.arange(halfwidth, -halfwidth - 1, -1)
     return scipy.sparse.dia_matrix((ab, offsets), shape=(ab.shape[1], ab.shape[1]))
@@ -143,6 +146,8 @@ def _pt_basis(dim: int) -> scipy.sparse.csr_matrix:
     i(e_{c-j} - e_{c+j})/sqrt(2).  Ordered outward from the centre, the
     columns keep Q^H H Q banded, with twice the half-bandwidth of H.
     """
+    import scipy.sparse
+
     c = dim // 2
     j = np.arange(1, c + 1)
     left, right = c - j, c + j
@@ -200,6 +205,10 @@ def eig_complex_dense(
         or the trace identity is violated; whatever was computed is
         attached as .partial.
     """
+    import scipy.linalg
+
+    from . import lapack
+
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -243,6 +252,8 @@ def _inverse_iteration(
     The shift is offset by ~1e-10 so the factorization never hits the exact
     singularity; 2-3 solves are enough for filtering and overlap purposes.
     """
+    import scipy.linalg
+
     dim = bands.shape[1]
     rng = np.random.default_rng(0x5CA2F)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -458,6 +469,8 @@ def match_levels(
             [[abs(ea - en) for en in numerical] for ea in analytic], dtype=float
         )
         if cost.size:
+            from scipy.optimize import linear_sum_assignment
+
             rows, cols = linear_sum_assignment(cost)
             hungarian = [
                 Match(int(i), int(j), float(cost[i, j]))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizableError, RegimeError
 from .grids import Grid, Wavefunction
-from .params import TAU_PARAM, Params, Regime, Sector, classify_regime
+from .params import TAU_PARAM, Params, Regime, classify_regime
 
 
 def sech(z):
@@ -142,17 +142,6 @@ def build_broken_pair(p: Params) -> tuple[Superpotential, Superpotential]:
     w_plus = Superpotential(a=complex(p.A, p.c_pt), b=complex(p.c_pt, half), alpha=p.alpha)
     w_minus = Superpotential(a=complex(p.A, -p.c_pt), b=complex(-p.c_pt, half), alpha=p.alpha)
     return w_plus, w_minus
-
-
-def superpotential_for(p: Params, sector: Sector) -> Superpotential:
-    """The sector's superpotential: W in the unbroken regime, W+- in the broken."""
-    regime = classify_regime(p)
-    if regime is Regime.UNBROKEN:
-        return build_unbroken(p)
-    if regime is Regime.BROKEN:
-        w_plus, w_minus = build_broken_pair(p)
-        return w_plus if sector is Sector.PLUS else w_minus
-    raise RegimeError("parameters are not PT-symmetric")
 
 
 def partner_potential_minus(w: Superpotential) -> PotentialCoeffs:

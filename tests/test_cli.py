@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptscarf
 from ptscarf import lapack, solver
-from ptscarf.cli import main
+from ptscarf.cli import build_config, build_parser, main
 
 
 def run_cli(tmp_path, args, name="out.json"):
@@ -371,3 +376,102 @@ class TestLogging:
         monkeypatch.setenv("PTSCARF_LOG", "chatty")
         code, _ = run_cli(tmp_path, ["potential", "--A", "1.5", "--B", "2", "--cpt", "0.5"])
         assert code == 0
+
+
+def _help_text(parser, argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return buf.getvalue()
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call may see another's flags."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_flag_leaks_into_the_next_parse(self, tmp_path):
+        code, text = run_cli(tmp_path, ["verify", "--A", "2.5", "--B", "1", "--points=101"])
+        assert code == 0
+        assert json.loads(text)["all_pass"] is True
+        ns = build_parser().parse_args(["verify", "--A", "2.5", "--B", "1"])
+        assert not hasattr(ns, "points")
+        assert build_config(ns).grid.n_points == 4001
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["scan", "-h"]])
+    def test_help_is_byte_identical_to_a_fresh_parser(self, tmp_path, argv):
+        run_cli(tmp_path, ["potential", "--A", "1.5", "--B", "2", "--cpt", "0.5"])
+        main(["verify", "--bogus"])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        fresh = build_parser.__wrapped__()
+        assert fresh is not build_parser()
+        assert buf.getvalue() == _help_text(fresh, argv)
+
+    def test_usage_errors_still_return_3(self, tmp_path):
+        assert main(["verify", "--A"]) == 3
+        assert main(["nonsense"]) == 3
+        code, text = run_cli(tmp_path, ["potential", "--A", "1.5", "--B", "2", "--cpt", "0.5"])
+        assert code == 0
+        assert json.loads(text)["regime"] == "broken"
+
+
+_CHILD = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import ptscarf
+loaded["import ptscarf"] = scipy_modules()
+import ptscarf.cli
+loaded["import ptscarf.cli"] = scipy_modules()
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(ptscarf.cli.main(argv))
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _run_child(argvs):
+    """Run the CLI calls in a fresh interpreter; report exit codes and scipy modules."""
+    env = dict(os.environ)
+    src = str(Path(ptscarf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportPath:
+    """The closed-form commands run on numpy alone; scipy loads at the first solve."""
+
+    def test_potential_and_verify_never_load_scipy(self):
+        unbroken = ["--A=2.5", "--B=1", "--points=201"]
+        broken = ["--A=1.5", "--B=2", "--cpt=0.5", "--points=201"]
+        result = _run_child(
+            [
+                ["verify", *unbroken],
+                ["potential", *unbroken],
+                ["verify", *broken],
+                ["potential", *broken],
+            ]
+        )
+        assert result["codes"] == [0, 0, 0, 0]
+        assert len(result["loaded"]) == 6
+        assert all(mods == [] for mods in result["loaded"].values()), result["loaded"]
+
+    def test_spectrum_still_solves_and_loads_scipy(self):
+        argv = ["spectrum", "--A=2.5", "--B=1", "--points=201"]
+        result = _run_child([argv])
+        assert result["codes"] == [0]
+        assert result["loaded"]["import ptscarf.cli"] == []
+        assert "scipy.linalg" in result["loaded"][" ".join(argv)]

@@ -406,6 +406,15 @@ class TestMatchLevels:
         assert len(matches) == 2 and ua == () and un == ()
         assert {m.numerical_index for m in matches} == {0, 1}
 
+    def test_hungarian_fallback_matches_what_greedy_leaves(self):
+        # greedy takes the closest pair 1<->0 (2e-3) first; level 0 is then
+        # 8.8e-3 from the only value left, beyond tolerance.  The assignment
+        # 0<->0, 1<->1 matches both.
+        matches, ua, un = match_levels([0.0, 0.005], [0.003, 0.0088], match_tol=5e-3)
+        assert [(m.analytic_index, m.numerical_index) for m in matches] == [(0, 0), (1, 1)]
+        assert [m.abs_error for m in matches] == pytest.approx([0.003, 0.0038])
+        assert ua == () and un == ()
+
 
 class TestVerifySpectrum:
     def test_unbroken_reference_point(self):
