@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ptscarf",
         description=(
             "Complex Scarf-II PT-symmetric spectra: analytic construction "
-            "checked by a dense non-Hermitian eigensolver"
+            "checked by a non-Hermitian eigensolver"
         ),
     )
     _add_common_flags(parser, suppress=True)
@@ -457,7 +457,9 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
             c_values.append(float(c))
     # One BLAS thread for every job count: the thread count moves the last
     # digits of the eigenvalues, and the output must not depend on --jobs.
-    # The dense solve releases the interpreter lock, so jobs run in parallel.
+    # The window count's banded LUs and the dense dgeev release the
+    # interpreter lock; ARPACK and the Python around them hold it, so jobs
+    # overlap only in those LAPACK calls.
     blas_before = lapack.blas_thread_count()
     rows: list[ScanRow] = []
     with lapack.blas_threads(1):

@@ -1,11 +1,12 @@
 """Direct calls into the LAPACK and OpenBLAS that scipy ships.
 
-scipy.linalg.eigvals holds the interpreter lock for the whole LAPACK call,
-so scan points solved on threads would run one at a time.  dgeev() calls
-the same dgeev that scipy.linalg.eigvals uses, taken from
+scipy.linalg.eigvals and scipy.linalg.lapack.zgbtrf hold the interpreter
+lock for the whole LAPACK call, so scan points solved on threads would run
+one at a time.  dgeev() and zgbtrf() call the same routines, taken from
 scipy.linalg.cython_lapack, through ctypes, which releases the lock for the
-duration of the call.  It queries the optimal workspace first, as scipy
-does, so the eigenvalues are bit-identical to scipy.linalg.eigvals.
+duration of the call.  dgeev() queries the optimal workspace first, as scipy
+does, so the eigenvalues are bit-identical to scipy.linalg.eigvals; the
+factors and pivots of zgbtrf() are bit-identical to scipy's zgbtrf.
 
 blas_threads() limits scipy's OpenBLAS to a number of threads for a block
 and restores the previous count afterwards.  The count is process-wide, and
@@ -37,6 +38,11 @@ _DGEEV = ctypes.CFUNCTYPE(
     _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P,
     _DOUBLE_P, _INT_P, _INT_P,
 )
+# void zgbtrf(m, n, kl, ku, ab, ldab, ipiv, info); ab is complex128, passed as
+# its interleaved (re, im) doubles
+_ZGBTRF = ctypes.CFUNCTYPE(
+    None, _INT_P, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P
+)
 
 
 def _capsule_pointer(capsule) -> int:
@@ -50,6 +56,7 @@ def _capsule_pointer(capsule) -> int:
 
 
 _dgeev = _DGEEV(_capsule_pointer(cython_lapack.__pyx_capi__["dgeev"]))
+_zgbtrf = _ZGBTRF(_capsule_pointer(cython_lapack.__pyx_capi__["zgbtrf"]))
 
 
 def dgeev(a: np.ndarray) -> np.ndarray:
@@ -96,6 +103,42 @@ def dgeev(a: np.ndarray) -> np.ndarray:
             f"{info.value + 1} have converged)"
         )
     return wr + 1j * wi
+
+
+def zgbtrf(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, int]:
+    """LU factorization with partial pivoting of a square complex band matrix.
+
+    ab holds the matrix in LAPACK band storage with kl extra rows on top for
+    the fill-in: ab[kl + ku + i - j, j] = A[i, j], shape (2*kl + ku + 1, n).
+    The top kl rows need not be set.  ab must be a writeable Fortran-ordered
+    complex128 array; LAPACK overwrites it with the factors, U's diagonal in
+    row kl + ku.  The interpreter lock is released while LAPACK runs.
+
+    Returns (ipiv, info): the 0-based row interchanges, as scipy returns
+    them, and info > 0 if U[info - 1, info - 1] is exactly zero.
+
+    Raises:
+      ValueError: if ab is not a writeable Fortran complex128 array of the
+        band shape.
+    """
+    if ab.dtype != np.complex128 or ab.ndim != 2 or kl < 0 or ku < 0:
+        raise ValueError(f"expected a complex128 band array, got {ab.dtype} {ab.shape}")
+    if ab.shape[0] != 2 * kl + ku + 1:
+        raise ValueError(f"band array needs {2 * kl + ku + 1} rows, got {ab.shape[0]}")
+    if not (ab.flags.f_contiguous and ab.flags.writeable):
+        raise ValueError("expected a writeable Fortran-ordered band array")
+    dim = ctypes.c_int(ab.shape[1])
+    ipiv = np.empty(ab.shape[1], dtype=np.intc)
+    info = ctypes.c_int(0)
+    _zgbtrf(
+        dim, dim, ctypes.byref(ctypes.c_int(kl)), ctypes.byref(ctypes.c_int(ku)),
+        ab.ctypes.data_as(_DOUBLE_P), ctypes.byref(ctypes.c_int(ab.shape[0])),
+        ipiv.ctypes.data_as(_INT_P), ctypes.byref(info),
+    )
+    if info.value < 0:
+        raise ValueError(f"zgbtrf: illegal value in argument {-info.value}")
+    ipiv -= 1
+    return ipiv, info.value
 
 
 @functools.cache

@@ -1,10 +1,11 @@
-"""Dense non-Hermitian eigensolver check for the analytic spectra.
+"""Non-Hermitian eigensolver check for the analytic spectra.
 
 The Hamiltonian H = -d^2/dx^2 + V(x) with complex V is discretized on a
 finite symmetric grid with Dirichlet walls (3- or 5-point Laplacian
-stencil), all eigenvalues of a dense matrix similar to it are computed,
-bound states are separated from discretized-continuum artifacts, and the
-survivors are matched one-to-one against the analytic families.
+stencil), the eigenvalues of a matrix similar to it in the bound-state
+window are computed, bound states are separated from discretized-continuum
+artifacts, and the survivors are matched one-to-one against the analytic
+families.
 
 Notes on the numerics:
   * H is built as its band (half-bandwidth <= 2) in O(n); only discretize()
@@ -14,25 +15,36 @@ Notes on the numerics:
     matrix is unitarily similar to a real one of the same order (Lee,
     Linear Algebra Appl. 29, 205 (1980)): with the PT-invariant basis
     (e_k + e_k')/sqrt(2), i(e_k - e_k')/sqrt(2) and the centre node e_c
-    (k' the mirror of k) as the columns of Q, Q^H H Q is real.  Q has two
-    nonzeros per column, so Q^H H Q costs O(n) plus the O(n^2) fill of a
-    dense float64 array, and the eigenvalues come from LAPACK dgeev
-    (balancing + Hessenberg + shifted QR) instead of zgeev on the complex
-    H: about a third of the time and half the bytes per entry, still
-    O(n^3).
+    (k' the mirror of k) as the columns of Q, M = Q^H H Q is real.  Q has
+    two nonzeros per column, so M is built in O(n) as a sparse band with
+    twice H's half-bandwidth.
   * The imaginary part of Q^H H Q is exactly the anti-PT part of H.  A
     PT-symmetric potential leaves at most a few ulps of max |H_ij| there
     (rounding in the coefficients and near the centre node); anything
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
-  * The real form goes to scipy's own dgeev through lapack.dgeev, in place
-    and with the interpreter lock released, so solves on threads (scan
-    points under --jobs) run in parallel; the eigenvalues are bit-identical
-    to scipy.linalg.eigvals.
+  * From order REGION_MIN_DIM on, only the bound-state window is solved
+    (region.solve_window): a rectangle from the field of values of H,
+    whose eigenvalues are counted by the winding of det(H - z) from banded
+    LUs and found by shift-invert Arnoldi on M.  The result is admitted
+    only when the count is integral, its sampling never hit the refinement
+    floor, and Arnoldi finds exactly as many eigenvalues inside; otherwise
+    the dense solve below runs instead.  At order 1499 the window solve
+    takes about 0.03 s against about 2 s for the dense one (2-vCPU VM,
+    OpenBLAS 0.3.31).  The eigenvalues of the kinetic band, which the count
+    divides out, are cached per grid.
+  * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
+    a dense float64 array (O(n^2)) and computes all its eigenvalues with
+    LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
+    third of the time of zgeev on the complex H.
+  * The banded LUs of the count (lapack.zgbtrf) and the dense dgeev
+    (lapack.dgeev, in place, bit-identical to scipy.linalg.eigvals) release
+    the interpreter lock, so solves on threads (scan points under --jobs)
+    overlap there; ARPACK and the Python glue of a window solve hold it.
   * The BLAS thread count changes the last digits of the eigenvalues.  A
     scan runs every solve on one BLAS thread whatever --jobs is, so its
     output does not depend on --jobs; a single solve keeps the process's
-    count, since at order ~1500 two threads are faster than one.
+    count, since at order ~1500 two threads are faster than one for dgeev.
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
   * Eigenvectors are recovered only for candidate eigenvalues, by inverse
@@ -42,10 +54,15 @@ Notes on the numerics:
     rather than an energy cutoff alone: continuum artifacts can acquire
     small complex shifts with Re(E) near 0, while genuine bound states in
     the broken regime can sit exactly at Re(E) = 0.
+  * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
+    or dense with its reason), the window, the count, the number of LU
+    evaluations, Arnoldi's k, the seconds, and for each kept level its
+    residual and condition number.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -58,6 +75,8 @@ import numpy as np
 # the closed-form commands import this module and never load it.
 if TYPE_CHECKING:
     import scipy.sparse
+
+    from .region import RegionSolve
 
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
 from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
@@ -88,6 +107,11 @@ MATCH_TOL = 5e-3
 # |Im(E)| below this (scaled) threshold counts as a real eigenvalue.
 REAL_IM_TOL = 1e-6
 MAX_DENSE_DIM = 6000
+# From this order on, solve_bound_states solves the bound-state window
+# (region.solve_window) instead of the whole dense form: on a 2-vCPU VM
+# (OpenBLAS 0.3.31, one BLAS thread) dense took 12 ms against 16 ms at
+# order 149 and 22 ms against 20 ms at 199; from 299 on, region is 2x+ faster.
+REGION_MIN_DIM = 200
 # Largest imaginary part of the PT-basis form, in ulps of max |H_ij|, that
 # still counts as rounding: a PT-symmetric potential leaves at most a few
 # (cancellations near the centre node), far below dgeev's own backward error.
@@ -95,28 +119,48 @@ ANTI_PT_ULPS = 4
 _GS_PT_TOL = 1e-6
 
 
-def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
-    """-d^2/dx^2 + V on the grid's interior nodes, in banded storage.
+def _kinetic_band(dim: int, h: float, order: int) -> np.ndarray:
+    """-d^2/dx^2 alone on dim interior nodes of spacing h, in banded storage.
 
     The layout is scipy's solve_banded one with equal lower and upper
     half-widths: row halfwidth - d holds diagonal d (column minus row), so
     the band is built in O(n) without a dense matrix.
     """
-    if order not in (2, 4):
-        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
-    if g.n_points < 5 and order == 4:
-        raise GridError("the 5-point stencil needs at least 5 grid points")
-    h = g.h
     if order == 2:
         stencil, scale = (2.0, -1.0), h**2
     else:
         stencil, scale = (30.0, -16.0, 1.0), 12.0 * h**2
     halfwidth = len(stencil) - 1
-    ab = np.empty((2 * halfwidth + 1, g.n_points - 2), dtype=complex)
+    ab = np.empty((2 * halfwidth + 1, dim))
     for d, c in enumerate(stencil):
         ab[halfwidth - d] = ab[halfwidth + d] = c / scale
-    ab[halfwidth] += v.evaluate(g.x())[1:-1]
     return ab
+
+
+def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
+    """-d^2/dx^2 + V on the grid's interior nodes, in _kinetic_band layout."""
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
+    if g.n_points < 5 and order == 4:
+        raise GridError("the 5-point stencil needs at least 5 grid points")
+    ab = _kinetic_band(g.n_points - 2, g.h, order).astype(complex)
+    ab[ab.shape[0] // 2] += v.evaluate(g.x())[1:-1]
+    return ab
+
+
+@functools.lru_cache(maxsize=4)
+def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
+    """Eigenvalues of _kinetic_band, ascending and read-only.
+
+    Cached: every solve on one grid shares them, and at order ~1500 they
+    cost more than the rest of a window solve.
+    """
+    import scipy.linalg
+
+    band = _kinetic_band(dim, h, order)
+    mu = scipy.linalg.eig_banded(band[: band.shape[0] // 2 + 1], eigvals_only=True)
+    mu.flags.writeable = False
+    return mu
 
 
 def _banded_to_sparse(ab: np.ndarray) -> scipy.sparse.dia_matrix:
@@ -160,19 +204,35 @@ def _pt_basis(dim: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def _pt_real_form(ab: np.ndarray) -> tuple[np.ndarray, float]:
+def _pt_signature(dim: int) -> np.ndarray:
+    """The diagonal of Q^T Q for _pt_basis(dim): +1, then +1, -1 per pair.
+
+    Q^T Q = S is diagonal because each mirror pair's two columns are
+    orthogonal under the plain (unconjugated) product; the second one, i times
+    a real vector, squares to -1.  As H^T = H, M = Q^H H Q satisfies
+    M^T = S M S, so S M is symmetric and S u is the left eigenvector of M for
+    a right one u.
+    """
+    s = np.ones(dim)
+    s[2::2] = -1.0
+    return s
+
+
+def _pt_real_sparse(ab: np.ndarray) -> tuple[scipy.sparse.coo_matrix, float]:
     """Real matrix Q^H H Q similar to the banded H, and H's anti-PT defect.
 
     Q^H H Q is real exactly when H is centrohermitian (J conj(H) J = H),
     which is what V(-x)* = V(x) makes of H on the symmetric grid; its
     imaginary part is the anti-PT part of H.  Returns the real part as a
-    Fortran-ordered float64 array, ready for LAPACK to overwrite, and the
-    largest imaginary entry.
+    sparse matrix with twice H's half-bandwidth, and the largest imaginary
+    entry.
 
     Raises:
       RegimeError: if the imaginary part exceeds ANTI_PT_ULPS ulps of
         max |H_ij|, i.e. the potential is not PT-symmetric on the grid.
     """
+    import scipy.sparse
+
     dim = ab.shape[1]
     q = _pt_basis(dim)
     m = (q.conj().T @ _banded_to_sparse(ab) @ q).tocoo()
@@ -183,9 +243,20 @@ def _pt_real_form(ab: np.ndarray) -> tuple[np.ndarray, float]:
             f"the discretized Hamiltonian is not PT-symmetric: anti-PT part "
             f"{defect:.3e} against max |H_ij| = {scale:.3e}"
         )
-    real = np.zeros((dim, dim), order="F")
-    real[m.row, m.col] = m.data.real
-    return real, defect
+    return scipy.sparse.coo_matrix((m.data.real, (m.row, m.col)), shape=m.shape), defect
+
+
+def _dense_fortran(m: scipy.sparse.coo_matrix) -> np.ndarray:
+    """m as a Fortran-ordered float64 array, ready for LAPACK to overwrite."""
+    dense = np.zeros(m.shape, order="F")
+    dense[m.row, m.col] = m.data
+    return dense
+
+
+def _pt_real_form(ab: np.ndarray) -> tuple[np.ndarray, float]:
+    """_pt_real_sparse with the real form as a dense Fortran float64 array."""
+    m, defect = _pt_real_sparse(ab)
+    return _dense_fortran(m), defect
 
 
 def eig_complex_dense(
@@ -335,17 +406,35 @@ def solve_bound_states(
     """Full pipeline: discretize, eigensolve, recover vectors, filter.
 
     The eigenvalues come from the real PT-basis form of H, so v must be
-    PT-symmetric on the grid.  Returns bound states sorted by (Re, Im) for
-    deterministic reporting.
+    PT-symmetric on the grid.  From REGION_MIN_DIM on, only the eigenvalues
+    in the bound-state window are computed (region.solve_window), falling
+    back to all eigenvalues of the dense form when that result is not
+    admitted; below it, the dense form is solved directly.  Returns bound
+    states sorted by (Re, Im) for deterministic reporting.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
+      ValueError: if the order of H exceeds max_dim, before any solve.
     """
     bands = _bands(v, g, order)
     halfwidth = bands.shape[0] // 2
-    m, anti_pt = _pt_real_form(bands)
+    dim = bands.shape[1]
+    m, anti_pt = _pt_real_sparse(bands)
     logger.debug("anti-PT defect of H: %.3e", anti_pt)
-    eigs = eig_complex_dense(m, max_dim=max_dim, overwrite=True)
+    if dim > max_dim:
+        raise ValueError(f"matrix dimension {dim} exceeds configured max {max_dim}")
+    t0 = time.perf_counter()
+    solved = None
+    eigs = None
+    if dim >= REGION_MIN_DIM:
+        from .region import solve_window
+
+        kinetic = _kinetic_eigenvalues(dim, g.h, order)
+        solved = solve_window(bands, kinetic, m, _pt_signature(dim), energy_margin)
+        eigs = solved.eigenvalues
+    if eigs is None:
+        eigs = eig_complex_dense(_dense_fortran(m), max_dim=max_dim, overwrite=True)
+    seconds = time.perf_counter() - t0
     del m
     candidates = [complex(e) for e in eigs if e.real < energy_margin]
     candidates.sort(key=lambda e: (e.real, e.imag))
@@ -360,9 +449,48 @@ def solve_bound_states(
         "bound states: %d of %d candidates kept (dim %d)",
         len(kept_e),
         len(candidates),
-        eigs.size,
+        dim,
     )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("%s", _solve_line(solved, seconds, bands, kept_e, kept_v))
     return BoundStates(tuple(kept_e), tuple(kept_v))
+
+
+def _solve_line(
+    solved: Optional[RegionSolve],
+    seconds: float,
+    bands: np.ndarray,
+    energies: Sequence[complex],
+    vectors: Sequence[Wavefunction],
+) -> str:
+    """The debug line of one solve: the path taken and each kept level.
+
+    solved is the window solve, or None below REGION_MIN_DIM.  Each level
+    carries its residual ||(H - E)x|| / ||x|| and its eigenvalue condition
+    number kappa = ||x||^2 / |x^T x|, both from the inverse-iteration vector
+    x on the interior nodes: H is complex symmetric, so conj(x) is the left
+    eigenvector.
+    """
+    dim = bands.shape[1]
+    if solved is None:
+        head = f"path=dense (order {dim} below the region crossover {REGION_MIN_DIM})"
+    else:
+        path = "region" if solved.reason is None else f"dense (fallback: {solved.reason})"
+        head = (
+            f"path={path} window={solved.window} count={solved.count:.6f} "
+            f"lu_evaluations={solved.lu_evaluations} arnoldi_k={solved.arnoldi_k}"
+        )
+    h = _banded_to_sparse(bands)
+    levels = []
+    for e, psi in zip(energies, vectors):
+        x = psi.values[1:-1]
+        norm2 = float(np.vdot(x, x).real)
+        residual = np.linalg.norm(h @ x - e * x) / math.sqrt(norm2)
+        kappa = norm2 / abs(x @ x)
+        levels.append(f"E={e:.10g} residual={residual:.2e} kappa={kappa:.3g}")
+    return f"solve order {dim}: {head} took {seconds:.3f}s; kept: " + (
+        "; ".join(levels) or "none"
+    )
 
 
 @dataclass(frozen=True)
@@ -534,7 +662,7 @@ def verify_spectrum(
     pairing_tol: float = REAL_IM_TOL,
     max_dim: int = MAX_DENSE_DIM,
 ) -> SpectrumReport:
-    """Check every analytic level against the dense eigensolver.
+    """Check every analytic level against the numerical eigensolver.
 
     Assembles the analytic families (union over sectors and exchanged
     families), solves the discretized problem, matches levels one-to-one,

@@ -469,6 +469,24 @@ class TestImportPath:
         assert len(result["loaded"]) == 6
         assert all(mods == [] for mods in result["loaded"].values()), result["loaded"]
 
+    def test_arpack_loads_only_for_a_solve_above_the_crossover(self):
+        # scipy.sparse.linalg (ARPACK) serves the region solve alone: the
+        # closed-form commands and a small dense solve never import it
+        small = ["spectrum", "--A=2.5", "--B=1", "--points=201"]
+        large = ["spectrum", "--A=2.5", "--B=1", "--points=601"]
+        result = _run_child(
+            [
+                ["verify", "--A=1.5", "--B=2", "--cpt=0.5", "--points=201"],
+                ["potential", "--A=1.5", "--B=2", "--cpt=0.5"],
+                small,
+                large,
+            ]
+        )
+        assert result["codes"] == [0, 0, 0, 0]
+        arpack = {k: "scipy.sparse.linalg" in mods for k, mods in result["loaded"].items()}
+        assert arpack.pop(" ".join(large)) is True
+        assert not any(arpack.values()), arpack
+
     def test_spectrum_still_solves_and_loads_scipy(self):
         argv = ["spectrum", "--A=2.5", "--B=1", "--points=201"]
         result = _run_child([argv])

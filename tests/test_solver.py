@@ -28,7 +28,7 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack
-from ptscarf.solver import _bands, _pt_real_form
+from ptscarf.solver import _bands, _pt_basis, _pt_real_form, _pt_real_sparse, _pt_signature
 from conftest import assert_multiset_close
 
 FREE = PotentialCoeffs(0.0, 0.0, 0.0, 1.0)
@@ -282,6 +282,83 @@ class TestLapack:
         assert any("BLAS thread count unchanged" in r.getMessage() for r in caplog.records)
 
 
+def _longest_tick_gap(work):
+    """Longest gap between ticks of a pure-Python thread while work() runs.
+
+    If work held the interpreter lock, one gap would span all of it.
+    Returns (longest gap, seconds work took).
+    """
+    stop = threading.Event()
+    started = threading.Event()
+    longest = [0.0]
+
+    def tick():
+        last = time.perf_counter()
+        started.set()
+        while not stop.is_set():
+            now = time.perf_counter()
+            longest[0] = max(longest[0], now - last)
+            last = now
+
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    try:
+        assert started.wait(timeout=10.0)
+        t0 = time.perf_counter()
+        work()
+        took = time.perf_counter() - t0
+    finally:
+        stop.set()
+        ticker.join(timeout=10.0)
+    assert not ticker.is_alive()
+    return longest[0], took
+
+
+def _random_band(rng, dim, kl, ku):
+    ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex, order="F")
+    ab[kl:] = rng.standard_normal((kl + ku + 1, dim)) + 1j * rng.standard_normal((kl + ku + 1, dim))
+    return ab
+
+
+class TestZgbtrf:
+    @pytest.mark.parametrize(
+        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
+    )
+    def test_factors_and_pivots_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
+        ab = _random_band(rng, dim, kl, ku)
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku)
+        ipiv, info_ours = lapack.zgbtrf(ab, kl, ku)  # in place
+        np.testing.assert_array_equal(ab, lu)
+        np.testing.assert_array_equal(ipiv, piv)
+        assert info_ours == info == 0
+        assert np.count_nonzero(ipiv != np.arange(dim)) > 0 or dim == 1
+
+    def test_exactly_singular_factor_is_reported_as_scipy_does(self):
+        ab = np.zeros((4, 5), dtype=complex, order="F")
+        ab[2] = [1.0, 2.0, 0.0, 4.0, 5.0]  # diagonal of a diagonal matrix (kl = ku = 1)
+        _, piv, info = scipy.linalg.lapack.zgbtrf(ab, 1, 1)
+        ipiv, info_ours = lapack.zgbtrf(ab, 1, 1)
+        assert info_ours == info == 3
+        np.testing.assert_array_equal(ipiv, piv)
+
+    def test_needs_a_writeable_fortran_complex_band_array(self):
+        good = np.zeros((4, 5), dtype=complex, order="F")
+        with pytest.raises(ValueError, match="complex128 band"):
+            lapack.zgbtrf(good.real.copy(order="F"), 1, 1)
+        with pytest.raises(ValueError, match="needs 4 rows"):
+            lapack.zgbtrf(good[:3], 1, 1)
+        read_only = good.copy(order="F")
+        read_only.flags.writeable = False
+        for a in (np.ascontiguousarray(good), read_only):
+            with pytest.raises(ValueError, match="writeable Fortran"):
+                lapack.zgbtrf(a, 1, 1)
+
+    def test_releases_the_interpreter_lock(self, rng):
+        ab = _random_band(rng, 3000, 100, 100)
+        longest, took = _longest_tick_gap(lambda: lapack.zgbtrf(ab, 100, 100))
+        assert longest < 0.5 * took
+
+
 class TestPTRealForm:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -307,6 +384,15 @@ class TestPTRealForm:
             k = int(np.argmin(errs))
             assert errs[k] <= 1e-9 * max(1.0, abs(e))
             computed.pop(k)
+
+    def test_signature_makes_s_times_the_real_form_symmetric(self):
+        v = PotentialCoeffs(-7.25, 8.5j, 0.0, 1.0)
+        m, _ = _pt_real_sparse(_bands(v, Grid(10.0, 41), 4))
+        s = _pt_signature(39)
+        q = _pt_basis(39)
+        np.testing.assert_allclose((q.T @ q).toarray(), np.diag(s), atol=1e-15)
+        sm = (m.toarray().T * s).T
+        np.testing.assert_array_equal(sm, sm.T)
 
     def test_real_t_potential_refused(self):
         with pytest.raises(RegimeError):
