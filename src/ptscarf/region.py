@@ -17,20 +17,25 @@ result only when two independent methods agree on how many there are:
     is the product of U's diagonal from a complex banded LU (zgbtrf, O(n)),
     times -1 for each row interchange.  The discretized continuum crowds the
     right edge, and each of its eigenvalues turns the phase by about pi
-    there, so the phase of the free kinetic part, sum_j arg(mu_j - z) with
-    mu_j the eigenvalues of K alone, is divided out; the mu_j inside the
-    window are added back.  det(H - z) is the determinant of the real
+    there, so the phase of a free kinetic part, sum_j arg(mu_j - z), is
+    divided out and the mu_j inside the window are added back.  Any mu_j
+    known exactly serve; they are the sine-basis values of
+    solver._kinetic_eigenvalues, K's own spectrum for the 3-point stencil
+    and that of K minus its corner term for the 5-point one, in O(n).  det(H - z) is the determinant of the real
     PT-basis form M - z, so the phase on the lower half of the contour
     mirrors the upper half: only the upper half is sampled, and its phase
     change must be a whole multiple of pi.  Sampling is adaptive: a segment
     is accepted when both of its halves turn the phase by at most pi/8;
     otherwise it is bisected, down to a floor.
   * The eigenvalues come from shift-invert Arnoldi (ARPACK through
-    scipy.sparse.linalg.eigs) on the real banded M, with a real shift at the
-    centre of the window, so complex eigenvalues come in exact conjugate
-    pairs.  k is the count plus the kinetic eigenvalues in the disc around
-    the shift that covers the window, plus a few, so the k nearest
-    eigenvalues should reach past every corner of the window.  Each one is
+    scipy.sparse.linalg.eigs) on the real banded M, with a real shift sigma
+    at the centre of the window, so complex eigenvalues come in exact
+    conjugate pairs.  M - sigma is factored once by a real band LU
+    (dgbtrf), and ARPACK's (M - sigma)^-1 is a band solve (dgbtrs) against
+    that factor.  k is the count plus the kinetic eigenvalues in the disc
+    around the shift that covers the window, plus a few, so the k nearest
+    eigenvalues should reach past every corner of the window.  ARPACK
+    converges them to 1e-10 relative, and each one inside the window is
     refined by the two-sided Rayleigh quotient of its Ritz vector.
 
 The result is kept only when the count is integral, no segment hit the
@@ -45,8 +50,9 @@ and scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -71,6 +77,10 @@ COUNT_TOL = 1e-6
 # Arnoldi vectors requested beyond the count and the kinetic estimate of
 # the continuum inside the shift's disc.
 ARNOLDI_SPARE = 4
+# ARPACK's relative accuracy of the Ritz values.  Only the few inside the
+# window are kept, and the Rayleigh quotient polishes them past it; the
+# continuum ones only show whether the k reach past the corners.
+ARNOLDI_TOL = 1e-10
 
 NON_INTEGRAL = "non-integral count"
 FLOOR = "refinement floor"
@@ -110,15 +120,21 @@ class RegionSolve:
 
     eigenvalues holds the eigenvalues inside the window when the result is
     admitted, and is None otherwise, with reason saying why.  count is the
-    winding count before rounding; arnoldi_k is 0 if Arnoldi did not run.
+    winding count before rounding; arnoldi_k and arnoldi_solves (the
+    applications of (M - sigma)^-1) are 0 if Arnoldi did not run.  The _s
+    fields are the seconds each stage took.
     """
 
     window: Window
     count: float
     lu_evaluations: int
-    arnoldi_k: int
-    eigenvalues: Optional[np.ndarray]
-    reason: Optional[str]
+    window_s: float
+    count_s: float
+    eigenvalues: Optional[np.ndarray] = None
+    reason: Optional[str] = None
+    arnoldi_k: int = 0
+    arnoldi_solves: int = 0
+    arnoldi_s: float = 0.0
 
 
 def _lowest_eigenvalue_bound(upper: np.ndarray) -> float:
@@ -195,11 +211,24 @@ def _wrap(phi: float) -> float:
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _phase_change(phase: _Phase, start: complex, end: complex) -> Optional[float]:
-    """Phase change along the segment start -> end; None at the floor."""
+def _phase_change(
+    phase: _Phase,
+    start: complex,
+    end: complex,
+    known: Optional[tuple[float, float]] = None,
+) -> Optional[float]:
+    """Phase change along the segment start -> end; None at the floor.
+
+    known holds the phases at start and end when the caller has them
+    already (the corners that two edges share), saving their LUs.
+    """
     floor = REFINEMENT_FLOOR * abs(end - start)
     points = [start + (end - start) * t for t in np.linspace(0.0, 1.0, EDGE_SEGMENTS + 1)]
-    phases = [phase(z) for z in points]
+    if known is None:
+        phases = [phase(z) for z in points]
+    else:
+        points[-1] = end  # the exact corner whose phase is known
+        phases = [known[0], *(phase(z) for z in points[1:-1]), known[1]]
     stack = list(zip(points[:-1], phases[:-1], points[1:], phases[1:]))[::-1]
     total = 0.0
     while stack:
@@ -224,16 +253,18 @@ def count_eigenvalues(
 
     H's spectrum must be closed under conjugation (H is similar to a real
     matrix), so that the lower half of the contour mirrors the upper half,
-    which is all that is sampled.  The count is returned before rounding,
-    or None if a segment hit the refinement floor (a sample on an
+    which is all that is sampled.  The phase at each corner is evaluated
+    once, for both edges that meet there.  The count is returned before
+    rounding, or None if a segment hit the refinement floor (a sample on an
     eigenvalue, whose phase is NaN, does).
     """
     phase = _Phase(bands, kinetic)
     lo, hi, top = window.re_lo, window.re_hi, window.im_hi
     upper = [complex(hi, 0.0), complex(hi, top), complex(lo, top), complex(lo, 0.0)]
+    corners = [phase(z) for z in upper]
     half = 0.0
-    for start, end in zip(upper[:-1], upper[1:]):
-        change = _phase_change(phase, start, end)
+    for i in range(len(upper) - 1):
+        change = _phase_change(phase, upper[i], upper[i + 1], (corners[i], corners[i + 1]))
         if change is None:
             return None, phase.evaluations
         half += change
@@ -241,16 +272,35 @@ def count_eigenvalues(
     return half / math.pi + poles, phase.evaluations
 
 
+@dataclass(frozen=True)
+class ArnoldiResult:
+    """What arnoldi_window found; unpacks as (eigenvalues, covered).
+
+    eigenvalues are the polished ones inside the window, covered says
+    whether the k nearest reach past its corners, and solves counts the
+    applications of (M - sigma)^-1.
+    """
+
+    eigenvalues: np.ndarray
+    covered: bool
+    solves: int
+
+    def __iter__(self) -> Iterator:
+        return iter((self.eigenvalues, self.covered))
+
+
 def arnoldi_window(
     m: scipy.sparse.spmatrix, signature: np.ndarray, window: Window, k: int
-) -> tuple[np.ndarray, bool]:
+) -> ArnoldiResult:
     """The eigenvalues of the real M inside the window, from the k nearest.
 
-    The k eigenvalues nearest the window's centre come from shift-invert
-    Arnoldi.  Returns those inside the window, and whether the k reach past
-    the window's corners, i.e. whether no eigenvalue inside can be missing.
-    ARPACK failures (no convergence, an exactly singular shift) return
-    nothing and False.
+    The k eigenvalues nearest the window's centre sigma come from
+    shift-invert Arnoldi, with (M - sigma)^-1 applied by band solves
+    (lapack.dgbtrs) against one band LU of M - sigma (lapack.dgbtrf).
+    Returns those inside the window, and whether the k reach past the
+    window's corners, i.e. whether no eigenvalue inside can be missing.
+    ARPACK failures (no convergence) and an exactly singular M - sigma
+    return nothing and False.
 
     Each returned eigenvalue is the two-sided Rayleigh quotient of its Ritz
     vector u: with S = diag(signature), S M is symmetric, so S u is the left
@@ -261,16 +311,35 @@ def arnoldi_window(
     1e-7, inside dgeev's own distance from zgeev.  A quotient is kept only
     within the first-order bound kappa ||(M - E_ritz) u|| / ||u|| of its
     Ritz value, where the eigenvalue must lie.  Conjugate Ritz vectors give
-    conjugate quotients, and real ones real quotients.
+    conjugate quotients, and real ones real quotients.  So ARPACK need only
+    converge to ARNOLDI_TOL, not to machine precision.
     """
     import scipy.sparse.linalg
 
-    m = m.tocsc()
-    v0 = np.random.default_rng(0xA2A0).standard_normal(m.shape[0])
+    m = m.tocoo()
+    dim = m.shape[0]
+    kl = int(np.max(np.abs(m.row - m.col), initial=0))
+    lu = np.zeros((3 * kl + 1, dim), order="F")
+    lu[2 * kl + m.row - m.col, m.col] = m.data  # LAPACK band storage, ku = kl
+    lu[2 * kl] -= window.centre
+    ipiv, info = lapack.dgbtrf(lu, kl, kl)
+    if info:
+        return ArnoldiResult(np.empty(0, dtype=complex), False, 0)
+    solves = 0
+
+    def shift_invert(x: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return lapack.dgbtrs(lu, kl, kl, x, ipiv)
+
+    op = scipy.sparse.linalg.LinearOperator(m.shape, matvec=shift_invert, dtype=float)
+    v0 = np.random.default_rng(0xA2A0).standard_normal(dim)
     try:
-        vals, vecs = scipy.sparse.linalg.eigs(m, k=k, sigma=window.centre, v0=v0, tol=0)
-    except RuntimeError:  # ArpackError, ArpackNoConvergence, singular splu
-        return np.empty(0, dtype=complex), False
+        vals, vecs = scipy.sparse.linalg.eigs(
+            m, k=k, sigma=window.centre, v0=v0, tol=ARNOLDI_TOL, OPinv=op
+        )
+    except RuntimeError:  # ArpackError, ArpackNoConvergence
+        return ArnoldiResult(np.empty(0, dtype=complex), False, solves)
     covered = bool(np.max(np.abs(vals - window.centre)) > window.radius)
     keep = np.array([window.contains(e) for e in vals], dtype=bool)
     ritz, u = vals[keep], vecs[:, keep]
@@ -282,7 +351,8 @@ def arnoldi_window(
             np.linalg.norm(u, axis=0) * np.linalg.norm(mu - ritz * u, axis=0) / np.abs(pairing)
         )
     quotient = np.where(ritz.imag == 0.0, quotient.real, quotient)
-    return np.where(np.abs(quotient - ritz) <= bound, quotient, ritz), covered
+    inside = np.where(np.abs(quotient - ritz) <= bound, quotient, ritz)
+    return ArnoldiResult(inside, covered, solves)
 
 
 def solve_window(
@@ -294,21 +364,31 @@ def solve_window(
 ) -> RegionSolve:
     """Eigenvalues of H with Re E < energy_margin, or why there are none.
 
-    bands is H in solver._bands layout, kinetic the eigenvalues of its
-    kinetic part alone, m the real PT-basis form of H as a sparse matrix
-    and signature the diagonal of Q^T Q for its basis Q (S M is symmetric).
+    bands is H in solver._bands layout, kinetic the zeros of the free phase
+    that the count divides out (solver._kinetic_eigenvalues), m the real
+    PT-basis form of H as a sparse matrix and signature the diagonal of
+    Q^T Q for its basis Q (S M is symmetric).
     """
+    t0 = time.perf_counter()
     window = bound_window(bands, energy_margin)
+    t1 = time.perf_counter()
     count, evaluations = count_eigenvalues(bands, kinetic, window)
+    t2 = time.perf_counter()
+    stages = dict(window=window, lu_evaluations=evaluations, window_s=t1 - t0, count_s=t2 - t1)
     if count is None:
-        return RegionSolve(window, math.nan, evaluations, 0, None, FLOOR)
+        return RegionSolve(count=math.nan, reason=FLOOR, **stages)
+    stages["count"] = count
     rounded = round(count)
     if rounded < 0 or abs(count - rounded) > COUNT_TOL:  # < 0 counts nothing
-        return RegionSolve(window, count, evaluations, 0, None, NON_INTEGRAL)
+        return RegionSolve(reason=NON_INTEGRAL, **stages)
     continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
     k = min(rounded + continuum + ARNOLDI_SPARE, m.shape[0] - 2)
-    inside, covered = arnoldi_window(m, signature, window, k)
-    if not covered or inside.size != rounded:
-        reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={covered})"
-        return RegionSolve(window, count, evaluations, k, None, reason)
-    return RegionSolve(window, count, evaluations, k, inside, None)
+    arnoldi = arnoldi_window(m, signature, window, k)
+    stages.update(
+        arnoldi_k=k, arnoldi_solves=arnoldi.solves, arnoldi_s=time.perf_counter() - t2
+    )
+    inside = arnoldi.eigenvalues
+    if not arnoldi.covered or inside.size != rounded:
+        reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={arnoldi.covered})"
+        return RegionSolve(reason=reason, **stages)
+    return RegionSolve(eigenvalues=inside, **stages)

@@ -30,17 +30,18 @@ Notes on the numerics:
     only when the count is integral, its sampling never hit the refinement
     floor, and Arnoldi finds exactly as many eigenvalues inside; otherwise
     the dense solve below runs instead.  At order 1499 the window solve
-    takes about 0.03 s against about 2 s for the dense one (2-vCPU VM,
-    OpenBLAS 0.3.31).  The eigenvalues of the kinetic band, which the count
-    divides out, are cached per grid.
+    takes about 0.02 s against about 2 s for the dense one (2-vCPU VM,
+    OpenBLAS 0.3.31).  The free-kinetic values that the count divides out
+    have a closed form in the sine basis, O(n) per solve.
   * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
     third of the time of zgeev on the complex H.
-  * The banded LUs of the count (lapack.zgbtrf) and the dense dgeev
-    (lapack.dgeev, in place, bit-identical to scipy.linalg.eigvals) release
-    the interpreter lock, so solves on threads (scan points under --jobs)
-    overlap there; ARPACK and the Python glue of a window solve hold it.
+  * The banded LUs and solves (lapack.zgbtrf, dgbtrf, dgbtrs, zgbtrs) and
+    the dense dgeev (lapack.dgeev, in place, bit-identical to
+    scipy.linalg.eigvals) release the interpreter lock, so solves on threads
+    (scan points under --jobs) overlap there; ARPACK and the Python glue of
+    a window solve hold it.
   * The BLAS thread count changes the last digits of the eigenvalues.  A
     scan runs every solve on one BLAS thread whatever --jobs is, so its
     output does not depend on --jobs; a single solve keeps the process's
@@ -48,21 +49,23 @@ Notes on the numerics:
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
   * Eigenvectors are recovered only for candidate eigenvalues, by inverse
-    iteration with the computed eigenvalue as shift, solving the shifted
-    complex system in banded form.
+    iteration with the computed eigenvalue as shift: the shifted complex
+    band is factored once per level (zgbtrf) and its three solves reuse
+    the factor (zgbtrs).
   * Bound-state filtering uses the eigenvector amplitude near the walls
     rather than an energy cutoff alone: continuum artifacts can acquire
     small complex shifts with Re(E) near 0, while genuine bound states in
     the broken regime can sit exactly at Re(E) = 0.
   * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
     or dense with its reason), the window, the count, the number of LU
-    evaluations, Arnoldi's k, the seconds, and for each kept level its
-    residual and condition number.
+    evaluations, Arnoldi's k and its number of shift-invert solves, the
+    seconds of each stage (window, count, Arnoldi, the whole eigenvalue
+    solve, inverse iteration), and for each kept level its residual and
+    condition number.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -148,19 +151,21 @@ def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
     return ab
 
 
-@functools.lru_cache(maxsize=4)
 def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
-    """Eigenvalues of _kinetic_band, ascending and read-only.
+    """Eigenvalues of _kinetic_band in the sine basis, ascending, in O(n).
 
-    Cached: every solve on one grid shares them, and at order ~1500 they
-    cost more than the rest of a window solve.
+    With theta_j = j pi / (dim + 1), j = 1..dim, the sine vectors
+    sin(k theta_j) diagonalize the 3-point band exactly, with eigenvalues
+    (2 - 2 cos theta_j) / h^2.  For the 5-point band they diagonalize K
+    minus its rank-2 corner term (e_1 e_1^T + e_n e_n^T) / (12 h^2), with
+    eigenvalues (28 - 32 cos theta_j + 4 cos^2 theta_j) / (12 h^2) (Strang &
+    MacNamara, SIAM Rev. 56, 525 (2014)).  The window count needs only a
+    divisor known exactly, not K's own spectrum, so either serves.
     """
-    import scipy.linalg
-
-    band = _kinetic_band(dim, h, order)
-    mu = scipy.linalg.eig_banded(band[: band.shape[0] // 2 + 1], eigvals_only=True)
-    mu.flags.writeable = False
-    return mu
+    c = np.cos(np.arange(1, dim + 1) * (np.pi / (dim + 1)))
+    if order == 2:
+        return (2.0 - 2.0 * c) / h**2
+    return (28.0 - 32.0 * c + 4.0 * c * c) / (12.0 * h**2)
 
 
 def _banded_to_sparse(ab: np.ndarray) -> scipy.sparse.dia_matrix:
@@ -322,25 +327,28 @@ def _inverse_iteration(
 
     The shift is offset by ~1e-10 so the factorization never hits the exact
     singularity; 2-3 solves are enough for filtering and overlap purposes.
+    H minus the shift is factored once (lapack.zgbtrf) and every solve
+    reuses the factor (lapack.zgbtrs).
     """
-    import scipy.linalg
+    from . import lapack
 
     dim = bands.shape[1]
     rng = np.random.default_rng(0x5CA2F)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
     delta = 1e-10 * max(1.0, abs(eigenvalue))
+    lu = np.empty((3 * halfwidth + 1, dim), dtype=complex, order="F")
     for attempt in range(4):
-        shifted = bands.copy()
-        shifted[halfwidth, :] -= eigenvalue + delta * (1.0 + 1.0j)
-        try:
+        lu[halfwidth:] = bands
+        lu[2 * halfwidth] -= eigenvalue + delta * (1.0 + 1.0j)
+        ipiv, info = lapack.zgbtrf(lu, halfwidth, halfwidth)
+        if info == 0:
             v = vec
             for _ in range(iterations):
-                v = scipy.linalg.solve_banded((halfwidth, halfwidth), shifted, v)
+                v = lapack.zgbtrs(lu, halfwidth, halfwidth, v, ipiv)
                 v /= np.linalg.norm(v)
             return v
-        except np.linalg.LinAlgError:
-            delta *= 100.0  # singular factorization; back the shift off further
+        delta *= 100.0  # singular factorization; back the shift off further
     raise ConvergenceError(
         f"inverse iteration failed to factorize near eigenvalue {eigenvalue!r}"
     )
@@ -440,11 +448,13 @@ def solve_bound_states(
     candidates.sort(key=lambda e: (e.real, e.imag))
     kept_e = []
     kept_v = []
+    t1 = time.perf_counter()
     for e in candidates:
         psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
         if _is_bound_state(e, psi, boundary_tol, energy_margin):
             kept_e.append(e)
             kept_v.append(psi)
+    vectors_s = time.perf_counter() - t1
     logger.info(
         "bound states: %d of %d candidates kept (dim %d)",
         len(kept_e),
@@ -452,20 +462,22 @@ def solve_bound_states(
         dim,
     )
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("%s", _solve_line(solved, seconds, bands, kept_e, kept_v))
+        logger.debug("%s", _solve_line(solved, seconds, vectors_s, bands, kept_e, kept_v))
     return BoundStates(tuple(kept_e), tuple(kept_v))
 
 
 def _solve_line(
     solved: Optional[RegionSolve],
     seconds: float,
+    vectors_s: float,
     bands: np.ndarray,
     energies: Sequence[complex],
     vectors: Sequence[Wavefunction],
 ) -> str:
     """The debug line of one solve: the path taken and each kept level.
 
-    solved is the window solve, or None below REGION_MIN_DIM.  Each level
+    solved is the window solve, or None below REGION_MIN_DIM; seconds is
+    the eigenvalue solve and vectors_s the inverse iteration.  Each level
     carries its residual ||(H - E)x|| / ||x|| and its eigenvalue condition
     number kappa = ||x||^2 / |x^T x|, both from the inverse-iteration vector
     x on the interior nodes: H is complex symmetric, so conj(x) is the left
@@ -478,7 +490,9 @@ def _solve_line(
         path = "region" if solved.reason is None else f"dense (fallback: {solved.reason})"
         head = (
             f"path={path} window={solved.window} count={solved.count:.6f} "
-            f"lu_evaluations={solved.lu_evaluations} arnoldi_k={solved.arnoldi_k}"
+            f"lu_evaluations={solved.lu_evaluations} arnoldi_k={solved.arnoldi_k} "
+            f"arnoldi_solves={solved.arnoldi_solves} window_s={solved.window_s:.4f} "
+            f"count_s={solved.count_s:.4f} arnoldi_s={solved.arnoldi_s:.4f}"
         )
     h = _banded_to_sparse(bands)
     levels = []
@@ -488,7 +502,7 @@ def _solve_line(
         residual = np.linalg.norm(h @ x - e * x) / math.sqrt(norm2)
         kappa = norm2 / abs(x @ x)
         levels.append(f"E={e:.10g} residual={residual:.2e} kappa={kappa:.3g}")
-    return f"solve order {dim}: {head} took {seconds:.3f}s; kept: " + (
+    return f"solve order {dim}: {head} took {seconds:.3f}s vectors_s={vectors_s:.4f}; kept: " + (
         "; ".join(levels) or "none"
     )
 

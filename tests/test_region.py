@@ -24,7 +24,7 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
-from ptscarf import region, solver
+from ptscarf import lapack, region, solver
 from ptscarf.solver import (
     ENERGY_MARGIN,
     REGION_MIN_DIM,
@@ -75,7 +75,8 @@ class TestEquivalence:
         points = random_unbroken(rng, 75) + random_broken(rng, 75)
         reasons = []
         for p in points:
-            solved, dense = _window_and_dense(p, 601, 20.0 / p.alpha)
+            with lapack.blas_threads(1):  # the dense order-599 references run faster
+                solved, dense = _window_and_dense(p, 601, 20.0 / p.alpha)
             if solved.eigenvalues is None:
                 reasons.append(solved.reason)
                 continue
@@ -220,6 +221,31 @@ class TestSyntheticCount:
         assert count == pytest.approx(4.0, abs=region.COUNT_TOL)
 
 
+class TestKineticEigenvalues:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_closed_form_is_the_spectrum_of_the_sine_diagonalized_band(self, order):
+        # 3-point: K itself; 5-point: K minus its corner term (e1 e1^T + en en^T)/(12 h^2)
+        dim, h = 60, 0.3
+        k = solver._banded_to_sparse(solver._kinetic_band(dim, h, order)).toarray()
+        if order == 4:
+            k[0, 0] -= 1.0 / (12.0 * h**2)
+            k[-1, -1] -= 1.0 / (12.0 * h**2)
+        mu = _kinetic_eigenvalues(dim, h, order)
+        np.testing.assert_allclose(mu, np.linalg.eigvalsh(k), rtol=1e-12, atol=0)
+        assert np.all(np.diff(mu) > 0)
+
+    @pytest.mark.parametrize("n_points", [601, 1501, 4001])
+    @pytest.mark.parametrize(
+        "p, levels", list(zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), (4, 4, 7))), ids=str
+    )
+    def test_reference_points_count_their_levels_on_every_grid(self, p, levels, n_points):
+        g = Grid(20.0, n_points)
+        bands = _bands(_potential(p), g, 4)
+        kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+        count, _ = region.count_eigenvalues(bands, kinetic, region.bound_window(bands, ENERGY_MARGIN))
+        assert count == pytest.approx(levels, abs=region.COUNT_TOL)
+
+
 class TestFallback:
     POINT = ACCEPTANCE_POINTS[1]
     GRID = Grid(20.0, 601)
@@ -264,6 +290,45 @@ class TestFallback:
         assert line.count("residual=") == line.count("kappa=") == len(bound.eigenvalues)
         assert not any(m.startswith("dgeev order") for m in lines)
         assert "anti-PT defect of H: 0.000e+00" in lines
+
+    def test_region_path_logs_its_stage_times_and_solves(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        self._solve()
+        line = next(m for m in (r.getMessage() for r in caplog.records) if "path=region" in m)
+        fields = dict(f.split("=", 1) for f in line.split(";")[0].split() if "=" in f)
+        for key in ("window_s", "count_s", "arnoldi_s", "vectors_s"):
+            assert float(fields[key]) >= 0.0, key
+        assert int(fields["arnoldi_solves"]) > int(fields["arnoldi_k"])
+
+    def test_the_window_path_makes_no_superlu_factorization(self, monkeypatch):
+        import sys
+
+        import scipy.sparse.linalg
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("splu called on the window path")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        monkeypatch.setattr(sys.modules[scipy.sparse.linalg.eigs.__module__], "splu", no_splu)
+        with monkeypatch.context() as dense:
+            dense.setattr(solver, "REGION_MIN_DIM", 10**9)
+            expected = self._solve()
+        assert self._solve().eigenvalues == pytest.approx(expected.eigenvalues, rel=1e-9)
+
+    def test_a_singular_shift_falls_back_to_the_dense_solve(self, monkeypatch, caplog):
+        monkeypatch.setattr(solver, "REGION_MIN_DIM", 10**9)
+        dense = self._solve()
+        monkeypatch.undo()
+        factor = lapack.dgbtrf
+        monkeypatch.setattr(lapack, "dgbtrf", lambda ab, kl, ku: (factor(ab, kl, ku)[0], 1))
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        fallback = self._solve()
+        assert fallback.eigenvalues == dense.eigenvalues
+        for a, b in zip(fallback.vectors, dense.vectors):
+            np.testing.assert_array_equal(a.values, b.values)
+        lines = [r.getMessage() for r in caplog.records]
+        reason = f"path=dense (fallback: {region.MISMATCH} (4 counted, 0 found, covered=False))"
+        assert any(reason in m and "arnoldi_solves=0 " in m for m in lines), lines
 
     def test_below_the_crossover_the_dense_path_is_logged(self, caplog):
         caplog.set_level(logging.DEBUG, logger="ptscarf.solver")

@@ -18,16 +18,19 @@ from ptscarf import (
     RegimeError,
     Sector,
     Wavefunction,
+    build_broken_pair,
+    build_unbroken,
     conjugate_pairing_check,
     discretize,
     eig_complex_dense,
     filter_bound_states,
     match_levels,
+    partner_potential_minus,
     pt_apply,
     solve_bound_states,
     verify_spectrum,
 )
-from ptscarf import lapack
+from ptscarf import lapack, solver
 from ptscarf.solver import _bands, _pt_basis, _pt_real_form, _pt_real_sparse, _pt_signature
 from conftest import assert_multiset_close
 
@@ -357,6 +360,168 @@ class TestZgbtrf:
         ab = _random_band(rng, 3000, 100, 100)
         longest, took = _longest_tick_gap(lambda: lapack.zgbtrf(ab, 100, 100))
         assert longest < 0.5 * took
+
+
+def _random_real_band(rng, dim, kl, ku):
+    ab = np.zeros((2 * kl + ku + 1, dim), order="F")
+    ab[kl:] = rng.standard_normal((kl + ku + 1, dim))
+    return ab
+
+
+class TestDgbtrf:
+    @pytest.mark.parametrize(
+        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
+    )
+    def test_factors_pivots_and_solutions_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
+        ab = _random_real_band(rng, dim, kl, ku)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
+        ipiv, info_ours = lapack.dgbtrf(ab, kl, ku)  # in place
+        np.testing.assert_array_equal(ab, lu)
+        np.testing.assert_array_equal(ipiv, piv)
+        assert info_ours == info == 0
+        assert np.count_nonzero(ipiv != np.arange(dim)) > 0 or dim == 1
+        for b in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            x, info = scipy.linalg.lapack.dgbtrs(lu, kl, ku, b, piv)
+            assert info == 0
+            np.testing.assert_array_equal(lapack.dgbtrs(ab, kl, ku, b, ipiv), x)
+
+    def test_exactly_singular_factor_is_reported_as_scipy_does(self):
+        ab = np.zeros((4, 5), order="F")
+        ab[2] = [1.0, 2.0, 0.0, 4.0, 5.0]  # diagonal of a diagonal matrix (kl = ku = 1)
+        _, piv, info = scipy.linalg.lapack.dgbtrf(ab, 1, 1)
+        ipiv, info_ours = lapack.dgbtrf(ab, 1, 1)
+        assert info_ours == info == 3
+        np.testing.assert_array_equal(ipiv, piv)
+
+    def test_needs_a_writeable_fortran_float64_band_array(self):
+        good = np.zeros((4, 5), order="F")
+        with pytest.raises(ValueError, match="float64 band"):
+            lapack.dgbtrf(good.astype(complex, order="F"), 1, 1)
+        with pytest.raises(ValueError, match="needs 4 rows"):
+            lapack.dgbtrf(good[:3], 1, 1)
+        read_only = good.copy(order="F")
+        read_only.flags.writeable = False
+        for a in (np.ascontiguousarray(good), read_only):
+            with pytest.raises(ValueError, match="writeable Fortran"):
+                lapack.dgbtrf(a, 1, 1)
+
+    def test_releases_the_interpreter_lock(self, rng):
+        ab = _random_real_band(rng, 3000, 100, 100)
+        longest, took = _longest_tick_gap(lambda: lapack.dgbtrf(ab, 100, 100))
+        assert longest < 0.5 * took
+
+
+class TestZgbtrs:
+    @pytest.mark.parametrize(
+        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
+    )
+    def test_solutions_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
+        ab = _random_band(rng, dim, kl, ku)
+        lu, piv, _ = scipy.linalg.lapack.zgbtrf(ab, kl, ku)
+        for b in (
+            rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+            rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)),
+            rng.standard_normal(dim),  # a real right-hand side is promoted
+        ):
+            kept = (lu.copy(), piv.copy(), b.copy())
+            x, info = scipy.linalg.lapack.zgbtrs(lu, kl, ku, b, piv)
+            assert info == 0
+            ours = lapack.zgbtrs(lu, kl, ku, b, piv)
+            np.testing.assert_array_equal(ours, x)
+            assert ours.shape == b.shape and ours.dtype == np.complex128
+            for before, after in zip(kept, (lu, piv, b)):
+                np.testing.assert_array_equal(before, after)
+
+    def test_arguments_are_checked_before_lapack_runs(self, rng):
+        ab = _random_band(rng, 5, 1, 1)
+        ipiv, _ = lapack.zgbtrf(ab, 1, 1)
+        b = np.ones(5, dtype=complex)
+        with pytest.raises(ValueError, match="complex128 band"):
+            lapack.zgbtrs(ab.real.copy(order="F"), 1, 1, b, ipiv)
+        with pytest.raises(ValueError, match="needs 4 rows"):
+            lapack.zgbtrs(ab[:3], 1, 1, b, ipiv)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            lapack.zgbtrs(np.ascontiguousarray(ab), 1, 1, b, ipiv)
+        for rhs in (np.ones(4, dtype=complex), np.ones((5, 2, 1), dtype=complex)):
+            with pytest.raises(ValueError, match="right-hand side rows"):
+                lapack.zgbtrs(ab, 1, 1, rhs, ipiv)
+        with pytest.raises(ValueError, match="right-hand side rows of float64"):
+            lapack.dgbtrs(ab.real.copy(order="F"), 1, 1, b, ipiv)  # would drop Im b
+        for pivots in (ipiv[:4], ipiv + 5, ipiv - 5):
+            with pytest.raises(ValueError, match="0-based row interchanges"):
+                lapack.zgbtrs(ab, 1, 1, b, pivots)
+
+    def test_releases_the_interpreter_lock(self, rng):
+        ab = _random_band(rng, 3000, 100, 100)
+        ipiv, _ = lapack.zgbtrf(ab, 100, 100)
+        b = rng.standard_normal((3000, 200)) + 0j
+        longest, took = _longest_tick_gap(lambda: lapack.zgbtrs(ab, 100, 100, b, ipiv))
+        assert longest < 0.5 * took
+
+
+def _inverse_iteration_by_solve_banded(bands, halfwidth, eigenvalue, iterations=3):
+    """The inverse iteration that factored H - shift anew for every solve."""
+    dim = bands.shape[1]
+    rng = np.random.default_rng(0x5CA2F)
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    delta = 1e-10 * max(1.0, abs(eigenvalue))
+    for attempt in range(4):
+        shifted = bands.copy()
+        shifted[halfwidth, :] -= eigenvalue + delta * (1.0 + 1.0j)
+        try:
+            v = vec
+            for _ in range(iterations):
+                v = scipy.linalg.solve_banded((halfwidth, halfwidth), shifted, v)
+                v /= np.linalg.norm(v)
+            return v
+        except np.linalg.LinAlgError:
+            delta *= 100.0
+    raise ConvergenceError(f"inverse iteration failed near {eigenvalue!r}")
+
+
+class TestInverseIteration:
+    BROKEN = Params(1.5, 2.0, 1.0, 0.5)
+    UNBROKEN = Params(2.5, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n_points", [199, 1501], ids=["dense", "window"])
+    @pytest.mark.parametrize("p", [UNBROKEN, BROKEN], ids=str)
+    def test_vectors_are_bit_identical_to_a_factor_per_solve(self, p, n_points):
+        w = build_unbroken(p) if p.c_pt == 0.0 else build_broken_pair(p)[0]
+        v, g = partner_potential_minus(w), Grid(20.0, n_points)
+        bands = _bands(v, g, 4)
+        bound = solve_bound_states(v, g)
+        assert bound.eigenvalues
+        for e, psi in zip(bound.eigenvalues, bound.vectors):
+            reference = _inverse_iteration_by_solve_banded(bands, 2, e)
+            np.testing.assert_array_equal(solver._inverse_iteration(bands, 2, e), reference)
+            np.testing.assert_array_equal(psi.values[1:-1], reference)
+
+    @staticmethod
+    def _diagonal_with_shifts(rng, e, singular):
+        """A diagonal H holding the first `singular` shifts exactly."""
+        bands = np.zeros((5, 30), dtype=complex)
+        bands[2] = rng.standard_normal(30)
+        delta = 1e-10 * max(1.0, abs(e))
+        for i in range(singular):
+            bands[2, 5 * i] = e + delta * (1.0 + 1.0j)
+            delta *= 100.0
+        return bands
+
+    def test_a_singular_shift_is_backed_off_as_before(self, rng):
+        e = -1.25 + 0.5j
+        bands = self._diagonal_with_shifts(rng, e, 2)  # the third shift factors
+        v = solver._inverse_iteration(bands, 2, e)
+        np.testing.assert_array_equal(v, _inverse_iteration_by_solve_banded(bands, 2, e))
+        assert np.linalg.norm(v[[0, 5]]) == pytest.approx(1.0)
+
+    def test_four_singular_shifts_raise_convergence_error(self, rng):
+        e = 2.0
+        bands = self._diagonal_with_shifts(rng, e, 4)
+        with pytest.raises(ConvergenceError, match="failed to factorize"):
+            solver._inverse_iteration(bands, 2, e)
+        with pytest.raises(ConvergenceError):
+            _inverse_iteration_by_solve_banded(bands, 2, e)
 
 
 class TestPTRealForm:
