@@ -10,9 +10,13 @@ Exit codes are a stable contract:
     5  eigensolver convergence failure
 
 Common flags may appear before or after the subcommand.  An optional JSON
-config file (--config) can override grid and tolerance defaults; explicit
-flags always win.  Log verbosity comes from the PTSCARF_LOG environment
-variable (error, warn, info, debug).
+config file (--config) may set any other flag, keyed by its dest ("A",
+"half_width", "fmt", ...); other keys are refused and explicit flags win.
+Log verbosity comes from the PTSCARF_LOG environment variable (error, warn,
+info, debug).
+
+The PT verdict (superpotentials, PT defect, ground-state PT overlaps) lives
+in superpotential.py; verify and solver.verify_spectrum both take it there.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +46,7 @@ from .errors import (
     RegimeError,
     ValidationError,
 )
-from .grids import Grid, overlap_ratio, pt_apply
+from .grids import Grid, overlap_ratio  # noqa: F401  (a re-export, see below)
 from .params import (
     TAU_PARAM,
     Params,
@@ -63,13 +68,16 @@ from .reporting import (
 )
 from .spectrum import bifurcated_spectrum
 from .superpotential import (
+    GS_PT_TOL,
     Superpotential,
-    build_broken_pair,
-    build_unbroken,
     check_pt_symmetric_potential,
     ground_state_energy,
-    ground_state_wavefunction,
+    ground_state_pt,
+    # not called here, nor is overlap_ratio: re-exported for perfbench's tracer
+    ground_state_wavefunction,  # noqa: F401
     partner_potential_minus,
+    pt_defect,
+    superpotentials,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,7 +89,6 @@ DEFAULT_ORDER = 4
 # Property thresholds used by the verify suite.
 EXPANSION_TOL = 1e-12
 UNIQUENESS_TOL = 1e-14
-GS_PT_TOL = 1e-6
 GS_BROKEN_SELF_MAX = 0.999
 _VERIFY_SAMPLES = 1000
 _VERIFY_SEED = 1234
@@ -89,24 +96,21 @@ _VERIFY_SEED = 1234
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (flags over config file over defaults)."""
+    """Resolved run configuration (flags over config file over defaults).
+
+    A scan without --B gets B = A + alpha/2, the value the broken constraint
+    pins at every c_pt != 0; only its c_pt = 0 endpoint reads params.B.
+    """
 
     command: str
-    params: Optional[Params]
+    params: Params
     grid: Grid
     order: int
     match_tol: float
-    pairing_tol: float
-    boundary_tol: float
-    energy_margin: float
     out: Optional[Path]
     fmt: str
     scan: Optional[tuple[float, float, int]]
     jobs: int
-    # scan needs the raw pieces: B may be absent and is then pinned per point
-    raw_a: Optional[float] = None
-    raw_b: Optional[float] = None
-    alpha: float = DEFAULT_ALPHA
 
 
 def _setup_logging() -> None:
@@ -213,6 +217,10 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
+    keys = {a.dest for a in build_parser()._actions} - {"help", "command", "config"}
+    if set(data) - keys:
+        unknown, accepted = ", ".join(sorted(set(data) - keys)), ", ".join(sorted(keys))
+        raise ValidationError(f"config file {path}: unknown keys {unknown}; accepted: {accepted}")
     return data
 
 
@@ -247,18 +255,20 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         if steps < 2:
             raise ValidationError(f"--scan-steps must be >= 2, got {steps}")
         scan = (float(scan_min), float(scan_max), steps)
+        for flag, value in zip(("--scan-min", "--scan-max"), scan):
+            if not math.isfinite(value):
+                raise ValidationError(f"{flag} must be finite, got {value}")
         if raw_a is None:
             raise ValidationError("scan requires --A")
-    else:
-        if raw_a is None or raw_b is None:
-            raise ValidationError(f"{command} requires --A and --B")
+        if raw_b is None:
+            raw_b = float(raw_a) + alpha / 2.0
+    elif raw_a is None or raw_b is None:
+        raise ValidationError(f"{command} requires --A and --B")
 
-    params = None
-    if raw_a is not None and raw_b is not None:
-        try:
-            params = Params(float(raw_a), float(raw_b), alpha, c_pt)
-        except DomainError as exc:
-            raise ValidationError(str(exc)) from exc
+    try:
+        params = Params(float(raw_a), float(raw_b), alpha, c_pt)
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from exc
 
     half_width = float(pick("half_width", 20.0 / alpha))
     points = int(pick("points", DEFAULT_POINTS))
@@ -271,16 +281,11 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
     if order not in (2, 4):
         raise ValidationError(f"--order must be 2 or 4, got {order}")
     match_tol = float(pick("match_tol", solver.MATCH_TOL))
-    pairing_tol = float(pick("pairing_tol", solver.REAL_IM_TOL))
-    boundary_tol = float(pick("boundary_tol", solver.BOUNDARY_TOL))
-    energy_margin = float(pick("energy_margin", solver.ENERGY_MARGIN))
-    for label, value in (
-        ("match_tol", match_tol),
-        ("pairing_tol", pairing_tol),
-        ("boundary_tol", boundary_tol),
-    ):
-        if value <= 0.0:
-            raise ValidationError(f"{label} must be > 0, got {value}")
+    # a NaN tolerance would make every "error > tol" test false: all matched
+    if not math.isfinite(match_tol):
+        raise ValidationError(f"match_tol must be finite, got {match_tol}")
+    if match_tol <= 0.0:
+        raise ValidationError(f"match_tol must be > 0, got {match_tol}")
 
     fmt = pick("fmt", "csv" if command == "scan" else "json")
     if fmt not in ("json", "csv"):
@@ -296,16 +301,10 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         grid=grid,
         order=order,
         match_tol=match_tol,
-        pairing_tol=pairing_tol,
-        boundary_tol=boundary_tol,
-        energy_margin=energy_margin,
         out=Path(out) if out is not None else None,
         fmt=fmt,
         scan=scan,
         jobs=jobs,
-        raw_a=float(raw_a) if raw_a is not None else None,
-        raw_b=float(raw_b) if raw_b is not None else None,
-        alpha=alpha,
     )
 
 
@@ -326,20 +325,15 @@ def _superpotential_dict(label: str, w: Superpotential) -> dict:
 def run_potential(cfg: RunConfig) -> tuple[int, str]:
     """Emit superpotential(s), potential coefficients, regime and PT verdict."""
     p = cfg.params
-    regime = classify_regime(p)
-    if regime is Regime.NOT_PT_SYMMETRIC:
+    ws = superpotentials(p)
+    if not ws:
         raise RegimeError(
             "parameters violate the PT-symmetry condition c_pt*(2*(A-B)+alpha) = 0"
         )
-    if regime is Regime.UNBROKEN:
-        ws = [("unbroken", build_unbroken(p))]
-    else:
-        w_plus, w_minus = build_broken_pair(p)
-        ws = [("plus", w_plus), ("minus", w_minus)]
     v = partner_potential_minus(ws[0][1])
     payload = {
         "params": params_to_dict(p),
-        "regime": regime.value,
+        "regime": classify_regime(p).value,
         "pt_condition": check_pt_condition(p),
         "superpotentials": [_superpotential_dict(label, w) for label, w in ws],
         "potential": {
@@ -353,87 +347,48 @@ def run_potential(cfg: RunConfig) -> tuple[int, str]:
     return 0, canonical_dumps(payload)
 
 
+def _verify_spectrum(
+    cfg: RunConfig, p: Params
+) -> tuple[solver.SpectrumReport, Optional[MatchError]]:
+    """solver.verify_spectrum on the run's grid; a MatchError is returned, not raised."""
+    try:
+        return solver.verify_spectrum(p, cfg.grid, order=cfg.order, match_tol=cfg.match_tol), None
+    except MatchError as exc:
+        return exc.report, exc
+
+
 def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     """Verify the analytic spectrum numerically; exit 0 iff fully matched."""
-    try:
-        report = solver.verify_spectrum(
-            cfg.params,
-            cfg.grid,
-            order=cfg.order,
-            match_tol=cfg.match_tol,
-            boundary_tol=cfg.boundary_tol,
-            energy_margin=cfg.energy_margin,
-            pairing_tol=cfg.pairing_tol,
-        )
-    except MatchError as exc:
-        print(f"ptscarf spectrum: {exc}", file=sys.stderr)
-        payload = spectrum_report_to_dict(exc.report)
-        payload["grid"] = grid_to_dict(cfg.grid)
-        return 4, canonical_dumps(payload)
-    payload = spectrum_report_to_dict(report)
-    payload["grid"] = grid_to_dict(cfg.grid)
-    return 0, canonical_dumps(payload)
-
-
-def _scan_point_params(cfg: RunConfig, c_pt: float) -> Params:
-    # c_pt != 0 pins B = A + alpha/2 (the PT condition forces it); the
-    # c_pt = 0 endpoint keeps the user's B for continuity inspection.
-    if abs(c_pt) > TAU_PARAM:
-        return broken_constraint_params(cfg.raw_a, cfg.alpha, c_pt)
-    b = cfg.raw_b if cfg.raw_b is not None else cfg.raw_a + cfg.alpha / 2.0
-    return Params(cfg.raw_a, b, cfg.alpha, 0.0)
+    report, unmatched = _verify_spectrum(cfg, cfg.params)
+    if unmatched is not None:
+        print(f"ptscarf spectrum: {unmatched}", file=sys.stderr)
+    payload = {**spectrum_report_to_dict(report), "grid": grid_to_dict(cfg.grid)}
+    return (0 if unmatched is None else 4), canonical_dumps(payload)
 
 
 _SECTOR_RANK = {"plus": 0, "minus": 1, "primary": 0, "sl2_exchanged": 1}
 
 
 def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
+    # c_pt != 0 pins B = A + alpha/2 (the PT condition forces it); the
+    # c_pt = 0 endpoint keeps the run's B for continuity inspection.
+    p = cfg.params.with_c_pt(0.0)
     try:
-        p = _scan_point_params(cfg, c_pt)
-        try:
-            report = solver.verify_spectrum(
-                p,
-                cfg.grid,
-                order=cfg.order,
-                match_tol=cfg.match_tol,
-                boundary_tol=cfg.boundary_tol,
-                energy_margin=cfg.energy_margin,
-                pairing_tol=cfg.pairing_tol,
-            )
-        except MatchError as exc:
-            report = exc.report
+        if abs(c_pt) > TAU_PARAM:
+            p = broken_constraint_params(p.A, p.alpha, c_pt)
+        report, _ = _verify_spectrum(cfg, p)
     except PtScarfError as exc:
-        return [
-            ScanRow(
-                run_id=run_id, c_pt=c_pt, sector="", n=None,
-                re_e_analytic=None, im_e_analytic=None,
-                re_e_numeric=None, im_e_numeric=None,
-                abs_err=None, error=str(exc),
-            )
-        ]
+        return [ScanRow(run_id, c_pt, "", None, None, None, None, None, None, str(exc))]
     by_analytic = {m.analytic_index: m for m in report.matches}
     rows = []
     for idx, level in enumerate(report.analytic):
         match = by_analytic.get(idx)
+        numeric = (None, None, None, "unmatched")
         if match is not None:
             en = report.numerical[match.numerical_index]
-            rows.append(
-                ScanRow(
-                    run_id=run_id, c_pt=c_pt, sector=level.family, n=level.n,
-                    re_e_analytic=level.energy.real, im_e_analytic=level.energy.imag,
-                    re_e_numeric=en.real, im_e_numeric=en.imag,
-                    abs_err=match.abs_error, error="",
-                )
-            )
-        else:
-            rows.append(
-                ScanRow(
-                    run_id=run_id, c_pt=c_pt, sector=level.family, n=level.n,
-                    re_e_analytic=level.energy.real, im_e_analytic=level.energy.imag,
-                    re_e_numeric=None, im_e_numeric=None,
-                    abs_err=None, error="unmatched",
-                )
-            )
+            numeric = (en.real, en.imag, match.abs_error, "")
+        e = level.energy
+        rows.append(ScanRow(run_id, c_pt, level.family, level.n, e.real, e.imag, *numeric))
     rows.sort(key=lambda r: (_SECTOR_RANK.get(r.sector, 9), r.n if r.n is not None else -1))
     return rows
 
@@ -489,13 +444,8 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
     return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})
 
 
-def _property(name: str, status: str, defect=None, detail: str = "") -> dict:
-    return {
-        "name": name,
-        "status": status,
-        "defect": float(defect) if defect is not None else None,
-        "detail": detail,
-    }
+def _pt_condition(p: Params, ws, x, g):
+    return check_pt_condition(p), abs(p.c_pt * (2.0 * (p.A - p.B) + p.alpha)), ""
 
 
 def _expansion_defect(w: Superpotential, x: np.ndarray) -> float:
@@ -504,161 +454,102 @@ def _expansion_defect(w: Superpotential, x: np.ndarray) -> float:
     return float(np.max(np.abs(v.evaluate(x) - direct)))
 
 
+def _potential_expansion(p: Params, ws, x, g):
+    defect = max(_expansion_defect(w, x) for _, w in ws)
+    return defect <= EXPANSION_TOL, defect, ""
+
+
+def _unique_broken_potential(p: Params, ws, x, g):
+    vp, vm = (partner_potential_minus(w) for _, w in ws)
+    defect = max(abs(vp.s - vm.s), abs(vp.t - vm.t), abs(vp.c0 - vm.c0))
+    return defect <= UNIQUENESS_TOL, defect, ""
+
+
+def _exchange_negates_cpt(p: Params, ws, x, g):
+    q = sl2_exchange(p, Sector.PLUS)
+    r = sl2_exchange(q, Sector.PLUS)
+    defect = max(
+        abs(q.A - p.A), abs(q.B - p.B), abs(q.c_pt + p.c_pt),
+        abs(r.A - p.A), abs(r.B - p.B), abs(r.c_pt - p.c_pt),
+    )
+    return defect <= TAU_PARAM, defect, ""
+
+
+def _exchange_swaps_sectors(p: Params, ws, x, g):
+    fam_plus, fam_minus = bifurcated_spectrum(p)
+    x_plus, x_minus = bifurcated_spectrum(sl2_exchange(p, Sector.PLUS))
+    defect = 0.0
+    for fam, swapped in ((fam_plus, x_minus), (fam_minus, x_plus)):
+        for (_, e1), (_, e2) in zip(fam.levels, swapped.levels):
+            defect = max(defect, abs(e1 - e2))
+        if len(fam.levels) != len(swapped.levels):
+            defect = float("inf")
+    return defect <= TAU_PARAM, defect, ""
+
+
+def _pt_symmetric_potential(p: Params, ws, x, g):
+    # the potential itself is PT-symmetric, in its coefficients and sampled
+    v = partner_potential_minus(ws[0][1])
+    defect = max(pt_defect(v, x), abs(v.s.imag), abs(v.t.real), abs(v.c0.imag))
+    return check_pt_symmetric_potential(v) and defect <= 1e-12, defect, ""
+
+
+def _ground_state_pt(p: Params, ws, x, g):
+    # PT-invariant iff unbroken; the broken sectors' ground states are PT-images
+    self_overlap, swap = ground_state_pt(ws, g)
+    if swap is None:
+        detail = f"pt_self_overlap={self_overlap!r}"
+        return self_overlap >= 1.0 - GS_PT_TOL, 1.0 - self_overlap, detail
+    return (
+        swap >= 1.0 - GS_PT_TOL and self_overlap <= GS_BROKEN_SELF_MAX,
+        max(1.0 - swap, self_overlap - GS_BROKEN_SELF_MAX),
+        f"sector_swap_overlap={swap!r} pt_self_overlap={self_overlap!r}",
+    )
+
+
+_PT_REGIMES = frozenset({Regime.UNBROKEN, Regime.BROKEN})
+_BROKEN_ONLY = frozenset({Regime.BROKEN})
+# The verify suite: (name, the regimes it applies to, check), skipped in the
+# others.  A check takes (p, superpotentials(p), sample points x, grid) and
+# returns (passed, defect, detail).
+_PROPERTIES = (
+    ("pt_condition", frozenset(Regime), _pt_condition),
+    ("potential_expansion", _PT_REGIMES, _potential_expansion),
+    ("unique_broken_potential", _BROKEN_ONLY, _unique_broken_potential),
+    ("exchange_negates_cpt", _BROKEN_ONLY, _exchange_negates_cpt),
+    ("exchange_swaps_sectors", _BROKEN_ONLY, _exchange_swaps_sectors),
+    ("pt_symmetric_potential", _PT_REGIMES, _pt_symmetric_potential),
+    ("ground_state_pt", _PT_REGIMES, _ground_state_pt),
+)
+
+
 def run_verify(cfg: RunConfig) -> tuple[int, str]:
     """Run the analytic property suite; exit 0 iff no property fails."""
     p = cfg.params
     regime = classify_regime(p)
-    props: list[dict] = []
+    ws = superpotentials(p)
     rng = np.random.default_rng(_VERIFY_SEED)
     x = rng.uniform(-10.0 / p.alpha, 10.0 / p.alpha, size=_VERIFY_SAMPLES)
-
-    # 1. PT-symmetry condition on the parameters
-    product = p.c_pt * (2.0 * (p.A - p.B) + p.alpha)
-    props.append(
-        _property(
-            "pt_condition",
-            "pass" if check_pt_condition(p) else "fail",
-            defect=abs(product),
-        )
-    )
-
-    superpotentials: list[tuple[str, Superpotential]] = []
-    if regime is Regime.UNBROKEN:
-        superpotentials = [("unbroken", build_unbroken(p))]
-    elif regime is Regime.BROKEN:
-        w_plus, w_minus = build_broken_pair(p)
-        superpotentials = [("plus", w_plus), ("minus", w_minus)]
-
-    # 2. closed-form coefficients reproduce W^2 - W' - a^2 pointwise
-    if not superpotentials:
-        props.append(_property("potential_expansion", "skipped", detail="no regime"))
-    else:
-        defect = max(_expansion_defect(w, x) for _, w in superpotentials)
+    props: list[dict] = []
+    for name, regimes, check in _PROPERTIES:
+        defect = None
+        if regime not in regimes:
+            status = "skipped"
+            detail = "broken regime only" if regimes is _BROKEN_ONLY else "no regime"
+        else:
+            try:
+                passed, defect, detail = check(p, ws, x, cfg.grid)
+                status = "pass" if passed else "fail"
+            except NonNormalizableError as exc:
+                status, detail = "fail", str(exc)
         props.append(
-            _property(
-                "potential_expansion",
-                "pass" if defect <= EXPANSION_TOL else "fail",
-                defect=defect,
-            )
+            {
+                "name": name,
+                "status": status,
+                "defect": float(defect) if defect is not None else None,
+                "detail": detail,
+            }
         )
-
-    # 3. both broken-sector superpotentials share one potential
-    if regime is not Regime.BROKEN:
-        props.append(
-            _property("unique_broken_potential", "skipped", detail="broken regime only")
-        )
-    else:
-        vp = partner_potential_minus(superpotentials[0][1])
-        vm = partner_potential_minus(superpotentials[1][1])
-        defect = max(abs(vp.s - vm.s), abs(vp.t - vm.t), abs(vp.c0 - vm.c0))
-        props.append(
-            _property(
-                "unique_broken_potential",
-                "pass" if defect <= UNIQUENESS_TOL else "fail",
-                defect=defect,
-            )
-        )
-
-    # 4. the parameter exchange reduces to c_pt negation, and is an involution
-    if regime is not Regime.BROKEN:
-        props.append(
-            _property("exchange_negates_cpt", "skipped", detail="broken regime only")
-        )
-    else:
-        q = sl2_exchange(p, Sector.PLUS)
-        r = sl2_exchange(q, Sector.PLUS)
-        defect = max(
-            abs(q.A - p.A), abs(q.B - p.B), abs(q.c_pt + p.c_pt),
-            abs(r.A - p.A), abs(r.B - p.B), abs(r.c_pt - p.c_pt),
-        )
-        props.append(
-            _property(
-                "exchange_negates_cpt",
-                "pass" if defect <= TAU_PARAM else "fail",
-                defect=defect,
-            )
-        )
-
-    # 5. the exchange swaps the two bifurcated families and nothing else
-    if regime is not Regime.BROKEN:
-        props.append(
-            _property("exchange_swaps_sectors", "skipped", detail="broken regime only")
-        )
-    else:
-        try:
-            fam_plus, fam_minus = bifurcated_spectrum(p)
-            x_plus, x_minus = bifurcated_spectrum(sl2_exchange(p, Sector.PLUS))
-            defect = 0.0
-            for fam, swapped in ((fam_plus, x_minus), (fam_minus, x_plus)):
-                for (n1, e1), (n2, e2) in zip(fam.levels, swapped.levels):
-                    defect = max(defect, abs(e1 - e2))
-                if len(fam.levels) != len(swapped.levels):
-                    defect = float("inf")
-            props.append(
-                _property(
-                    "exchange_swaps_sectors",
-                    "pass" if defect <= TAU_PARAM else "fail",
-                    defect=defect,
-                )
-            )
-        except NonNormalizableError as exc:
-            props.append(_property("exchange_swaps_sectors", "fail", detail=str(exc)))
-
-    # 6. the potential itself is PT-symmetric (coefficients and on the grid)
-    if not superpotentials:
-        props.append(
-            _property("pt_symmetric_potential", "skipped", detail="no regime")
-        )
-    else:
-        v = partner_potential_minus(superpotentials[0][1])
-        vx = v.evaluate(x)
-        grid_defect = float(np.max(np.abs(np.conj(v.evaluate(-x)) - vx)))
-        coeff_defect = max(abs(v.s.imag), abs(v.t.real), abs(v.c0.imag))
-        defect = max(grid_defect, coeff_defect)
-        props.append(
-            _property(
-                "pt_symmetric_potential",
-                "pass" if check_pt_symmetric_potential(v) and defect <= 1e-12 else "fail",
-                defect=defect,
-            )
-        )
-
-    # 7. ground state: PT-invariant iff unbroken; broken sectors are PT-images
-    if not superpotentials:
-        props.append(_property("ground_state_pt", "skipped", detail="no regime"))
-    else:
-        try:
-            if regime is Regime.UNBROKEN:
-                psi = ground_state_wavefunction(superpotentials[0][1], cfg.grid)
-                overlap = overlap_ratio(pt_apply(psi), psi)
-                ok = overlap >= 1.0 - GS_PT_TOL
-                props.append(
-                    _property(
-                        "ground_state_pt",
-                        "pass" if ok else "fail",
-                        defect=1.0 - overlap,
-                        detail=f"pt_self_overlap={overlap!r}",
-                    )
-                )
-            else:
-                psi_plus = ground_state_wavefunction(superpotentials[0][1], cfg.grid)
-                psi_minus = ground_state_wavefunction(superpotentials[1][1], cfg.grid)
-                cross = overlap_ratio(pt_apply(psi_plus), psi_minus)
-                self_overlap = overlap_ratio(pt_apply(psi_plus), psi_plus)
-                ok = cross >= 1.0 - GS_PT_TOL and self_overlap <= GS_BROKEN_SELF_MAX
-                props.append(
-                    _property(
-                        "ground_state_pt",
-                        "pass" if ok else "fail",
-                        defect=max(1.0 - cross, self_overlap - GS_BROKEN_SELF_MAX),
-                        detail=(
-                            f"sector_swap_overlap={cross!r} "
-                            f"pt_self_overlap={self_overlap!r}"
-                        ),
-                    )
-                )
-        except NonNormalizableError as exc:
-            props.append(_property("ground_state_pt", "fail", detail=str(exc)))
 
     failed = [q["name"] for q in props if q["status"] == "fail"]
     payload = {

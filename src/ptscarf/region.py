@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -274,7 +274,7 @@ def count_eigenvalues(
 
 @dataclass(frozen=True)
 class ArnoldiResult:
-    """What arnoldi_window found; unpacks as (eigenvalues, covered).
+    """What arnoldi_window found.
 
     eigenvalues are the polished ones inside the window, covered says
     whether the k nearest reach past its corners, and solves counts the
@@ -284,9 +284,6 @@ class ArnoldiResult:
     eigenvalues: np.ndarray
     covered: bool
     solves: int
-
-    def __iter__(self) -> Iterator:
-        return iter((self.eigenvalues, self.covered))
 
 
 def arnoldi_window(

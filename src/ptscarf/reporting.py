@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 from .grids import Grid
@@ -113,7 +113,10 @@ def spectrum_report_to_dict(report: SpectrumReport) -> dict:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One (scan point, level) record of a bifurcation sweep."""
+    """One (scan point, level) record of a bifurcation sweep.
+
+    The fields are the SCAN_COLUMNS, in that order.
+    """
 
     run_id: str
     c_pt: float
@@ -127,39 +130,14 @@ class ScanRow:
     error: str = ""
 
     def as_list(self) -> list[str]:
-        def fmt(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
-
+        """The CSV cells in SCAN_COLUMNS order: floats by repr, None empty."""
         return [
-            self.run_id,
-            fmt(self.c_pt),
-            self.sector,
-            fmt(self.n),
-            fmt(self.re_e_analytic),
-            fmt(self.im_e_analytic),
-            fmt(self.re_e_numeric),
-            fmt(self.im_e_numeric),
-            fmt(self.abs_err),
-            self.error,
+            "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in astuple(self)
         ]
 
     def as_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "c_pt": self.c_pt,
-            "sector": self.sector,
-            "n": self.n,
-            "re_E_analytic": self.re_e_analytic,
-            "im_E_analytic": self.im_e_analytic,
-            "re_E_numeric": self.re_e_numeric,
-            "im_E_numeric": self.im_e_numeric,
-            "abs_err": self.abs_err,
-            "error": self.error,
-        }
+        return dict(zip(SCAN_COLUMNS, astuple(self)))
 
 
 def scan_rows_to_csv(rows: list[ScanRow]) -> str:

@@ -5,7 +5,9 @@ finite symmetric grid with Dirichlet walls (3- or 5-point Laplacian
 stencil), the eigenvalues of a matrix similar to it in the bound-state
 window are computed, bound states are separated from discretized-continuum
 artifacts, and the survivors are matched one-to-one against the analytic
-families.
+families.  The report's PT verdict (the potential's PT defect on the grid,
+the ground-state PT overlaps) comes from superpotential.superpotentials,
+pt_defect and ground_state_pt, which the CLI's verify suite also uses.
 
 Notes on the numerics:
   * H is built as its band (half-bandwidth <= 2) in O(n); only discretize()
@@ -82,16 +84,19 @@ if TYPE_CHECKING:
     from .region import RegionSolve
 
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
-from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
-from .params import Params, Regime, Sector, classify_regime
+from .grids import Grid, Wavefunction, overlap_ratio  # noqa: F401  (a re-export, see below)
+from .params import Params, Regime, classify_regime
 from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
+    GS_PT_TOL,
     PotentialCoeffs,
-    build_broken_pair,
-    build_unbroken,
     check_pt_symmetric_potential,
-    ground_state_wavefunction,
+    ground_state_pt,
+    # not called here, nor is overlap_ratio: re-exported for perfbench's tracer
+    ground_state_wavefunction,  # noqa: F401
     partner_potential_minus,
+    pt_defect,
+    superpotentials,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,7 +124,6 @@ REGION_MIN_DIM = 200
 # still counts as rounding: a PT-symmetric potential leaves at most a few
 # (cancellations near the centre node), far below dgeev's own backward error.
 ANTI_PT_ULPS = 4
-_GS_PT_TOL = 1e-6
 
 
 def _kinetic_band(dim: int, h: float, order: int) -> np.ndarray:
@@ -690,7 +694,8 @@ def verify_spectrum(
         tolerance (the assembled report rides on the exception).
     """
     regime = classify_regime(p)
-    if regime is Regime.NOT_PT_SYMMETRIC:
+    ws = superpotentials(p)
+    if not ws:
         raise RegimeError(
             "parameters violate the PT-symmetry condition "
             "c_pt*(2*(A-B)+alpha) = 0"
@@ -699,12 +704,7 @@ def verify_spectrum(
     labeled = tuple(
         LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels
     )
-
-    if regime is Regime.UNBROKEN:
-        w_ref = build_unbroken(p)
-    else:
-        w_ref = build_broken_pair(p)[0]
-    v = partner_potential_minus(w_ref)
+    v = partner_potential_minus(ws[0][1])
 
     bound = solve_bound_states(
         v,
@@ -719,23 +719,8 @@ def verify_spectrum(
         [l.energy for l in labeled], numerical, match_tol
     )
     pairing = conjugate_pairing_check(numerical, tol=pairing_tol)
-
-    x = g.x()
-    vx = v.evaluate(x)
-    pt_defect = float(np.max(np.abs(np.conj(vx[::-1]) - vx)))
-    pt_symmetric = check_pt_symmetric_potential(v) and pt_defect <= 1e-12
-
-    if regime is Regime.UNBROKEN:
-        psi = ground_state_wavefunction(w_ref, g)
-        gs_overlap = overlap_ratio(pt_apply(psi), psi)
-        swap_overlap = None
-    else:
-        w_plus, w_minus = build_broken_pair(p)
-        psi_plus = ground_state_wavefunction(w_plus, g)
-        psi_minus = ground_state_wavefunction(w_minus, g)
-        gs_overlap = overlap_ratio(pt_apply(psi_plus), psi_plus)
-        swap_overlap = overlap_ratio(pt_apply(psi_plus), psi_minus)
-    gs_invariant = gs_overlap >= 1.0 - _GS_PT_TOL
+    defect = pt_defect(v, g.x())
+    gs_overlap, swap_overlap = ground_state_pt(ws, g)
 
     report = SpectrumReport(
         params=p,
@@ -748,11 +733,11 @@ def verify_spectrum(
         unmatched_numerical=unmatched_n,
         match_tol=match_tol,
         pairing=pairing,
-        pt_potential_defect=pt_defect,
-        pt_potential_symmetric=pt_symmetric,
+        pt_potential_defect=defect,
+        pt_potential_symmetric=check_pt_symmetric_potential(v) and defect <= 1e-12,
         ground_state_pt_overlap=gs_overlap,
         sector_swap_overlap=swap_overlap,
-        ground_state_pt_invariant=gs_invariant,
+        ground_state_pt_invariant=gs_overlap >= 1.0 - GS_PT_TOL,
     )
     if unmatched_a:
         missing = ", ".join(

@@ -24,17 +24,27 @@ psi_0 = exp(-int_0^x W), computed here by cumulative trapezoidal quadrature
 with the closed form cosh(alpha*x)^(-a/alpha) * exp(-(b/alpha)*gd(alpha*x))
 available as an independent cross-check (gd is the Gudermannian, the
 antiderivative of sech).
+
+The PT verdict on a parameter point lives here too, for the verify suite
+(cli) and solver.verify_spectrum alike: superpotentials() picks the
+regime's W's, pt_defect() samples V(-x)* - V(x), and ground_state_pt()
+gives the PT overlaps of their ground states, judged against GS_PT_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonNormalizableError, RegimeError
-from .grids import Grid, Wavefunction
+from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
 from .params import TAU_PARAM, Params, Regime, classify_regime
+
+# A ground state counts as PT-invariant when its PT self overlap is within
+# this of 1 (and, in the broken regime, PT maps W+'s onto W-'s as closely).
+GS_PT_TOL = 1e-6
 
 
 def sech(z):
@@ -246,3 +256,41 @@ def check_pt_symmetric_potential(v: PotentialCoeffs) -> bool:
         and abs(v.t.real) <= TAU_PARAM
         and abs(v.c0.imag) <= TAU_PARAM
     )
+
+
+def superpotentials(p: Params) -> tuple[tuple[str, Superpotential], ...]:
+    """The regime's labelled superpotentials: ("unbroken", W), or ("plus", W+)
+    and ("minus", W-), or () when the point is not PT-symmetric.  The first
+    one's V_- is the potential of the point.
+    """
+    regime = classify_regime(p)
+    if regime is Regime.UNBROKEN:
+        return (("unbroken", build_unbroken(p)),)
+    if regime is Regime.BROKEN:
+        w_plus, w_minus = build_broken_pair(p)
+        return (("plus", w_plus), ("minus", w_minus))
+    return ()
+
+
+def pt_defect(v: PotentialCoeffs, x) -> float:
+    """max |conj V(-x) - V(x)| over the sample points x; 0 for a PT-symmetric V."""
+    x = np.asarray(x, dtype=float)
+    return float(np.max(np.abs(np.conj(v.evaluate(-x)) - v.evaluate(x))))
+
+
+def ground_state_pt(
+    ws: Sequence[tuple[str, Superpotential]], g: Grid
+) -> tuple[float, Optional[float]]:
+    """PT overlaps of the ground states of superpotentials(p) on the grid.
+
+    Returns the self overlap |<PT psi_0, psi_0>| of the first ground state
+    (1 iff it is PT-invariant) and, for a broken pair, the sector-swap
+    overlap |<PT psi_+, psi_->| (1 iff PT maps one onto the other), else None.
+
+    Raises:
+      NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
+    """
+    psi = [ground_state_wavefunction(w, g) for _, w in ws]
+    self_overlap = overlap_ratio(pt_apply(psi[0]), psi[0])
+    swap = overlap_ratio(pt_apply(psi[0]), psi[1]) if len(psi) > 1 else None
+    return self_overlap, swap

@@ -140,6 +140,46 @@ class TestValidation:
         assert main(["--help"]) == 0
 
 
+class TestNonFiniteInputs:
+    """Tolerances and scan bounds must be finite numbers, from flags or config."""
+
+    SCAN = [
+        "scan", "--A", "1.5", "--scan-min", "0.1", "--scan-max", "0.2",
+        "--scan-steps", "2", "--points", "61",
+    ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_match_tol_flag(self, tmp_path, capsys, value):
+        # a NaN tolerance used to match levels 1.8-2.5 away and exit 0
+        code, text = run_cli(tmp_path, [*self.SCAN, "--match-tol", value], name="scan.csv")
+        assert (code, text) == (3, "")
+        assert f"match_tol must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_match_tol_from_config(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"match_tol": %s}' % value)
+        code, text = run_cli(tmp_path, [*self.SCAN, "--config", str(cfg)], name="scan.csv")
+        assert (code, text) == (3, "")
+        assert "match_tol must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--scan-min", "--scan-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_scan_bounds(self, tmp_path, capsys, flag, value):
+        # a NaN bound used to write rows with c_pt = nan, inf error rows; both exit 0
+        args = [*self.SCAN, f"{flag}={value}"]
+        code, text = run_cli(tmp_path, args, name="scan.csv")
+        assert (code, text) == (3, "")
+        assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+
+    def test_infinite_a_in_a_scan_without_b(self, tmp_path, capsys):
+        # exit 3 as with --B; it used to give an error row per point and exit 0
+        args = ["scan", "--A", "inf", "--scan-min", "0", "--scan-max", "0.5", "--scan-steps", "2"]
+        code, text = run_cli(tmp_path, args, name="scan.csv")
+        assert (code, text) == (3, "")
+        assert "parameter A must be finite" in capsys.readouterr().err
+
+
 class TestSpectrumCommand:
     def test_broken_small_grid(self, tmp_path):
         code, text = run_cli(
@@ -358,6 +398,40 @@ class TestConfigFile:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "key", ["pairing_tol", "boundary_tol", "energy_margin", "config", "match-tol", "bogus"]
+    )
+    def test_unknown_key_is_refused(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1e-4}))
+        code, _ = run_cli(tmp_path, ["potential", "--A", "1", "--B", "2", "--config", str(cfg)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"unknown keys {key};" in err
+        assert err.rstrip().endswith(
+            "accepted: A, B, alpha, cpt, fmt, half_width, jobs, match_tol, order, out, "
+            "points, scan_max, scan_min, scan_steps"
+        )
+
+    def test_every_flag_but_config_can_come_from_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = {
+            "A": 1.5, "B": 2.0, "alpha": 1.0, "cpt": 0.0, "half_width": 20.0,
+            "points": 201, "order": 4, "match_tol": 5e-3, "out": "scan.json", "fmt": "json",
+            "scan_min": 0.5, "scan_max": 0.5, "scan_steps": 2, "jobs": 1,
+        }
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert main(["scan", "--config", "cfg.json"]) == 0
+        rows = json.loads(Path("scan.json").read_text())["rows"]
+        assert {row["sector"] for row in rows} == {"plus", "minus"}
+
+    def test_scan_without_b_pins_the_broken_constraint(self):
+        ns = build_parser().parse_args(
+            ["scan", "--A", "1.5", "--alpha", "0.5", "--scan-min", "0",
+             "--scan-max", "1", "--scan-steps", "2"]
+        )
+        assert build_config(ns).params == ptscarf.Params(1.5, 1.75, 0.5, 0.0)
+
     def test_unreadable_config(self, tmp_path):
         code, _ = run_cli(
             tmp_path,
@@ -493,3 +567,19 @@ class TestImportPath:
         assert result["codes"] == [0]
         assert result["loaded"]["import ptscarf.cli"] == []
         assert "scipy.linalg" in result["loaded"][" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "point", [["--A", "2.5", "--B", "1"], ["--A", "1.5", "--B", "2", "--cpt", "0.5"]], ids=str
+)
+def test_verify_and_spectrum_report_the_same_ground_state_overlaps(tmp_path, point):
+    code_v, verify = run_cli(tmp_path, ["verify", *point, "--points=601"], name="v.json")
+    code_s, spectrum = run_cli(tmp_path, ["spectrum", *point, "--points=601"], name="s.json")
+    assert code_v == code_s == 0
+    props = {q["name"]: q for q in json.loads(verify)["properties"]}
+    detail = dict(item.split("=") for item in props["ground_state_pt"]["detail"].split())
+    report = json.loads(spectrum)
+    assert float(detail["pt_self_overlap"]) == report["ground_state_pt_overlap"]
+    swap = detail.get("sector_swap_overlap")
+    assert report["sector_swap_overlap"] == (None if swap is None else float(swap))
+    assert (len(point) == 6) == (swap is not None)

@@ -104,6 +104,13 @@ CASES = [
     _case("spectrum", *POINT, "--match-tol", "0"),
     _case("spectrum", *POINT, "--match-tol", "-1e-3"),
     _case(*SCAN, "--scan-min", "0", "--scan-max", "1", "--scan-steps", "2", "--jobs", "0"),
+    _case(
+        "scan", "--A", "1.5", "--scan-min", "0.1", "--scan-max", "0.2", "--scan-steps", "2",
+        "--points", "61", "--match-tol", "nan",
+    ),
+    _case(*SCAN, "--scan-min", "0", "--scan-max", "nan", "--scan-steps", "2"),
+    _case(*SCAN, "--scan-min", "-inf", "--scan-max", "0.5", "--scan-steps", "2"),
+    _case("scan", "--A", "inf", "--scan-min", "0", "--scan-max", "0.5", "--scan-steps", "2"),
     # config files
     _case("potential", *POINT, "--config", "missing.json"),
     _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": "[1, 2]"}),
@@ -111,6 +118,11 @@ CASES = [
     _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": '{"points": 8}'}),
     _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": '{"fmt": "xml"}'}),
     _case("spectrum", *POINT, "--config", "cfg.json", files={"cfg.json": '{"order": 3}'}),
+    _case(
+        *SCAN, "--scan-min", "0.1", "--scan-max", "0.2", "--scan-steps", "2", "--config", "cfg.json",
+        files={"cfg.json": '{"match_tol": NaN}'},
+    ),
+    _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": '{"boundary_tol": 1e-4}'}),
     _case(
         "spectrum", *UNBROKEN, "--config", "cfg.json", "--points", "201",
         files={"cfg.json": '{"points": 8, "half_width": 15, "order": 2}'},

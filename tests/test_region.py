@@ -345,8 +345,8 @@ class TestFallback:
         m, _ = _pt_real_sparse(bands)
         signature = _pt_signature(bands.shape[1])
         window = region.bound_window(bands, ENERGY_MARGIN)
-        inside, covered = region.arnoldi_window(m, signature, window, 2)
-        assert len(inside) == 2 and not covered
+        found = region.arnoldi_window(m, signature, window, 2)
+        assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
         monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, 1))
         monkeypatch.setattr(region, "arnoldi_window", lambda m, s, w, k: arnoldi(m, s, w, 2))

@@ -20,6 +20,7 @@ from ptscarf import (
     partner_potential_plus,
     pt_apply,
 )
+from ptscarf.superpotential import GS_PT_TOL, ground_state_pt, pt_defect, superpotentials
 from conftest import random_broken, random_unbroken
 
 # fine grid for wavefunction checks: h = 0.005 at alpha = 1
@@ -238,3 +239,40 @@ class TestPtSymmetryCheck:
         # unbroken-style construction with both depths complexified
         w = Superpotential(1.0 + 0.5j, 2.0j, 1.0)
         assert not check_pt_symmetric_potential(partner_potential_minus(w))
+
+
+class TestPtVerdict:
+    """superpotentials, pt_defect and ground_state_pt: the shared PT verdict."""
+
+    def test_superpotentials_follow_the_regime(self):
+        p_unbroken = Params(2.5, 1.0)
+        p_broken = Params(1.5, 2.0, 1.0, 0.5)
+        assert superpotentials(p_unbroken) == (("unbroken", build_unbroken(p_unbroken)),)
+        w_plus, w_minus = build_broken_pair(p_broken)
+        assert superpotentials(p_broken) == (("plus", w_plus), ("minus", w_minus))
+        assert superpotentials(Params(1.0, 1.0, 1.0, 0.5)) == ()
+
+    def test_pt_defect_on_the_symmetric_grid(self, rng):
+        x = FINE_GRID.x()
+        for p in [*random_unbroken(rng, 10), *random_broken(rng, 10)]:
+            v = partner_potential_minus(superpotentials(p)[0][1])
+            assert pt_defect(v, x) <= 1e-12
+            vx = v.evaluate(x)
+            assert pt_defect(v, x) == float(np.max(np.abs(np.conj(vx[::-1]) - vx)))
+        # a real sech*tanh part flips sign under PT: defect max |2 Re(t) sech tanh| = |Re(t)|
+        v = PotentialCoeffs(-6.0, 0.5 + 6.0j, 0.0, 1.0)
+        assert pt_defect(v, x) == pytest.approx(0.5, rel=1e-5)
+
+    def test_ground_state_pt_overlaps(self):
+        unbroken = superpotentials(Params(2.5, 1.0))
+        self_overlap, swap = ground_state_pt(unbroken, FINE_GRID)
+        assert swap is None and self_overlap >= 1.0 - GS_PT_TOL
+        broken = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
+        self_overlap, swap = ground_state_pt(broken, FINE_GRID)
+        psi_p, psi_m = (ground_state_wavefunction(w, FINE_GRID) for _, w in broken)
+        assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
+        assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
+
+    def test_ground_state_pt_refuses_a_non_normalizable_state(self):
+        with pytest.raises(NonNormalizableError):
+            ground_state_pt(superpotentials(Params(-1.0, -0.5, 1.0, 0.5)), FINE_GRID)
