@@ -347,9 +347,7 @@ def run_potential(cfg: RunConfig) -> tuple[int, str]:
     return 0, canonical_dumps(payload)
 
 
-def _verify_spectrum(
-    cfg: RunConfig, p: Params
-) -> tuple[solver.SpectrumReport, Optional[MatchError]]:
+def _solve(cfg: RunConfig, p: Params) -> tuple[solver.SpectrumReport, Optional[MatchError]]:
     """solver.verify_spectrum on the run's grid; a MatchError is returned, not raised."""
     try:
         return solver.verify_spectrum(p, cfg.grid, order=cfg.order, match_tol=cfg.match_tol), None
@@ -359,7 +357,7 @@ def _verify_spectrum(
 
 def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     """Verify the analytic spectrum numerically; exit 0 iff fully matched."""
-    report, unmatched = _verify_spectrum(cfg, cfg.params)
+    report, unmatched = _solve(cfg, cfg.params)
     if unmatched is not None:
         print(f"ptscarf spectrum: {unmatched}", file=sys.stderr)
     payload = {**spectrum_report_to_dict(report), "grid": grid_to_dict(cfg.grid)}
@@ -376,7 +374,7 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     try:
         if abs(c_pt) > TAU_PARAM:
             p = broken_constraint_params(p.A, p.alpha, c_pt)
-        report, _ = _verify_spectrum(cfg, p)
+        report, _ = _solve(cfg, p)
     except PtScarfError as exc:
         return [ScanRow(run_id, c_pt, "", None, None, None, None, None, None, str(exc))]
     by_analytic = {m.analytic_index: m for m in report.matches}
@@ -448,24 +446,24 @@ def _pt_condition(p: Params, ws, x, g):
     return check_pt_condition(p), abs(p.c_pt * (2.0 * (p.A - p.B) + p.alpha)), ""
 
 
-def _expansion_defect(w: Superpotential, x: np.ndarray) -> float:
-    v = partner_potential_minus(w)
-    direct = w.evaluate(x) ** 2 - w.derivative(x) - w.a * w.a
-    return float(np.max(np.abs(v.evaluate(x) - direct)))
-
-
 def _potential_expansion(p: Params, ws, x, g):
-    defect = max(_expansion_defect(w, x) for _, w in ws)
+    """The closed-form coefficients reproduce W^2 - W' - a^2 pointwise."""
+    defect = 0.0
+    for _, w in ws:
+        direct = w.evaluate(x) ** 2 - w.derivative(x) - w.a * w.a
+        defect = max(defect, float(np.max(np.abs(partner_potential_minus(w).evaluate(x) - direct))))
     return defect <= EXPANSION_TOL, defect, ""
 
 
 def _unique_broken_potential(p: Params, ws, x, g):
+    """Both broken-sector superpotentials share one potential."""
     vp, vm = (partner_potential_minus(w) for _, w in ws)
     defect = max(abs(vp.s - vm.s), abs(vp.t - vm.t), abs(vp.c0 - vm.c0))
     return defect <= UNIQUENESS_TOL, defect, ""
 
 
 def _exchange_negates_cpt(p: Params, ws, x, g):
+    """The parameter exchange reduces to c_pt negation, and is an involution."""
     q = sl2_exchange(p, Sector.PLUS)
     r = sl2_exchange(q, Sector.PLUS)
     defect = max(
@@ -476,6 +474,7 @@ def _exchange_negates_cpt(p: Params, ws, x, g):
 
 
 def _exchange_swaps_sectors(p: Params, ws, x, g):
+    """The exchange swaps the two bifurcated families and nothing else."""
     fam_plus, fam_minus = bifurcated_spectrum(p)
     x_plus, x_minus = bifurcated_spectrum(sl2_exchange(p, Sector.PLUS))
     defect = 0.0
@@ -488,14 +487,14 @@ def _exchange_swaps_sectors(p: Params, ws, x, g):
 
 
 def _pt_symmetric_potential(p: Params, ws, x, g):
-    # the potential itself is PT-symmetric, in its coefficients and sampled
+    """The potential itself is PT-symmetric, in its coefficients and sampled."""
     v = partner_potential_minus(ws[0][1])
     defect = max(pt_defect(v, x), abs(v.s.imag), abs(v.t.real), abs(v.c0.imag))
     return check_pt_symmetric_potential(v) and defect <= 1e-12, defect, ""
 
 
 def _ground_state_pt(p: Params, ws, x, g):
-    # PT-invariant iff unbroken; the broken sectors' ground states are PT-images
+    """The ground state is PT-invariant iff unbroken; broken sectors' are PT-images."""
     self_overlap, swap = ground_state_pt(ws, g)
     if swap is None:
         detail = f"pt_self_overlap={self_overlap!r}"
