@@ -11,7 +11,9 @@ Exit codes are a stable contract:
 
 Common flags may appear before or after the subcommand.  An optional JSON
 config file (--config) may set any other flag, keyed by its dest ("A",
-"half_width", "fmt", ...); other keys are refused and explicit flags win.
+"half_width", "fmt", ...), with a value of the flag's type (a JSON integer,
+number or string; never a boolean); other keys and values are refused and
+explicit flags win.
 Log verbosity comes from the PTSCARF_LOG environment variable (error, warn,
 info, debug).
 
@@ -92,6 +94,13 @@ UNIQUENESS_TOL = 1e-14
 GS_BROKEN_SELF_MAX = 0.999
 _VERIFY_SAMPLES = 1000
 _VERIFY_SEED = 1234
+# What a config value must be, by its flag's argparse type (--format has
+# none and takes a string): a description and the JSON-decoded types.
+_CONFIG_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+}
 
 
 @dataclass
@@ -217,10 +226,22 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
-    keys = {a.dest for a in build_parser()._actions} - {"help", "command", "config"}
+    kinds = {a.dest: a.type or str for a in build_parser()._actions}
+    keys = set(kinds) - {"help", "command", "config"}
     if set(data) - keys:
         unknown, accepted = ", ".join(sorted(set(data) - keys)), ", ".join(sorted(keys))
         raise ValidationError(f"config file {path}: unknown keys {unknown}; accepted: {accepted}")
+    for key, value in data.items():
+        kind, types = _CONFIG_TYPES[kinds[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValidationError(
+                f"config file {path}: {key} must be {kind}, got {json.dumps(value)}"
+            )
+        if kinds[key] is float:
+            try:
+                data[key] = float(value)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ValidationError(f"config file {path}: {key}: {exc}") from exc
     return data
 
 
@@ -251,7 +272,6 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         steps = pick("scan_steps")
         if scan_min is None or scan_max is None or steps is None:
             raise ValidationError("scan requires --scan-min, --scan-max, --scan-steps")
-        steps = int(steps)
         if steps < 2:
             raise ValidationError(f"--scan-steps must be >= 2, got {steps}")
         scan = (float(scan_min), float(scan_max), steps)
@@ -271,13 +291,13 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         raise ValidationError(str(exc)) from exc
 
     half_width = float(pick("half_width", 20.0 / alpha))
-    points = int(pick("points", DEFAULT_POINTS))
+    points = pick("points", DEFAULT_POINTS)
     try:
         grid = Grid(half_width=half_width, n_points=points)
     except GridError as exc:
         raise ValidationError(str(exc)) from exc
 
-    order = int(pick("order", DEFAULT_ORDER))
+    order = pick("order", DEFAULT_ORDER)
     if order not in (2, 4):
         raise ValidationError(f"--order must be 2 or 4, got {order}")
     match_tol = float(pick("match_tol", solver.MATCH_TOL))
@@ -291,7 +311,7 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
     if fmt not in ("json", "csv"):
         raise ValidationError(f"--format must be json or csv, got {fmt}")
     out = pick("out")
-    jobs = int(pick("jobs", 1))
+    jobs = pick("jobs", 1)
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {jobs}")
 
@@ -410,9 +430,9 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
             c_values.append(float(c))
     # One BLAS thread for every job count: the thread count moves the last
     # digits of the eigenvalues, and the output must not depend on --jobs.
-    # The window count's banded LUs and the dense dgeev release the
-    # interpreter lock; ARPACK and the Python around them hold it, so jobs
-    # overlap only in those LAPACK calls.
+    # scipy's LAPACK wrappers, ARPACK and the Python around them all hold
+    # the interpreter lock, so the jobs' solves take turns rather than
+    # overlap.
     blas_before = lapack.blas_thread_count()
     rows: list[ScanRow] = []
     with lapack.blas_threads(1):

@@ -90,17 +90,18 @@ class Params:
 def check_pt_condition(p: Params) -> bool:
     """True iff the PT-symmetry condition c_pt*(2*(A-B)+alpha) = 0 holds.
 
-    The product is compared against TAU_PARAM on a scale that grows with the
-    parameter magnitudes, so the check is meaningful for both small and
-    large parameter values.
+    This is classify_regime's verdict, so the two never disagree.
     """
-    product = p.c_pt * (2.0 * (p.A - p.B) + p.alpha)
-    scale = max(1.0, abs(p.c_pt) * (2.0 * abs(p.A) + 2.0 * abs(p.B) + p.alpha))
-    return abs(product) <= TAU_PARAM * scale
+    return classify_regime(p) is not Regime.NOT_PT_SYMMETRIC
 
 
 def classify_regime(p: Params) -> Regime:
-    """Classify a parameter point into unbroken / broken / not PT-symmetric."""
+    """Classify a parameter point into unbroken / broken / not PT-symmetric.
+
+    c_pt counts as zero up to TAU_PARAM; the constraint 2*(A-B)+alpha is
+    compared against TAU_PARAM on a scale that grows with the parameter
+    magnitudes, so the verdict is meaningful for small and large values.
+    """
     if abs(p.c_pt) <= TAU_PARAM:
         return Regime.UNBROKEN
     constraint = 2.0 * (p.A - p.B) + p.alpha

@@ -43,6 +43,10 @@ floor, the Arnoldi eigenvalues reach past the window's corners and as many
 of them lie inside as the count says.  Otherwise the caller falls back to
 the dense solve.
 
+The band LUs and solves are scipy's own LAPACK wrappers
+(scipy.linalg.lapack), which hold the interpreter lock, as ARPACK and the
+Python around them do: window solves on threads run one at a time.
+
 solver imports this module only for a solve above its crossover order,
 and scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
 """
@@ -55,8 +59,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-
-from . import lapack
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, zgbtrf
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -146,8 +149,6 @@ def _lowest_eigenvalue_bound(upper: np.ndarray) -> float:
     bound up to the smallest diagonal entry, brackets it in O(n) per step;
     the lower end of the bracket, within 1e-3 relative, is returned.
     """
-    from scipy.linalg.lapack import dpbtrf
-
     kd = upper.shape[0] - 1
     diag = upper[kd]
     radius = np.zeros_like(diag)
@@ -197,12 +198,12 @@ class _Phase:
         hw = self.halfwidth
         self.work[hw:] = self.bands
         self.work[2 * hw] -= z
-        ipiv, info = lapack.zgbtrf(self.work, hw, hw)
+        lu, ipiv, info = zgbtrf(self.work, hw, hw, overwrite_ab=1)
         self.evaluations += 1
         if info:
             return math.nan  # z is an eigenvalue to working precision
         swaps = int(np.count_nonzero(ipiv != self.rows))
-        det = float(np.sum(np.angle(self.work[2 * hw]))) + math.pi * swaps
+        det = float(np.sum(np.angle(lu[2 * hw]))) + math.pi * swaps
         free = float(np.sum(np.arctan2(-z.imag, self.kinetic - z.real)))
         return _wrap(det - free)
 
@@ -293,7 +294,7 @@ def arnoldi_window(
 
     The k eigenvalues nearest the window's centre sigma come from
     shift-invert Arnoldi, with (M - sigma)^-1 applied by band solves
-    (lapack.dgbtrs) against one band LU of M - sigma (lapack.dgbtrf).
+    (dgbtrs) against one band LU of M - sigma (dgbtrf).
     Returns those inside the window, and whether the k reach past the
     window's corners, i.e. whether no eigenvalue inside can be missing.
     ARPACK failures (no convergence) and an exactly singular M - sigma
@@ -316,10 +317,10 @@ def arnoldi_window(
     m = m.tocoo()
     dim = m.shape[0]
     kl = int(np.max(np.abs(m.row - m.col), initial=0))
-    lu = np.zeros((3 * kl + 1, dim), order="F")
-    lu[2 * kl + m.row - m.col, m.col] = m.data  # LAPACK band storage, ku = kl
-    lu[2 * kl] -= window.centre
-    ipiv, info = lapack.dgbtrf(lu, kl, kl)
+    ab = np.zeros((3 * kl + 1, dim), order="F")
+    ab[2 * kl + m.row - m.col, m.col] = m.data  # LAPACK band storage, ku = kl
+    ab[2 * kl] -= window.centre
+    lu, ipiv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
     if info:
         return ArnoldiResult(np.empty(0, dtype=complex), False, 0)
     solves = 0
@@ -327,7 +328,7 @@ def arnoldi_window(
     def shift_invert(x: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
-        return lapack.dgbtrs(lu, kl, kl, x, ipiv)
+        return dgbtrs(lu, kl, kl, x, ipiv)[0]
 
     op = scipy.sparse.linalg.LinearOperator(m.shape, matvec=shift_invert, dtype=float)
     v0 = np.random.default_rng(0xA2A0).standard_normal(dim)

@@ -39,11 +39,12 @@ Notes on the numerics:
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
     third of the time of zgeev on the complex H.
-  * The banded LUs and solves (lapack.zgbtrf, dgbtrf, dgbtrs, zgbtrs) and
-    the dense dgeev (lapack.dgeev, in place, bit-identical to
-    scipy.linalg.eigvals) release the interpreter lock, so solves on threads
-    (scan points under --jobs) overlap there; ARPACK and the Python glue of
-    a window solve hold it.
+  * Every LAPACK call goes through scipy's own wrappers: the banded LUs
+    and solves (zgbtrf, dgbtrf, dgbtrs, zgbtrs of scipy.linalg.lapack) and
+    the dense solve (scipy.linalg.eigvals).  They hold the interpreter lock,
+    as ARPACK and the Python glue of a window solve do, so solves on threads
+    (scan points under --jobs) take turns: a scan with --jobs 2 is no faster
+    than with --jobs 1, on the window path and below the crossover alike.
   * The BLAS thread count changes the last digits of the eigenvalues.  A
     scan runs every solve on one BLAS thread whatever --jobs is, so its
     output does not depend on --jobs; a single solve keeps the process's
@@ -76,7 +77,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-# scipy, and .lapack with it, is imported inside the functions that solve:
+# scipy is imported inside the functions that solve:
 # the closed-form commands import this module and never load it.
 if TYPE_CHECKING:
     import scipy.sparse
@@ -273,12 +274,11 @@ def eig_complex_dense(
 ) -> np.ndarray:
     """All eigenvalues of a dense matrix: LAPACK zgeev, or dgeev if it is real.
 
-    A real input is solved as float64 by lapack.dgeev, which releases the
-    interpreter lock; with overwrite=True a Fortran-ordered float64 input is
-    solved in place, without a copy.  A complex input goes to
-    scipy.linalg.eigvals.  The eigenvalue sum is checked against the trace
-    to 1e-8 relative to the Frobenius norm as a sanity guard on the backend;
-    a matrix with a non-finite entry is refused before the solve.
+    Both go through scipy.linalg.eigvals; a real input is solved as float64.
+    With overwrite=True a Fortran-ordered float64 or complex128 input is
+    solved in place, without a copy.  The eigenvalue sum is checked against
+    the trace to 1e-8 relative to the Frobenius norm as a sanity guard on the
+    backend; a matrix with a non-finite entry is refused before the solve.
 
     Raises:
       ConvergenceError: if the matrix is not finite, the QR iteration fails
@@ -287,30 +287,22 @@ def eig_complex_dense(
     """
     import scipy.linalg
 
-    from . import lapack
-
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
     if dim > max_dim:
         raise ValueError(f"matrix dimension {dim} exceeds configured max {max_dim}")
-    if np.iscomplexobj(m):
-        driver = "zgeev"
-    else:
-        driver = "dgeev"
-        m = m.astype(float, copy=False)
+    driver = "zgeev" if np.iscomplexobj(m) else "dgeev"
+    if driver == "dgeev":
+        m = m.astype(float, copy=False)  # not sgeev for float32, nor int input
     trace = complex(np.trace(m))
     frob = float(np.linalg.norm(m))
     if not math.isfinite(frob):
         raise ConvergenceError(f"matrix has non-finite entries (norm {frob})")
     t0 = time.perf_counter()
     try:
-        if driver == "zgeev":
-            eigs = scipy.linalg.eigvals(m, overwrite_a=overwrite, check_finite=False)
-        else:
-            in_place = overwrite and m.flags.writeable
-            eigs = lapack.dgeev(np.array(m, order="F", copy=None if in_place else True))
+        eigs = scipy.linalg.eigvals(m, overwrite_a=overwrite, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     logger.debug("%s order %d took %.3fs", driver, dim, time.perf_counter() - t0)
@@ -331,25 +323,25 @@ def _inverse_iteration(
 
     The shift is offset by ~1e-10 so the factorization never hits the exact
     singularity; 2-3 solves are enough for filtering and overlap purposes.
-    H minus the shift is factored once (lapack.zgbtrf) and every solve
-    reuses the factor (lapack.zgbtrs).
+    H minus the shift is factored once (zgbtrf) and every solve reuses the
+    factor (zgbtrs).
     """
-    from . import lapack
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
 
     dim = bands.shape[1]
     rng = np.random.default_rng(0x5CA2F)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
     delta = 1e-10 * max(1.0, abs(eigenvalue))
-    lu = np.empty((3 * halfwidth + 1, dim), dtype=complex, order="F")
+    ab = np.empty((3 * halfwidth + 1, dim), dtype=complex, order="F")
     for attempt in range(4):
-        lu[halfwidth:] = bands
-        lu[2 * halfwidth] -= eigenvalue + delta * (1.0 + 1.0j)
-        ipiv, info = lapack.zgbtrf(lu, halfwidth, halfwidth)
+        ab[halfwidth:] = bands
+        ab[2 * halfwidth] -= eigenvalue + delta * (1.0 + 1.0j)
+        lu, ipiv, info = zgbtrf(ab, halfwidth, halfwidth, overwrite_ab=1)
         if info == 0:
             v = vec
             for _ in range(iterations):
-                v = lapack.zgbtrs(lu, halfwidth, halfwidth, v, ipiv)
+                v = zgbtrs(lu, halfwidth, halfwidth, v, ipiv)[0]
                 v /= np.linalg.norm(v)
             return v
         delta *= 100.0  # singular factorization; back the shift off further
@@ -408,12 +400,7 @@ class BoundStates:
 
 
 def solve_bound_states(
-    v: PotentialCoeffs,
-    g: Grid,
-    order: int = 4,
-    boundary_tol: float = BOUNDARY_TOL,
-    energy_margin: float = ENERGY_MARGIN,
-    max_dim: int = MAX_DENSE_DIM,
+    v: PotentialCoeffs, g: Grid, order: int = 4, max_dim: int = MAX_DENSE_DIM
 ) -> BoundStates:
     """Full pipeline: discretize, eigensolve, recover vectors, filter.
 
@@ -442,20 +429,20 @@ def solve_bound_states(
         from .region import solve_window
 
         kinetic = _kinetic_eigenvalues(dim, g.h, order)
-        solved = solve_window(bands, kinetic, m, _pt_signature(dim), energy_margin)
+        solved = solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
         eigs = solved.eigenvalues
     if eigs is None:
         eigs = eig_complex_dense(_dense_fortran(m), max_dim=max_dim, overwrite=True)
     seconds = time.perf_counter() - t0
     del m
-    candidates = [complex(e) for e in eigs if e.real < energy_margin]
+    candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
     candidates.sort(key=lambda e: (e.real, e.imag))
     kept_e = []
     kept_v = []
     t1 = time.perf_counter()
     for e in candidates:
         psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
-        if _is_bound_state(e, psi, boundary_tol, energy_margin):
+        if _is_bound_state(e, psi, BOUNDARY_TOL, ENERGY_MARGIN):
             kept_e.append(e)
             kept_v.append(psi)
     vectors_s = time.perf_counter() - t1
@@ -671,14 +658,7 @@ class SpectrumReport:
 
 
 def verify_spectrum(
-    p: Params,
-    g: Grid,
-    order: int = 4,
-    match_tol: float = MATCH_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
-    energy_margin: float = ENERGY_MARGIN,
-    pairing_tol: float = REAL_IM_TOL,
-    max_dim: int = MAX_DENSE_DIM,
+    p: Params, g: Grid, order: int = 4, match_tol: float = MATCH_TOL
 ) -> SpectrumReport:
     """Check every analytic level against the numerical eigensolver.
 
@@ -706,19 +686,11 @@ def verify_spectrum(
     )
     v = partner_potential_minus(ws[0][1])
 
-    bound = solve_bound_states(
-        v,
-        g,
-        order=order,
-        boundary_tol=boundary_tol,
-        energy_margin=energy_margin,
-        max_dim=max_dim,
-    )
-    numerical = bound.eigenvalues
+    numerical = solve_bound_states(v, g, order=order).eigenvalues
     matches, unmatched_a, unmatched_n = match_levels(
         [l.energy for l in labeled], numerical, match_tol
     )
-    pairing = conjugate_pairing_check(numerical, tol=pairing_tol)
+    pairing = conjugate_pairing_check(numerical)
     defect = pt_defect(v, g.x())
     gs_overlap, swap_overlap = ground_state_pt(ws, g)
 

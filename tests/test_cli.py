@@ -413,6 +413,41 @@ class TestConfigFile:
             "points, scan_max, scan_min, scan_steps"
         )
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("points", [1], "an integer"),
+            ("points", 601.7, "an integer"),
+            ("points", True, "an integer"),
+            ("order", 4.0, "an integer"),
+            ("scan_steps", "3", "an integer"),
+            ("jobs", None, "an integer"),
+            ("A", "1.5", "a number"),
+            ("half_width", False, "a number"),
+            ("out", 7, "a string"),
+            ("fmt", ["json"], "a string"),
+        ],
+    )
+    def test_a_value_of_the_wrong_json_type_is_refused(self, tmp_path, capsys, key, value, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, text = run_cli(tmp_path, ["potential", "--A", "1", "--B", "2", "--config", str(cfg)])
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == (
+            f"ptscarf: invalid configuration: config file {cfg}: {key} must be {kind}, "
+            f"got {json.dumps(value)}\n"
+        )
+
+    def test_an_integer_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"A": 1' + "0" * 400 + "}")
+        code, _ = run_cli(tmp_path, ["potential", "--B", "2", "--config", str(cfg)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"ptscarf: invalid configuration: config file {cfg}: A: "
+            "int too large to convert to float\n"
+        )
+
     def test_every_flag_but_config_can_come_from_the_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = {

@@ -77,6 +77,12 @@ CASES = [
         "scan", "--A", "1.5", "--points", "601",
         "--scan-min", "0.25", "--scan-max", "0.5", "--scan-steps", "2",
     ),
+    # points where the PT condition once disagreed with the regime
+    *(
+        _case(command, "--A", "1", *b_cpt)
+        for command in ("potential", "verify")
+        for b_cpt in (("--B=1.5000000001", "--cpt", "1e-3"), ("--B", "100", "--cpt", "1e-13"))
+    ),
     # usage errors (argparse)
     _case(),
     _case("nonsense"),
@@ -123,6 +129,19 @@ CASES = [
         files={"cfg.json": '{"match_tol": NaN}'},
     ),
     _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": '{"boundary_tol": 1e-4}'}),
+    *(
+        _case("spectrum", *POINT, "--config", "cfg.json", files={"cfg.json": text})
+        for text in (
+            '{"points": [1]}',
+            '{"points": 601.7}',
+            '{"points": true}',
+            '{"jobs": "2"}',
+            '{"A": "1"}',
+            '{"match_tol": false}',
+            '{"out": 3}',
+            '{"fmt": null}',
+        )
+    ),
     _case(
         "spectrum", *UNBROKEN, "--config", "cfg.json", "--points", "201",
         files={"cfg.json": '{"points": 8, "half_width": 15, "order": 2}'},

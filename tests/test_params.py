@@ -50,6 +50,16 @@ class TestPtCondition:
     def test_violated(self):
         assert not check_pt_condition(Params(1.0, 2.0, 1.0, 0.3))
 
+    def test_agrees_with_the_regime_where_the_scales_once_differed(self):
+        # the constraint misses by 2e-10 with c_pt = 1e-3: not PT-symmetric
+        off = Params(1.0, 1.5000000001, 1.0, 1e-3)
+        assert classify_regime(off) is Regime.NOT_PT_SYMMETRIC
+        assert not check_pt_condition(off)
+        # c_pt = 1e-13 counts as zero, however large the constraint
+        unbroken = Params(1.0, 100.0, 1.0, 1e-13)
+        assert classify_regime(unbroken) is Regime.UNBROKEN
+        assert check_pt_condition(unbroken)
+
 
 class TestClassifyRegime:
     def test_unbroken(self):

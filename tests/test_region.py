@@ -103,11 +103,14 @@ class TestEquivalence:
     def test_polished_values_stay_inside_the_dense_solvers_own_spread(self):
         # kappa reaches ~1e7 here: dgeev (real form) and zgeev (complex H)
         # differ by ~6e-7, Arnoldi's Ritz values by ~7e-6 from dgeev; the
-        # Rayleigh-quotient polish must bring them inside the dense spread
+        # Rayleigh-quotient polish must bring them inside the dense spread.
+        # Both dense references move with the BLAS thread count, so they are
+        # pinned to two threads.
         p, g = Params(2.9, 2.9, 0.5, 0.0), Grid(40.0, 801)
-        solved, dense = _window_and_dense(p, g.n_points, g.half_width)
-        assert solved.eigenvalues is not None, solved.reason
-        zgeev = eig_complex_dense(discretize(_potential(p), g, order=4))
+        with lapack.blas_threads(2):
+            solved, dense = _window_and_dense(p, g.n_points, g.half_width)
+            assert solved.eigenvalues is not None, solved.reason
+            zgeev = eig_complex_dense(discretize(_potential(p), g, order=4))
 
         def spread(values):
             return max(min(abs(e - c) for c in values) for e in dense)
@@ -319,8 +322,8 @@ class TestFallback:
         monkeypatch.setattr(solver, "REGION_MIN_DIM", 10**9)
         dense = self._solve()
         monkeypatch.undo()
-        factor = lapack.dgbtrf
-        monkeypatch.setattr(lapack, "dgbtrf", lambda ab, kl, ku: (factor(ab, kl, ku)[0], 1))
+        factor = region.dgbtrf
+        monkeypatch.setattr(region, "dgbtrf", lambda *args, **kw: (*factor(*args, **kw)[:2], 1))
         caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
         fallback = self._solve()
         assert fallback.eigenvalues == dense.eigenvalues

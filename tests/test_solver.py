@@ -1,6 +1,4 @@
 import logging
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -192,35 +190,6 @@ class TestEigComplexDense:
         eig_complex_dense(m, overwrite=True)
         assert not np.array_equal(m, kept)  # LAPACK worked on m itself, no copy
 
-    def test_real_solve_releases_the_interpreter_lock(self, rng):
-        # A pure-Python thread that ticks while a solve runs: if the solve
-        # held the lock, one gap between ticks would span the whole solve.
-        m = rng.standard_normal((400, 400))
-        stop = threading.Event()
-        started = threading.Event()
-        longest = [0.0]
-
-        def tick():
-            last = time.perf_counter()
-            started.set()
-            while not stop.is_set():
-                now = time.perf_counter()
-                longest[0] = max(longest[0], now - last)
-                last = now
-
-        ticker = threading.Thread(target=tick)
-        ticker.start()
-        try:
-            assert started.wait(timeout=10.0)
-            t0 = time.perf_counter()
-            eig_complex_dense(m)
-            solve = time.perf_counter() - t0
-        finally:
-            stop.set()
-            ticker.join(timeout=10.0)
-        assert not ticker.is_alive()
-        assert longest[0] < 0.5 * solve
-
     @pytest.mark.parametrize(
         "m",
         [
@@ -235,35 +204,26 @@ class TestEigComplexDense:
             eig_complex_dense(m)
 
     def test_non_finite_eigenvalue_sum_fails_the_trace_guard(self, monkeypatch):
-        monkeypatch.setattr(lapack, "dgeev", lambda a: np.full(a.shape[0], np.nan + 0j))
+        monkeypatch.setattr(
+            scipy.linalg, "eigvals", lambda a, **kw: np.full(a.shape[0], np.nan + 0j)
+        )
         with pytest.raises(ConvergenceError, match="deviates from trace") as info:
             eig_complex_dense(np.eye(3))
         assert len(info.value.partial) == 3
 
     def test_dgeev_failure_is_a_convergence_error(self, monkeypatch):
-        def no_convergence(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr,
-                           work, lwork, info):
-            if lwork[0] == -1:
-                work[0] = 4.0 * n[0]
-            else:
-                info[0] = 2
+        def no_convergence(a, **kwargs):
+            raise np.linalg.LinAlgError(
+                "eig algorithm (geev) did not converge (only eigenvalues with "
+                "order >= 3 have converged)"
+            )
 
-        monkeypatch.setattr(lapack, "_dgeev", lapack._DGEEV(no_convergence))
+        monkeypatch.setattr(scipy.linalg, "eigvals", no_convergence)
         with pytest.raises(ConvergenceError, match="order >= 3 have converged"):
             eig_complex_dense(np.eye(3))
 
 
 class TestLapack:
-    def test_dgeev_needs_a_writeable_fortran_float64_matrix(self):
-        for a in (np.eye(3, dtype=np.float32), np.zeros((3, 4), order="F")):
-            with pytest.raises(ValueError, match="square float64"):
-                lapack.dgeev(a)
-        read_only = np.asfortranarray(np.eye(3))
-        read_only.flags.writeable = False
-        for a in (np.ascontiguousarray(np.arange(9.0).reshape(3, 3)), read_only):
-            with pytest.raises(ValueError, match="writeable Fortran"):
-                lapack.dgeev(a)
-
     def test_blas_threads_sets_and_restores_the_count(self):
         if lapack.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
@@ -283,180 +243,6 @@ class TestLapack:
         monkeypatch.undo()
         assert lapack.blas_thread_count() == before
         assert any("BLAS thread count unchanged" in r.getMessage() for r in caplog.records)
-
-
-def _longest_tick_gap(work):
-    """Longest gap between ticks of a pure-Python thread while work() runs.
-
-    If work held the interpreter lock, one gap would span all of it.
-    Returns (longest gap, seconds work took).
-    """
-    stop = threading.Event()
-    started = threading.Event()
-    longest = [0.0]
-
-    def tick():
-        last = time.perf_counter()
-        started.set()
-        while not stop.is_set():
-            now = time.perf_counter()
-            longest[0] = max(longest[0], now - last)
-            last = now
-
-    ticker = threading.Thread(target=tick)
-    ticker.start()
-    try:
-        assert started.wait(timeout=10.0)
-        t0 = time.perf_counter()
-        work()
-        took = time.perf_counter() - t0
-    finally:
-        stop.set()
-        ticker.join(timeout=10.0)
-    assert not ticker.is_alive()
-    return longest[0], took
-
-
-def _random_band(rng, dim, kl, ku):
-    ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex, order="F")
-    ab[kl:] = rng.standard_normal((kl + ku + 1, dim)) + 1j * rng.standard_normal((kl + ku + 1, dim))
-    return ab
-
-
-class TestZgbtrf:
-    @pytest.mark.parametrize(
-        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
-    )
-    def test_factors_and_pivots_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
-        ab = _random_band(rng, dim, kl, ku)
-        lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku)
-        ipiv, info_ours = lapack.zgbtrf(ab, kl, ku)  # in place
-        np.testing.assert_array_equal(ab, lu)
-        np.testing.assert_array_equal(ipiv, piv)
-        assert info_ours == info == 0
-        assert np.count_nonzero(ipiv != np.arange(dim)) > 0 or dim == 1
-
-    def test_exactly_singular_factor_is_reported_as_scipy_does(self):
-        ab = np.zeros((4, 5), dtype=complex, order="F")
-        ab[2] = [1.0, 2.0, 0.0, 4.0, 5.0]  # diagonal of a diagonal matrix (kl = ku = 1)
-        _, piv, info = scipy.linalg.lapack.zgbtrf(ab, 1, 1)
-        ipiv, info_ours = lapack.zgbtrf(ab, 1, 1)
-        assert info_ours == info == 3
-        np.testing.assert_array_equal(ipiv, piv)
-
-    def test_needs_a_writeable_fortran_complex_band_array(self):
-        good = np.zeros((4, 5), dtype=complex, order="F")
-        with pytest.raises(ValueError, match="complex128 band"):
-            lapack.zgbtrf(good.real.copy(order="F"), 1, 1)
-        with pytest.raises(ValueError, match="needs 4 rows"):
-            lapack.zgbtrf(good[:3], 1, 1)
-        read_only = good.copy(order="F")
-        read_only.flags.writeable = False
-        for a in (np.ascontiguousarray(good), read_only):
-            with pytest.raises(ValueError, match="writeable Fortran"):
-                lapack.zgbtrf(a, 1, 1)
-
-    def test_releases_the_interpreter_lock(self, rng):
-        ab = _random_band(rng, 3000, 100, 100)
-        longest, took = _longest_tick_gap(lambda: lapack.zgbtrf(ab, 100, 100))
-        assert longest < 0.5 * took
-
-
-def _random_real_band(rng, dim, kl, ku):
-    ab = np.zeros((2 * kl + ku + 1, dim), order="F")
-    ab[kl:] = rng.standard_normal((kl + ku + 1, dim))
-    return ab
-
-
-class TestDgbtrf:
-    @pytest.mark.parametrize(
-        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
-    )
-    def test_factors_pivots_and_solutions_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
-        ab = _random_real_band(rng, dim, kl, ku)
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
-        ipiv, info_ours = lapack.dgbtrf(ab, kl, ku)  # in place
-        np.testing.assert_array_equal(ab, lu)
-        np.testing.assert_array_equal(ipiv, piv)
-        assert info_ours == info == 0
-        assert np.count_nonzero(ipiv != np.arange(dim)) > 0 or dim == 1
-        for b in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
-            x, info = scipy.linalg.lapack.dgbtrs(lu, kl, ku, b, piv)
-            assert info == 0
-            np.testing.assert_array_equal(lapack.dgbtrs(ab, kl, ku, b, ipiv), x)
-
-    def test_exactly_singular_factor_is_reported_as_scipy_does(self):
-        ab = np.zeros((4, 5), order="F")
-        ab[2] = [1.0, 2.0, 0.0, 4.0, 5.0]  # diagonal of a diagonal matrix (kl = ku = 1)
-        _, piv, info = scipy.linalg.lapack.dgbtrf(ab, 1, 1)
-        ipiv, info_ours = lapack.dgbtrf(ab, 1, 1)
-        assert info_ours == info == 3
-        np.testing.assert_array_equal(ipiv, piv)
-
-    def test_needs_a_writeable_fortran_float64_band_array(self):
-        good = np.zeros((4, 5), order="F")
-        with pytest.raises(ValueError, match="float64 band"):
-            lapack.dgbtrf(good.astype(complex, order="F"), 1, 1)
-        with pytest.raises(ValueError, match="needs 4 rows"):
-            lapack.dgbtrf(good[:3], 1, 1)
-        read_only = good.copy(order="F")
-        read_only.flags.writeable = False
-        for a in (np.ascontiguousarray(good), read_only):
-            with pytest.raises(ValueError, match="writeable Fortran"):
-                lapack.dgbtrf(a, 1, 1)
-
-    def test_releases_the_interpreter_lock(self, rng):
-        ab = _random_real_band(rng, 3000, 100, 100)
-        longest, took = _longest_tick_gap(lambda: lapack.dgbtrf(ab, 100, 100))
-        assert longest < 0.5 * took
-
-
-class TestZgbtrs:
-    @pytest.mark.parametrize(
-        "dim, kl, ku", [(1, 0, 0), (7, 1, 1), (60, 2, 2), (200, 3, 1), (599, 4, 4)]
-    )
-    def test_solutions_are_bit_identical_to_scipy(self, rng, dim, kl, ku):
-        ab = _random_band(rng, dim, kl, ku)
-        lu, piv, _ = scipy.linalg.lapack.zgbtrf(ab, kl, ku)
-        for b in (
-            rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-            rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)),
-            rng.standard_normal(dim),  # a real right-hand side is promoted
-        ):
-            kept = (lu.copy(), piv.copy(), b.copy())
-            x, info = scipy.linalg.lapack.zgbtrs(lu, kl, ku, b, piv)
-            assert info == 0
-            ours = lapack.zgbtrs(lu, kl, ku, b, piv)
-            np.testing.assert_array_equal(ours, x)
-            assert ours.shape == b.shape and ours.dtype == np.complex128
-            for before, after in zip(kept, (lu, piv, b)):
-                np.testing.assert_array_equal(before, after)
-
-    def test_arguments_are_checked_before_lapack_runs(self, rng):
-        ab = _random_band(rng, 5, 1, 1)
-        ipiv, _ = lapack.zgbtrf(ab, 1, 1)
-        b = np.ones(5, dtype=complex)
-        with pytest.raises(ValueError, match="complex128 band"):
-            lapack.zgbtrs(ab.real.copy(order="F"), 1, 1, b, ipiv)
-        with pytest.raises(ValueError, match="needs 4 rows"):
-            lapack.zgbtrs(ab[:3], 1, 1, b, ipiv)
-        with pytest.raises(ValueError, match="Fortran-ordered"):
-            lapack.zgbtrs(np.ascontiguousarray(ab), 1, 1, b, ipiv)
-        for rhs in (np.ones(4, dtype=complex), np.ones((5, 2, 1), dtype=complex)):
-            with pytest.raises(ValueError, match="right-hand side rows"):
-                lapack.zgbtrs(ab, 1, 1, rhs, ipiv)
-        with pytest.raises(ValueError, match="right-hand side rows of float64"):
-            lapack.dgbtrs(ab.real.copy(order="F"), 1, 1, b, ipiv)  # would drop Im b
-        for pivots in (ipiv[:4], ipiv + 5, ipiv - 5):
-            with pytest.raises(ValueError, match="0-based row interchanges"):
-                lapack.zgbtrs(ab, 1, 1, b, pivots)
-
-    def test_releases_the_interpreter_lock(self, rng):
-        ab = _random_band(rng, 3000, 100, 100)
-        ipiv, _ = lapack.zgbtrf(ab, 100, 100)
-        b = rng.standard_normal((3000, 200)) + 0j
-        longest, took = _longest_tick_gap(lambda: lapack.zgbtrs(ab, 100, 100, b, ipiv))
-        assert longest < 0.5 * took
 
 
 def _inverse_iteration_by_solve_banded(bands, halfwidth, eigenvalue, iterations=3):
