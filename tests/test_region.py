@@ -224,6 +224,38 @@ class TestSyntheticCount:
         assert count == pytest.approx(4.0, abs=region.COUNT_TOL)
 
 
+class TestPhase:
+    def test_is_the_dense_determinants_argument_less_the_kinetic_one(self, rng):
+        # A random non-symmetric band pivots on many rows, so a row-swap
+        # count taken with 1-based pivots against scipy's 0-based ones would
+        # move the phase by a multiple of pi.
+        dim, hw = 40, 2
+        bands = rng.standard_normal((2 * hw + 1, dim)) + 1j * rng.standard_normal((2 * hw + 1, dim))
+        dense = solver._banded_to_sparse(bands).toarray()
+        kinetic = np.sort(rng.uniform(-3.0, 3.0, dim))
+        phase = region._Phase(bands, kinetic)
+        for z in (0.3 + 0.7j, -2.0 - 0.1j, 1.5 + 0.0j):
+            sign, _ = np.linalg.slogdet(dense - z * np.eye(dim))
+            expected = np.angle(sign) - np.sum(np.angle(kinetic - z))
+            assert abs(region._wrap(phase(z) - expected)) < 1e-9, z
+        assert phase.evaluations == 3
+
+    def test_is_nan_at_an_exact_eigenvalue(self):
+        phase = region._Phase(_block_band([1.0, 2.0, 0.0, 4.0, 5.0]), np.empty(0))
+        assert math.isnan(phase(0j)) and math.isnan(phase(4.0 + 0j))
+        assert math.isfinite(phase(3.0 + 0j))
+        assert phase.evaluations == 3
+
+    def test_arnoldi_at_an_exactly_singular_shift_finds_nothing(self):
+        import scipy.sparse
+
+        window = region.Window(-1.0, 1.0, 0.5)  # centre 0
+        m = scipy.sparse.diags([-3.0, -2.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        found = region.arnoldi_window(m, np.ones(8), window, 2)
+        assert found.eigenvalues.size == 0
+        assert (found.covered, found.solves) == (False, 0)
+
+
 class TestKineticEigenvalues:
     @pytest.mark.parametrize("order", [2, 4])
     def test_closed_form_is_the_spectrum_of_the_sine_diagonalized_band(self, order):
