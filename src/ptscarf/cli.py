@@ -30,7 +30,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -119,7 +118,6 @@ class RunConfig:
     out: Optional[Path]
     fmt: str
     scan: Optional[tuple[float, float, int]]
-    jobs: int
 
 
 def _setup_logging() -> None:
@@ -181,7 +179,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     scan.add_argument("--scan-max", dest="scan_max", type=float, default=d)
     scan.add_argument("--scan-steps", dest="scan_steps", type=int, default=d)
     scan.add_argument(
-        "--jobs", type=int, default=d, help="concurrent scan points (default 1)"
+        "--jobs", type=int, default=d, help="accepted (>= 1) but has no effect"
     )
     parser.add_argument(
         "--config", type=str, default=d,
@@ -311,7 +309,7 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
     if fmt not in ("json", "csv"):
         raise ValidationError(f"--format must be json or csv, got {fmt}")
     out = pick("out")
-    jobs = pick("jobs", 1)
+    jobs = pick("jobs", 1)  # checked but unused: scan points run in one loop
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {jobs}")
 
@@ -324,7 +322,6 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         out=Path(out) if out is not None else None,
         fmt=fmt,
         scan=scan,
-        jobs=jobs,
     )
 
 
@@ -411,12 +408,6 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     return rows
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_scan(cfg: RunConfig) -> tuple[int, str]:
     """Sweep c_pt along the broken constraint and tabulate both branches."""
     from . import lapack
@@ -428,35 +419,20 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
     for c in values:
         if not c_values or c != c_values[-1]:
             c_values.append(float(c))
-    # One BLAS thread for every job count: the thread count moves the last
-    # digits of the eigenvalues, and the output must not depend on --jobs.
-    # scipy's LAPACK wrappers, ARPACK and the Python around them all hold
-    # the interpreter lock, so the jobs' solves take turns rather than
-    # overlap.
+    # One BLAS thread for every point: the thread count moves the last digits
+    # of the eigenvalues, and the scan's bytes must not depend on the host's.
     blas_before = lapack.blas_thread_count()
     rows: list[ScanRow] = []
     with lapack.blas_threads(1):
         logger.debug(
-            "scan: points=%d jobs=%d usable_cpus=%d blas_threads=%s->%s",
+            "scan: points=%d blas_threads=%s->%s",
             len(c_values),
-            cfg.jobs,
-            _usable_cpus(),
             blas_before,
             lapack.blas_thread_count(),
         )
-        pool = ThreadPoolExecutor(max_workers=cfg.jobs)
-        try:
-            futures = [
-                pool.submit(_scan_point_rows, cfg, f"{i:03d}", c)
-                for i, c in enumerate(c_values)
-            ]
-            for i, (c, future) in enumerate(zip(c_values, futures)):
-                rows.extend(future.result())
-                logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
-        finally:
-            # not a with block: that would run every queued point before a
-            # failure or an interrupt propagates
-            pool.shutdown(cancel_futures=True)
+        for i, c in enumerate(c_values):
+            rows.extend(_scan_point_rows(cfg, f"{i:03d}", c))
+            logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
     if cfg.fmt == "csv":
         return 0, scan_rows_to_csv(rows)
     return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})
@@ -467,12 +443,18 @@ def _pt_condition(p: Params, ws, x, g):
 
 
 def _potential_expansion(p: Params, ws, x, g):
-    """The closed-form coefficients reproduce W^2 - W' - a^2 pointwise."""
-    defect = 0.0
+    """The closed-form coefficients reproduce W^2 - W' - a^2 pointwise.
+
+    The bound is relative to max(1, max |V|) on the samples: a deep well
+    (|V| ~ 1e4) leaves a few 1e-12 of rounding between the two forms.
+    """
+    defect, scale = 0.0, 1.0
     for _, w in ws:
+        v = partner_potential_minus(w).evaluate(x)
         direct = w.evaluate(x) ** 2 - w.derivative(x) - w.a * w.a
-        defect = max(defect, float(np.max(np.abs(partner_potential_minus(w).evaluate(x) - direct))))
-    return defect <= EXPANSION_TOL, defect, ""
+        defect = max(defect, float(np.max(np.abs(v - direct))))
+        scale = max(scale, float(np.max(np.abs(v))))
+    return defect <= EXPANSION_TOL * scale, defect, ""
 
 
 def _unique_broken_potential(p: Params, ws, x, g):

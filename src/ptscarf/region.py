@@ -43,10 +43,6 @@ floor, the Arnoldi eigenvalues reach past the window's corners and as many
 of them lie inside as the count says.  Otherwise the caller falls back to
 the dense solve.
 
-The band LUs and solves are scipy's own LAPACK wrappers
-(scipy.linalg.lapack), which hold the interpreter lock, as ARPACK and the
-Python around them do: window solves on threads run one at a time.
-
 solver imports this module only for a solve above its crossover order,
 and scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
 """

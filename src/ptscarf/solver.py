@@ -39,16 +39,10 @@ Notes on the numerics:
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
     third of the time of zgeev on the complex H.
-  * Every LAPACK call goes through scipy's own wrappers: the banded LUs
-    and solves (zgbtrf, dgbtrf, dgbtrs, zgbtrs of scipy.linalg.lapack) and
-    the dense solve (scipy.linalg.eigvals).  They hold the interpreter lock,
-    as ARPACK and the Python glue of a window solve do, so solves on threads
-    (scan points under --jobs) take turns: a scan with --jobs 2 is no faster
-    than with --jobs 1, on the window path and below the crossover alike.
   * The BLAS thread count changes the last digits of the eigenvalues.  A
-    scan runs every solve on one BLAS thread whatever --jobs is, so its
-    output does not depend on --jobs; a single solve keeps the process's
-    count, since at order ~1500 two threads are faster than one for dgeev.
+    scan runs every solve on one BLAS thread, so its output does not depend
+    on the host; a single solve keeps the process's count, since at order
+    ~1500 two threads are faster than one for dgeev.
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
   * Eigenvectors are recovered only for candidate eigenvalues, by inverse
@@ -263,12 +257,6 @@ def _dense_fortran(m: scipy.sparse.coo_matrix) -> np.ndarray:
     return dense
 
 
-def _pt_real_form(ab: np.ndarray) -> tuple[np.ndarray, float]:
-    """_pt_real_sparse with the real form as a dense Fortran float64 array."""
-    m, defect = _pt_real_sparse(ab)
-    return _dense_fortran(m), defect
-
-
 def eig_complex_dense(
     m: np.ndarray, max_dim: int = MAX_DENSE_DIM, overwrite: bool = False
 ) -> np.ndarray:
@@ -365,30 +353,21 @@ def _boundary_ratio(psi: Wavefunction) -> float:
     return float(edge / v.max())
 
 
-def _is_bound_state(
-    e: complex, psi: Wavefunction, boundary_tol: float, energy_margin: float
-) -> bool:
-    return e.real < energy_margin and _boundary_ratio(psi) <= boundary_tol
+def _is_bound_state(e: complex, psi: Wavefunction) -> bool:
+    return e.real < ENERGY_MARGIN and _boundary_ratio(psi) <= BOUNDARY_TOL
 
 
 def filter_bound_states(
-    eigs: Sequence[complex],
-    vectors: Sequence[Wavefunction],
-    boundary_tol: float = BOUNDARY_TOL,
-    energy_margin: float = ENERGY_MARGIN,
+    eigs: Sequence[complex], vectors: Sequence[Wavefunction]
 ) -> list[complex]:
     """Keep eigenvalues whose eigenvectors are localized away from the walls.
 
-    A state survives iff Re(E) < energy_margin (the asymptotic potential is
-    0) and the wall amplitude ratio is below boundary_tol.
+    A state survives iff Re(E) < ENERGY_MARGIN (the asymptotic potential is
+    0) and the wall amplitude ratio is at most BOUNDARY_TOL.
     """
     if len(eigs) != len(vectors):
         raise ValueError("eigs and vectors must have equal length")
-    return [
-        complex(e)
-        for e, psi in zip(eigs, vectors)
-        if _is_bound_state(e, psi, boundary_tol, energy_margin)
-    ]
+    return [complex(e) for e, psi in zip(eigs, vectors) if _is_bound_state(e, psi)]
 
 
 @dataclass(frozen=True)
@@ -442,7 +421,7 @@ def solve_bound_states(
     t1 = time.perf_counter()
     for e in candidates:
         psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
-        if _is_bound_state(e, psi, BOUNDARY_TOL, ENERGY_MARGIN):
+        if _is_bound_state(e, psi):
             kept_e.append(e)
             kept_v.append(psi)
     vectors_s = time.perf_counter() - t1

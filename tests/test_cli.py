@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -291,9 +292,21 @@ class TestScanCommand:
                 main([*args, "--out", str(tmp_path / "scan.csv")])
             assert lapack.blas_thread_count() == 2
 
-    def test_debug_line_records_jobs_cpus_and_blas_threads(
-        self, tmp_path, monkeypatch, caplog
-    ):
+    def test_a_scan_starts_no_thread(self, tmp_path, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "2"]
+        code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
+        assert code == 0
+        assert started == []
+
+    def test_debug_line_records_points_and_blas_threads(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("PTSCARF_LOG", "debug")
         caplog.set_level(logging.DEBUG, logger="ptscarf")
         args = [*self.BASE, "--scan-min", "0.5", "--scan-max", "0.5", "--scan-steps", "2"]
@@ -306,10 +319,7 @@ class TestScanCommand:
         assert len(lines) == 1
         before = lapack.blas_thread_count()
         during = None if before is None else 1
-        assert lines[0] == (
-            f"scan: points=1 jobs=2 usable_cpus={len(os.sched_getaffinity(0))} "
-            f"blas_threads={before}->{during}"
-        )
+        assert lines[0] == f"scan: points=1 blas_threads={before}->{during}"
 
     def test_degenerate_span_collapses_to_one_point(self, tmp_path):
         code, text = run_cli(
@@ -371,6 +381,16 @@ class TestVerifyCommand:
         statuses = {p["name"]: p["status"] for p in payload["properties"]}
         assert statuses["ground_state_pt"] == "fail"
         assert "ground_state_pt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", [("1", "100"), ("100", "1"), ("2", "80")], ids=str)
+    def test_deep_wells_pass_the_expansion_despite_rounding(self, tmp_path, point):
+        # |V| reaches ~1e4 here: the two forms differ by a few 1e-12 of rounding
+        a, b = point
+        code, text = run_cli(tmp_path, ["verify", "--A", a, "--B", b, "--points=101"])
+        assert code == 0
+        props = {q["name"]: q for q in json.loads(text)["properties"]}
+        assert props["potential_expansion"]["status"] == "pass"
+        assert props["potential_expansion"]["defect"] > 1e-12
 
     def test_not_pt_symmetric_fails_condition(self, tmp_path):
         code, text = run_cli(tmp_path, ["verify", "--A", "1", "--B", "1", "--cpt", "0.5"])
@@ -531,25 +551,29 @@ class TestParserReuse:
 _CHILD = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def watched_modules():
+    return sorted(
+        m for m in sys.modules
+        if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures"
+    )
 
 loaded = {}
 import ptscarf
-loaded["import ptscarf"] = scipy_modules()
+loaded["import ptscarf"] = watched_modules()
 import ptscarf.cli
-loaded["import ptscarf.cli"] = scipy_modules()
+loaded["import ptscarf.cli"] = watched_modules()
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(ptscarf.cli.main(argv))
-    loaded[" ".join(argv)] = scipy_modules()
+    loaded[" ".join(argv)] = watched_modules()
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def _run_child(argvs):
-    """Run the CLI calls in a fresh interpreter; report exit codes and scipy modules."""
+    """Run the CLI calls in a fresh interpreter; report exit codes and the
+    scipy and concurrent.futures modules loaded after each step."""
     env = dict(os.environ)
     src = str(Path(ptscarf.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -561,7 +585,11 @@ def _run_child(argvs):
 
 
 class TestImportPath:
-    """The closed-form commands run on numpy alone; scipy loads at the first solve."""
+    """The closed-form commands run on numpy alone; scipy loads at the first solve.
+
+    Nor does import ptscarf.cli load concurrent.futures: a scan runs its
+    points in one loop, on no thread pool.
+    """
 
     def test_potential_and_verify_never_load_scipy(self):
         unbroken = ["--A=2.5", "--B=1", "--points=201"]
@@ -576,6 +604,7 @@ class TestImportPath:
         )
         assert result["codes"] == [0, 0, 0, 0]
         assert len(result["loaded"]) == 6
+        assert "concurrent.futures" not in result["loaded"]["import ptscarf.cli"]
         assert all(mods == [] for mods in result["loaded"].values()), result["loaded"]
 
     def test_arpack_loads_only_for_a_solve_above_the_crossover(self):

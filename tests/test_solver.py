@@ -29,7 +29,7 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack, solver
-from ptscarf.solver import _bands, _pt_basis, _pt_real_form, _pt_real_sparse, _pt_signature
+from ptscarf.solver import _bands, _dense_fortran, _pt_basis, _pt_real_sparse, _pt_signature
 from conftest import assert_multiset_close
 
 FREE = PotentialCoeffs(0.0, 0.0, 0.0, 1.0)
@@ -325,7 +325,8 @@ class TestPTRealForm:
     ):
         v = PotentialCoeffs(s, 1j * t_im, 0.0, alpha)
         g = Grid(half_width, n_points)
-        real, defect = _pt_real_form(_bands(v, g, order))
+        m, defect = _pt_real_sparse(_bands(v, g, order))
+        real = _dense_fortran(m)
         assert real.dtype == np.float64 and real.flags.f_contiguous
         assert defect == 0.0
         expected = eig_complex_dense(discretize(v, g, order=order))
