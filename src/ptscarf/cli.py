@@ -78,6 +78,7 @@ from .superpotential import (
     ground_state_wavefunction,  # noqa: F401
     partner_potential_minus,
     pt_defect,
+    pt_superpotentials,
     superpotentials,
 )
 
@@ -140,8 +141,8 @@ def _setup_logging() -> None:
     logging.getLogger("ptscarf").setLevel(level)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    d = argparse.SUPPRESS
     model = parser.add_argument_group("model parameters")
     model.add_argument("--A", dest="A", type=float, default=d, help="depth parameter A")
     model.add_argument("--B", dest="B", type=float, default=d, help="depth parameter B")
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
             "checked by a non-Hermitian eigensolver"
         ),
     )
-    _add_common_flags(parser, suppress=True)
+    _add_common_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("potential", "emit superpotential(s) and potential coefficients"),
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run the analytic property suite"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p, suppress=True)
+        _add_common_flags(p)
     return parser
 
 
@@ -342,12 +343,7 @@ def _superpotential_dict(label: str, w: Superpotential) -> dict:
 def run_potential(cfg: RunConfig) -> tuple[int, str]:
     """Emit superpotential(s), potential coefficients, regime and PT verdict."""
     p = cfg.params
-    ws = superpotentials(p)
-    if not ws:
-        raise RegimeError(
-            "parameters violate the PT-symmetry condition c_pt*(2*(A-B)+alpha) = 0"
-        )
-    v = partner_potential_minus(ws[0][1])
+    ws, v = pt_superpotentials(p)
     payload = {
         "params": params_to_dict(p),
         "regime": classify_regime(p).value,

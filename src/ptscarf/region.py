@@ -212,20 +212,17 @@ def _phase_change(
     phase: _Phase,
     start: complex,
     end: complex,
-    known: Optional[tuple[float, float]] = None,
+    known: tuple[float, float],
 ) -> Optional[float]:
     """Phase change along the segment start -> end; None at the floor.
 
-    known holds the phases at start and end when the caller has them
-    already (the corners that two edges share), saving their LUs.
+    known holds the phases at start and end, which the caller has already
+    (the corners that two edges share), saving their LUs.
     """
     floor = REFINEMENT_FLOOR * abs(end - start)
     points = [start + (end - start) * t for t in np.linspace(0.0, 1.0, EDGE_SEGMENTS + 1)]
-    if known is None:
-        phases = [phase(z) for z in points]
-    else:
-        points[-1] = end  # the exact corner whose phase is known
-        phases = [known[0], *(phase(z) for z in points[1:-1]), known[1]]
+    points[-1] = end  # the exact corner whose phase is known
+    phases = [known[0], *(phase(z) for z in points[1:-1]), known[1]]
     stack = list(zip(points[:-1], phases[:-1], points[1:], phases[1:]))[::-1]
     total = 0.0
     while stack:

@@ -6,8 +6,8 @@ stencil), the eigenvalues of a matrix similar to it in the bound-state
 window are computed, bound states are separated from discretized-continuum
 artifacts, and the survivors are matched one-to-one against the analytic
 families.  The report's PT verdict (the potential's PT defect on the grid,
-the ground-state PT overlaps) comes from superpotential.superpotentials,
-pt_defect and ground_state_pt, which the CLI's verify suite also uses.
+the ground-state PT overlaps) comes from superpotential.pt_superpotentials,
+pt_defect and ground_state_pt, which the CLI also uses.
 
 Notes on the numerics:
   * H is built as its band (half-bandwidth <= 2) in O(n); only discretize()
@@ -66,6 +66,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -89,9 +90,8 @@ from .superpotential import (
     ground_state_pt,
     # not called here, nor is overlap_ratio: re-exported for perfbench's tracer
     ground_state_wavefunction,  # noqa: F401
-    partner_potential_minus,
     pt_defect,
-    superpotentials,
+    pt_superpotentials,
 )
 
 logger = logging.getLogger(__name__)
@@ -378,9 +378,7 @@ class BoundStates:
     vectors: tuple[Wavefunction, ...]
 
 
-def solve_bound_states(
-    v: PotentialCoeffs, g: Grid, order: int = 4, max_dim: int = MAX_DENSE_DIM
-) -> BoundStates:
+def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStates:
     """Full pipeline: discretize, eigensolve, recover vectors, filter.
 
     The eigenvalues come from the real PT-basis form of H, so v must be
@@ -392,15 +390,15 @@ def solve_bound_states(
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
-      ValueError: if the order of H exceeds max_dim, before any solve.
+      ValueError: if the order of H exceeds MAX_DENSE_DIM, before H is built.
     """
+    dim = g.n_points - 2
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"matrix dimension {dim} exceeds configured max {MAX_DENSE_DIM}")
     bands = _bands(v, g, order)
     halfwidth = bands.shape[0] // 2
-    dim = bands.shape[1]
     m, anti_pt = _pt_real_sparse(bands)
     logger.debug("anti-PT defect of H: %.3e", anti_pt)
-    if dim > max_dim:
-        raise ValueError(f"matrix dimension {dim} exceeds configured max {max_dim}")
     t0 = time.perf_counter()
     solved = None
     eigs = None
@@ -411,7 +409,7 @@ def solve_bound_states(
         solved = solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
         eigs = solved.eigenvalues
     if eigs is None:
-        eigs = eig_complex_dense(_dense_fortran(m), max_dim=max_dim, overwrite=True)
+        eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
     seconds = time.perf_counter() - t0
     del m
     candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
@@ -543,60 +541,60 @@ def match_levels(
     numerical: Sequence[complex],
     match_tol: float = MATCH_TOL,
 ) -> tuple[tuple[Match, ...], tuple[int, ...], tuple[int, ...]]:
-    """One-to-one nearest-neighbor assignment in the complex plane.
+    """One-to-one assignment with the most levels within tolerance.
 
-    Greedy by ascending error first; if that leaves analytic levels
-    unmatched while numerical values remain, a Hungarian assignment on the
-    full cost matrix is tried and kept when it matches more levels.  The
-    per-level tolerance is match_tol * max(1, |E_analytic|).
+    A level and a value may pair when they lie within match_tol *
+    max(1, |E_analytic|) of each other.  Pairs are first taken greedily by
+    ascending error, which settles every uncontested level.  For each
+    analytic level left over, a breadth-first search then looks for an
+    augmenting path: a chain of swaps that frees a value for it.  Once no
+    level has one, no assignment matches more (Berge; Kuhn, Naval Res.
+    Logist. Q. 2, 83 (1955)).
 
     Returns (matches, unmatched_analytic_indices, unmatched_numerical_indices).
     """
     analytic = [complex(e) for e in analytic]
     numerical = [complex(e) for e in numerical]
-
-    def tol_for(e: complex) -> float:
-        return match_tol * max(1.0, abs(e))
-
-    def greedy() -> list[Match]:
-        cands = sorted(
-            (abs(ea - en), i, j)
-            for i, ea in enumerate(analytic)
-            for j, en in enumerate(numerical)
-        )
-        taken_a: set[int] = set()
-        taken_n: set[int] = set()
-        out = []
-        for err, i, j in cands:
-            if i in taken_a or j in taken_n or err > tol_for(analytic[i]):
-                continue
-            taken_a.add(i)
-            taken_n.add(j)
-            out.append(Match(i, j, float(err)))
-        return out
-
-    matches = greedy()
-    if len(matches) < min(len(analytic), len(numerical)):
-        cost = np.array(
-            [[abs(ea - en) for en in numerical] for ea in analytic], dtype=float
-        )
-        if cost.size:
-            from scipy.optimize import linear_sum_assignment
-
-            rows, cols = linear_sum_assignment(cost)
-            hungarian = [
-                Match(int(i), int(j), float(cost[i, j]))
-                for i, j in zip(rows, cols)
-                if cost[i, j] <= tol_for(analytic[i])
-            ]
-            if len(hungarian) > len(matches):
-                matches = hungarian
-    matches.sort(key=lambda m: m.analytic_index)
-    matched_a = {m.analytic_index for m in matches}
-    matched_n = {m.numerical_index for m in matches}
-    unmatched_a = tuple(i for i in range(len(analytic)) if i not in matched_a)
-    unmatched_n = tuple(j for j in range(len(numerical)) if j not in matched_n)
-    return tuple(matches), unmatched_a, unmatched_n
+    pairs = sorted(
+        (abs(ea - en), i, j)
+        for i, ea in enumerate(analytic)
+        for j, en in enumerate(numerical)
+        if abs(ea - en) <= match_tol * max(1.0, abs(ea))
+    )
+    near: list[list[int]] = [[] for _ in analytic]  # values within tolerance
+    value_of: dict[int, int] = {}  # analytic index -> numerical index
+    level_of: dict[int, int] = {}  # numerical index -> analytic index
+    for _, i, j in pairs:
+        near[i].append(j)
+        if i not in value_of and j not in level_of:
+            value_of[i], level_of[j] = j, i
+    for root in range(len(analytic)):
+        if root in value_of:
+            continue
+        reached_from: dict[int, int] = {}  # numerical index -> analytic index
+        queue = deque([root])
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for j in near[i]:
+                if j in reached_from:
+                    continue
+                reached_from[j] = i
+                if j not in level_of:
+                    end = j
+                    break
+                queue.append(level_of[j])
+        while end is not None:  # flip the path: each level on it takes the next value
+            i = reached_from[end]
+            previous = value_of.get(i)
+            value_of[i], level_of[end] = end, i
+            end = previous
+    matches = tuple(
+        Match(i, j, float(abs(analytic[i] - numerical[j]))) for i, j in sorted(value_of.items())
+    )
+    unmatched_a = tuple(i for i in range(len(analytic)) if i not in value_of)
+    unmatched_n = tuple(j for j in range(len(numerical)) if j not in level_of)
+    return matches, unmatched_a, unmatched_n
 
 
 @dataclass(frozen=True)
@@ -653,17 +651,11 @@ def verify_spectrum(
         tolerance (the assembled report rides on the exception).
     """
     regime = classify_regime(p)
-    ws = superpotentials(p)
-    if not ws:
-        raise RegimeError(
-            "parameters violate the PT-symmetry condition "
-            "c_pt*(2*(A-B)+alpha) = 0"
-        )
+    ws, v = pt_superpotentials(p)
     families = analytic_families(p)
     labeled = tuple(
         LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels
     )
-    v = partner_potential_minus(ws[0][1])
 
     numerical = solve_bound_states(v, g, order=order).eigenvalues
     matches, unmatched_a, unmatched_n = match_levels(

@@ -27,8 +27,9 @@ antiderivative of sech).
 
 The PT verdict on a parameter point lives here too, for the verify suite
 (cli) and solver.verify_spectrum alike: superpotentials() picks the
-regime's W's, pt_defect() samples V(-x)* - V(x), and ground_state_pt()
-gives the PT overlaps of their ground states, judged against GS_PT_TOL.
+regime's W's (pt_superpotentials() adds V_-, or refuses a non-PT point),
+pt_defect() samples V(-x)* - V(x), and ground_state_pt() gives the PT
+overlaps of their ground states, judged against GS_PT_TOL.
 """
 
 from __future__ import annotations
@@ -270,6 +271,18 @@ def superpotentials(p: Params) -> tuple[tuple[str, Superpotential], ...]:
         w_plus, w_minus = build_broken_pair(p)
         return (("plus", w_plus), ("minus", w_minus))
     return ()
+
+
+def pt_superpotentials(
+    p: Params,
+) -> tuple[tuple[tuple[str, Superpotential], ...], PotentialCoeffs]:
+    """superpotentials(p) and the first one's V_-; RegimeError if there is none."""
+    ws = superpotentials(p)
+    if not ws:
+        raise RegimeError(
+            "parameters violate the PT-symmetry condition c_pt*(2*(A-B)+alpha) = 0"
+        )
+    return ws, partner_potential_minus(ws[0][1])
 
 
 def pt_defect(v: PotentialCoeffs, x) -> float:

@@ -632,6 +632,17 @@ class TestImportPath:
         assert result["loaded"]["import ptscarf.cli"] == []
         assert "scipy.linalg" in result["loaded"][" ".join(argv)]
 
+    def test_an_unmatched_level_does_not_load_scipy_optimize(self):
+        # on this coarse grid the shallow point loses a level: matching
+        # leaves it unmatched and the run exits 4, on scipy.linalg alone
+        argv = ["spectrum", "--A=1.633", "--B=2.703", "--alpha=0.716", "--points=61"]
+        result = _run_child([argv])
+        assert result["codes"] == [4]
+        assert not any(
+            m == "scipy.optimize" or m.startswith("scipy.optimize.")
+            for mods in result["loaded"].values() for m in mods
+        ), result["loaded"]
+
 
 @pytest.mark.parametrize(
     "point", [["--A", "2.5", "--B", "1"], ["--A", "1.5", "--B", "2", "--cpt", "0.5"]], ids=str

@@ -217,8 +217,12 @@ class TestSyntheticCount:
         bottom, top = complex(w.re_hi, -w.im_hi), complex(w.re_hi, w.im_hi)
         raw = region._Phase(bands, np.empty(0))
         divided = region._Phase(bands, kinetic)
-        assert region._phase_change(raw, bottom, top) / (2 * math.pi) < -10.0
-        assert abs(region._phase_change(divided, bottom, top)) / (2 * math.pi) < 5.0
+        raw_change = region._phase_change(raw, bottom, top, (raw(bottom), raw(top)))
+        divided_change = region._phase_change(
+            divided, bottom, top, (divided(bottom), divided(top))
+        )
+        assert raw_change / (2 * math.pi) < -10.0
+        assert abs(divided_change) / (2 * math.pi) < 5.0
         assert 3 * divided.evaluations < raw.evaluations
         count, _ = region.count_eigenvalues(bands, kinetic, w)
         assert count == pytest.approx(4.0, abs=region.COUNT_TOL)
@@ -392,9 +396,11 @@ class TestFallback:
 
     def test_max_dim_refuses_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
-            raise AssertionError("solved despite max_dim")
+            raise AssertionError("built or solved despite MAX_DENSE_DIM")
 
+        monkeypatch.setattr(solver, "MAX_DENSE_DIM", 598)
+        monkeypatch.setattr(solver, "_bands", no_solve)
         monkeypatch.setattr(region, "solve_window", no_solve)
         monkeypatch.setattr(solver, "eig_complex_dense", no_solve)
         with pytest.raises(ValueError, match="matrix dimension 599 exceeds configured max 598"):
-            solve_bound_states(_potential(self.POINT), self.GRID, max_dim=598)
+            solve_bound_states(_potential(self.POINT), self.GRID)

@@ -1,9 +1,10 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptscarf import (
@@ -432,8 +433,8 @@ class TestMatchLevels:
         assert matches == () and ua == (0,)
 
     def test_one_to_one(self):
-        # two analytic levels compete for one numerical value; the Hungarian
-        # fallback must not double-assign
+        # two analytic levels compete for one numerical value; the
+        # augmenting-path search must not double-assign
         matches, ua, un = match_levels([-0.25, -0.25], [-0.2501], match_tol=5e-3)
         assert len(matches) == 1 and len(ua) == 1 and un == ()
 
@@ -452,6 +453,40 @@ class TestMatchLevels:
         assert [(m.analytic_index, m.numerical_index) for m in matches] == [(0, 0), (1, 1)]
         assert [m.abs_error for m in matches] == pytest.approx([0.003, 0.0038])
         assert ua == () and un == ()
+
+    CROWDED = ([0.0077, 0.0086, 0.01], [0.0034, 0.0026, 0.0077])
+
+    def test_crowded_levels_get_the_most_matches(self):
+        # greedy pairs 0.0077 with 0.0077 exactly, after which neither other
+        # level has a value in reach.  Moving 0.0077 to the level at 0.0086
+        # frees 0.0034 for the level at 0.0077: two matches.
+        analytic, numerical = self.CROWDED
+        matches, ua, un = match_levels(analytic, numerical, match_tol=5e-3)
+        assert [(m.analytic_index, m.numerical_index) for m in matches] == [(0, 0), (1, 2)]
+        assert ua == (2,) and un == (1,)
+        assert len({m.numerical_index for m in matches}) == 2
+        for m in matches:
+            assert m.abs_error == abs(analytic[m.analytic_index] - numerical[m.numerical_index])
+            assert m.abs_error <= 5e-3
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        analytic=st.lists(st.floats(0.0, 0.012), min_size=2, max_size=4),
+        numerical=st.lists(st.floats(0.0, 0.012), min_size=2, max_size=4),
+    )
+    @example(analytic=CROWDED[0], numerical=CROWDED[1])
+    def test_matches_as_many_levels_as_any_assignment(self, analytic, numerical):
+        tol = 5e-3
+        matches, ua, un = match_levels(analytic, numerical, match_tol=tol)
+        best = 0
+        short, long_ = sorted((analytic, numerical), key=len)
+        for chosen in itertools.permutations(range(len(long_)), len(short)):
+            best = max(best, sum(abs(short[k] - long_[c]) <= tol for k, c in enumerate(chosen)))
+        assert len(matches) == best
+        assert len({m.numerical_index for m in matches}) == len(matches)
+        assert len(ua) == len(analytic) - best and len(un) == len(numerical) - best
+        for m in matches:
+            assert m.abs_error <= tol
 
 
 class TestVerifySpectrum:
