@@ -38,7 +38,6 @@ from .solver import (
     conjugate_pairing_check,
     discretize,
     eig_complex_dense,
-    filter_bound_states,
     match_levels,
     solve_bound_states,
     verify_spectrum,
@@ -106,7 +105,6 @@ __all__ = [
     "discretize",
     "eig_complex_dense",
     "exchange_complex_pair",
-    "filter_bound_states",
     "ground_state_closed_form",
     "ground_state_energy",
     "ground_state_residual",

@@ -111,7 +111,6 @@ class RunConfig:
     pins at every c_pt != 0; only its c_pt = 0 endpoint reads params.B.
     """
 
-    command: str
     params: Params
     grid: Grid
     order: int
@@ -173,7 +172,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     out.add_argument("--out", type=str, default=d, help="output file (default stdout)")
     out.add_argument(
         "--format", dest="fmt", choices=("json", "csv"), default=d,
-        help="output format (json; scan defaults to csv)",
+        help="output format (json; csv for scan only, its default)",
     )
     scan = parser.add_argument_group("scan")
     scan.add_argument("--scan-min", dest="scan_min", type=float, default=d)
@@ -309,13 +308,14 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
     fmt = pick("fmt", "csv" if command == "scan" else "json")
     if fmt not in ("json", "csv"):
         raise ValidationError(f"--format must be json or csv, got {fmt}")
+    if fmt == "csv" and command != "scan":
+        raise ValidationError(f"--format csv is for scan only; {command} writes json")
     out = pick("out")
     jobs = pick("jobs", 1)  # checked but unused: scan points run in one loop
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {jobs}")
 
     return RunConfig(
-        command=command,
         params=params,
         grid=grid,
         order=order,
@@ -377,9 +377,6 @@ def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     return (0 if unmatched is None else 4), canonical_dumps(payload)
 
 
-_SECTOR_RANK = {"plus": 0, "minus": 1, "primary": 0, "sl2_exchanged": 1}
-
-
 def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     # c_pt != 0 pins B = A + alpha/2 (the PT condition forces it); the
     # c_pt = 0 endpoint keeps the run's B for continuity inspection.
@@ -391,6 +388,8 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     except PtScarfError as exc:
         return [ScanRow(run_id, c_pt, "", None, None, None, None, None, None, str(exc))]
     by_analytic = {m.analytic_index: m for m in report.matches}
+    # report.analytic runs by family (plus then minus, primary then
+    # sl2_exchanged), then by n: the rows keep that order
     rows = []
     for idx, level in enumerate(report.analytic):
         match = by_analytic.get(idx)
@@ -400,14 +399,11 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
             numeric = (en.real, en.imag, match.abs_error, "")
         e = level.energy
         rows.append(ScanRow(run_id, c_pt, level.family, level.n, e.real, e.imag, *numeric))
-    rows.sort(key=lambda r: (_SECTOR_RANK.get(r.sector, 9), r.n if r.n is not None else -1))
     return rows
 
 
 def run_scan(cfg: RunConfig) -> tuple[int, str]:
     """Sweep c_pt along the broken constraint and tabulate both branches."""
-    from . import lapack
-
     lo, hi, steps = cfg.scan
     values = list(np.linspace(lo, hi, steps))
     # collapse exact duplicates (e.g. a [0, 0] sweep) to a single point
@@ -415,20 +411,11 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
     for c in values:
         if not c_values or c != c_values[-1]:
             c_values.append(float(c))
-    # One BLAS thread for every point: the thread count moves the last digits
-    # of the eigenvalues, and the scan's bytes must not depend on the host's.
-    blas_before = lapack.blas_thread_count()
+    logger.debug("scan: points=%d", len(c_values))
     rows: list[ScanRow] = []
-    with lapack.blas_threads(1):
-        logger.debug(
-            "scan: points=%d blas_threads=%s->%s",
-            len(c_values),
-            blas_before,
-            lapack.blas_thread_count(),
-        )
-        for i, c in enumerate(c_values):
-            rows.extend(_scan_point_rows(cfg, f"{i:03d}", c))
-            logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
+    for i, c in enumerate(c_values):
+        rows.extend(_scan_point_rows(cfg, f"{i:03d}", c))
+        logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
     if cfg.fmt == "csv":
         return 0, scan_rows_to_csv(rows)
     return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})

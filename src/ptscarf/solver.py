@@ -39,10 +39,13 @@ Notes on the numerics:
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
     third of the time of zgeev on the complex H.
-  * The BLAS thread count changes the last digits of the eigenvalues.  A
-    scan runs every solve on one BLAS thread, so its output does not depend
-    on the host; a single solve keeps the process's count, since at order
-    ~1500 two threads are faster than one for dgeev.
+  * The BLAS thread count changes the last digits of the eigenvalues, so
+    every solve runs its eigen stage (the PT-basis form, the window solve or
+    dgeev, inverse iteration) on one BLAS thread, and its bytes do not
+    depend on the host.  On a 2-vCPU VM one thread is faster than two for
+    dgeev below REGION_MIN_DIM (20 ms against 37 ms at order 199), the
+    window solve takes the same time on either, and only the rare dense
+    fallback at order ~1500 is slower (1.8 s against 1.6 s).
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
   * Eigenvectors are recovered only for candidate eigenvalues, by inverse
@@ -354,20 +357,9 @@ def _boundary_ratio(psi: Wavefunction) -> float:
 
 
 def _is_bound_state(e: complex, psi: Wavefunction) -> bool:
+    """Kept iff Re(E) < ENERGY_MARGIN (the asymptotic potential is 0) and
+    the wall amplitude ratio is at most BOUNDARY_TOL."""
     return e.real < ENERGY_MARGIN and _boundary_ratio(psi) <= BOUNDARY_TOL
-
-
-def filter_bound_states(
-    eigs: Sequence[complex], vectors: Sequence[Wavefunction]
-) -> list[complex]:
-    """Keep eigenvalues whose eigenvectors are localized away from the walls.
-
-    A state survives iff Re(E) < ENERGY_MARGIN (the asymptotic potential is
-    0) and the wall amplitude ratio is at most BOUNDARY_TOL.
-    """
-    if len(eigs) != len(vectors):
-        raise ValueError("eigs and vectors must have equal length")
-    return [complex(e) for e, psi in zip(eigs, vectors) if _is_bound_state(e, psi)]
 
 
 @dataclass(frozen=True)
@@ -385,44 +377,49 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
     PT-symmetric on the grid.  From REGION_MIN_DIM on, only the eigenvalues
     in the bound-state window are computed (region.solve_window), falling
     back to all eigenvalues of the dense form when that result is not
-    admitted; below it, the dense form is solved directly.  Returns bound
-    states sorted by (Re, Im) for deterministic reporting.
+    admitted; below it, the dense form is solved directly.  The whole eigen
+    stage runs on one BLAS thread.  Returns bound states sorted by (Re, Im)
+    for deterministic reporting.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
       ValueError: if the order of H exceeds MAX_DENSE_DIM, before H is built.
     """
+    from .lapack import blas_thread_count, blas_threads
+
     dim = g.n_points - 2
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"matrix dimension {dim} exceeds configured max {MAX_DENSE_DIM}")
     bands = _bands(v, g, order)
     halfwidth = bands.shape[0] // 2
-    m, anti_pt = _pt_real_sparse(bands)
-    logger.debug("anti-PT defect of H: %.3e", anti_pt)
-    t0 = time.perf_counter()
-    solved = None
-    eigs = None
-    if dim >= REGION_MIN_DIM:
-        from .region import solve_window
+    with blas_threads(1):
+        threads = blas_thread_count()
+        m, anti_pt = _pt_real_sparse(bands)
+        logger.debug("anti-PT defect of H: %.3e", anti_pt)
+        t0 = time.perf_counter()
+        solved = None
+        eigs = None
+        if dim >= REGION_MIN_DIM:
+            from .region import solve_window
 
-        kinetic = _kinetic_eigenvalues(dim, g.h, order)
-        solved = solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
-        eigs = solved.eigenvalues
-    if eigs is None:
-        eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
-    seconds = time.perf_counter() - t0
-    del m
-    candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
-    candidates.sort(key=lambda e: (e.real, e.imag))
-    kept_e = []
-    kept_v = []
-    t1 = time.perf_counter()
-    for e in candidates:
-        psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
-        if _is_bound_state(e, psi):
-            kept_e.append(e)
-            kept_v.append(psi)
-    vectors_s = time.perf_counter() - t1
+            kinetic = _kinetic_eigenvalues(dim, g.h, order)
+            solved = solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
+            eigs = solved.eigenvalues
+        if eigs is None:
+            eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
+        seconds = time.perf_counter() - t0
+        del m
+        candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
+        candidates.sort(key=lambda e: (e.real, e.imag))
+        kept_e = []
+        kept_v = []
+        t1 = time.perf_counter()
+        for e in candidates:
+            psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
+            if _is_bound_state(e, psi):
+                kept_e.append(e)
+                kept_v.append(psi)
+        vectors_s = time.perf_counter() - t1
     logger.info(
         "bound states: %d of %d candidates kept (dim %d)",
         len(kept_e),
@@ -430,12 +427,15 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
         dim,
     )
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("%s", _solve_line(solved, seconds, vectors_s, bands, kept_e, kept_v))
+        logger.debug(
+            "%s", _solve_line(solved, threads, seconds, vectors_s, bands, kept_e, kept_v)
+        )
     return BoundStates(tuple(kept_e), tuple(kept_v))
 
 
 def _solve_line(
     solved: Optional[RegionSolve],
+    threads: Optional[int],
     seconds: float,
     vectors_s: float,
     bands: np.ndarray,
@@ -444,8 +444,10 @@ def _solve_line(
 ) -> str:
     """The debug line of one solve: the path taken and each kept level.
 
-    solved is the window solve, or None below REGION_MIN_DIM; seconds is
-    the eigenvalue solve and vectors_s the inverse iteration.  Each level
+    solved is the window solve, or None below REGION_MIN_DIM; threads is
+    the BLAS thread count it ran on (None if scipy's OpenBLAS was not
+    found); seconds is the eigenvalue solve and vectors_s the inverse
+    iteration.  Each level
     carries its residual ||(H - E)x|| / ||x|| and its eigenvalue condition
     number kappa = ||x||^2 / |x^T x|, both from the inverse-iteration vector
     x on the interior nodes: H is complex symmetric, so conj(x) is the left
@@ -470,8 +472,9 @@ def _solve_line(
         residual = np.linalg.norm(h @ x - e * x) / math.sqrt(norm2)
         kappa = norm2 / abs(x @ x)
         levels.append(f"E={e:.10g} residual={residual:.2e} kappa={kappa:.3g}")
-    return f"solve order {dim}: {head} took {seconds:.3f}s vectors_s={vectors_s:.4f}; kept: " + (
-        "; ".join(levels) or "none"
+    return (
+        f"solve order {dim}: {head} blas_threads={threads} took {seconds:.3f}s "
+        f"vectors_s={vectors_s:.4f}; kept: " + ("; ".join(levels) or "none")
     )
 
 

@@ -211,6 +211,22 @@ class TestSpectrumCommand:
         assert payload["unmatched_analytic"]
         assert "without numerical partner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "point",
+        [["--A", "2.5", "--B", "1"], ["--A", "1.5", "--B", "2", "--cpt", "0.5"]],
+        ids=["unbroken", "broken"],
+    )
+    def test_stdout_does_not_depend_on_the_blas_thread_count(self, point, capsys):
+        if lapack.blas_thread_count() is None:
+            pytest.skip("scipy's bundled OpenBLAS is not present")
+        # at 201 points the broken point leaves its threshold pair unmatched (exit 4)
+        outputs = []
+        for threads in (1, 2):
+            with lapack.blas_threads(threads):
+                code = main(["spectrum", *point, "--points", "201"])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_emitted_json_round_trips(self, tmp_path):
         _, text = run_cli(
             tmp_path,
@@ -263,34 +279,38 @@ class TestScanCommand:
     ):
         if lapack.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
-        seen = []
-        verify = solver.verify_spectrum
+        # the first and the last stage of each solve record the count they run on
+        seen: dict[str, list] = {"_pt_real_sparse": [], "_inverse_iteration": []}
+        for name, calls in seen.items():
+            def recording(*args, _stage=getattr(solver, name), _calls=calls, **kwargs):
+                _calls.append(lapack.blas_thread_count())
+                return _stage(*args, **kwargs)
 
-        def recording(*args, **kwargs):
-            seen.append(lapack.blas_thread_count())
-            return verify(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "verify_spectrum", recording)
+            monkeypatch.setattr(solver, name, recording)
         args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "2"]
         with lapack.blas_threads(2):
             code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
             assert lapack.blas_thread_count() == 2
         assert code == 0
-        assert seen == [1, 1]
+        assert seen["_pt_real_sparse"] == [1, 1]
+        assert seen["_inverse_iteration"] and set(seen["_inverse_iteration"]) == {1}
 
     def test_blas_thread_count_restored_when_a_point_raises(self, tmp_path, monkeypatch):
         if lapack.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
+        seen = []
 
         def failing(*args, **kwargs):
-            raise RuntimeError("point failed")
+            seen.append(lapack.blas_thread_count())
+            raise RuntimeError("solve failed")
 
-        monkeypatch.setattr(solver, "verify_spectrum", failing)
+        monkeypatch.setattr(solver, "_pt_real_sparse", failing)
         args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "4"]
         with lapack.blas_threads(2):
-            with pytest.raises(RuntimeError, match="point failed"):
+            with pytest.raises(RuntimeError, match="solve failed"):
                 main([*args, "--out", str(tmp_path / "scan.csv")])
             assert lapack.blas_thread_count() == 2
+        assert seen == [1]
 
     def test_a_scan_starts_no_thread(self, tmp_path, monkeypatch):
         started = []
@@ -316,10 +336,14 @@ class TestScanCommand:
             r.getMessage() for r in caplog.records
             if r.name == "ptscarf.cli" and r.getMessage().startswith("scan: ")
         ]
-        assert len(lines) == 1
-        before = lapack.blas_thread_count()
-        during = None if before is None else 1
-        assert lines[0] == f"scan: points=1 blas_threads={before}->{during}"
+        assert lines == ["scan: points=1"]
+        solves = [
+            r.getMessage() for r in caplog.records
+            if r.name == "ptscarf.solver" and r.getMessage().startswith("solve order 599: ")
+        ]
+        during = None if lapack.blas_thread_count() is None else 1
+        assert len(solves) == 1
+        assert f" blas_threads={during} took " in solves[0]
 
     def test_degenerate_span_collapses_to_one_point(self, tmp_path):
         code, text = run_cli(

@@ -1,14 +1,18 @@
 """Byte-for-byte goldens of the command line: stdout, stderr and exit code.
 
-Each case runs ``ptscarf.cli.main`` in-process on one BLAS thread, from a
-fresh directory holding the case's config files, and its stdout, stderr and
-exit code must equal the recorded ones exactly.  The goldens pin the
-canonical JSON/CSV bytes, the messages and the exit codes of all four
-subcommands, so a change meant to keep behaviour can show that it did.
+Each case runs ``ptscarf.cli.main`` in-process, from a fresh directory
+holding the case's config files, and its stdout, stderr and exit code must
+equal the recorded ones exactly.  The cases set no BLAS thread count: every
+solve runs on one thread by itself, whatever the host's count.  The goldens
+pin the canonical JSON/CSV bytes, the messages and the exit codes of all
+four subcommands, so a change meant to keep behaviour can show that it did.
 
 The tests never write the golden file.  To record it again, on purpose, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+which lists on stdout the argv of every case that is new or whose record
+changed, so a re-record shows exactly what moved.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from ptscarf import cli, lapack
+from ptscarf import cli
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -146,6 +150,9 @@ CASES = [
         "spectrum", *UNBROKEN, "--config", "cfg.json", "--points", "201",
         files={"cfg.json": '{"points": 8, "half_width": 15, "order": 2}'},
     ),
+    # csv is a scan format: the other subcommands refuse it
+    _case("spectrum", *UNBROKEN, "--points", "201", "--format", "csv"),
+    _case("verify", *POINT, "--config", "cfg.json", files={"cfg.json": '{"fmt": "csv"}'}),
 ]
 
 
@@ -161,7 +168,7 @@ def run_case(case: dict, workdir: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with lapack.blas_threads(1), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(case["argv"])
     finally:
         os.chdir(cwd)
@@ -192,9 +199,16 @@ def test_output_is_byte_identical(case, tmp_path, cli_env):
 if __name__ == "__main__":
     os.environ.pop("PTSCARF_LOG", None)
     os.environ["COLUMNS"] = "80"
+    old = _recorded() if GOLDEN.exists() else {}
     records = []
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            records.append(run_case(case, Path(tmp)))
+            record = run_case(case, Path(tmp))
+        records.append(record)
+        previous = old.get(_key(case))
+        if previous is None:
+            print("new:", json.dumps(case["argv"]))
+        elif previous != record:
+            print("changed:", json.dumps(case["argv"]))
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

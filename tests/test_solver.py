@@ -1,5 +1,8 @@
 import itertools
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from ptscarf import (
     conjugate_pairing_check,
     discretize,
     eig_complex_dense,
-    filter_bound_states,
     match_levels,
     partner_potential_minus,
     pt_apply,
@@ -30,7 +32,14 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack, solver
-from ptscarf.solver import _bands, _dense_fortran, _pt_basis, _pt_real_sparse, _pt_signature
+from ptscarf.solver import (
+    _bands,
+    _dense_fortran,
+    _is_bound_state,
+    _pt_basis,
+    _pt_real_sparse,
+    _pt_signature,
+)
 from conftest import assert_multiset_close
 
 FREE = PotentialCoeffs(0.0, 0.0, 0.0, 1.0)
@@ -235,6 +244,41 @@ class TestLapack:
                     raise RuntimeError("inside the block")
             assert lapack.blas_thread_count() == 2
 
+    def test_concurrent_blocks_run_one_at_a_time_and_restore_the_count(self):
+        lib = lapack._openblas()
+        if lib is None:
+            pytest.skip("scipy's bundled OpenBLAS is not present")
+        inside, overlaps, seen = [], [], []
+        guard = threading.Lock()
+
+        def pin():
+            with lapack.blas_threads(1):
+                with guard:
+                    inside.append(None)
+                    overlaps.append(len(inside))
+                time.sleep(0.02)  # long enough for the others to try to enter
+                seen.append(lapack.blas_thread_count())
+                with guard:
+                    inside.pop()
+
+        original = lib.scipy_openblas_get_num_threads()
+        interval = sys.getswitchinterval()
+        lib.scipy_openblas_set_num_threads(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pin) for _ in range(4)]  # more than the cores
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10.0)
+            assert not any(worker.is_alive() for worker in workers)
+            assert lapack.blas_thread_count() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            lib.scipy_openblas_set_num_threads(original)
+        assert overlaps == [1, 1, 1, 1]
+        assert seen == [1, 1, 1, 1]
+
     def test_blas_threads_without_the_library_changes_nothing(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="ptscarf.lapack")
         before = lapack.blas_thread_count()
@@ -386,19 +430,22 @@ class TestBoundStateFilter:
         x = g.x()
         decaying = Wavefunction(g, np.exp(-np.abs(x)))
         flat = Wavefunction(g, np.ones(g.n_points))
-        kept = filter_bound_states([-1.0, -1.0], [decaying, flat])
-        assert kept == [-1.0] and len(kept) == 1
+        assert _is_bound_state(-1.0, decaying)
+        assert not _is_bound_state(-1.0, flat)
 
     def test_energy_margin(self):
         g = Grid(20.0, 201)
         decaying = Wavefunction(g, np.exp(-np.abs(g.x())))
-        assert filter_bound_states([0.5], [decaying]) == []
+        assert not _is_bound_state(0.5, decaying)
         # a state essentially on the continuum edge survives the margin
-        assert filter_bound_states([1e-7 - 0.5j], [decaying]) == [1e-7 - 0.5j]
+        assert _is_bound_state(1e-7 - 0.5j, decaying)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            filter_bound_states([1.0], [])
+    @pytest.mark.parametrize("scale, kept", [(0.5, True), (1.0, True), (2.0, False)])
+    def test_wall_ratio_against_boundary_tol(self, scale, kept):
+        g = Grid(20.0, 201)
+        values = np.exp(-np.abs(g.x()))  # peak 1 at the centre, ~6e-9 at the walls
+        values[5] = scale * solver.BOUNDARY_TOL  # five nodes in from the left wall
+        assert _is_bound_state(-1.0, Wavefunction(g, values)) is kept
 
 
 class TestConjugatePairing:
