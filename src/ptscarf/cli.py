@@ -24,6 +24,7 @@ in superpotential.py; verify and solver.verify_spectrum both take it there.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import logging
@@ -71,13 +72,15 @@ from .spectrum import bifurcated_spectrum
 from .superpotential import (
     GS_PT_TOL,
     Superpotential,
+    check_pt_symmetric_on,
     check_pt_symmetric_potential,
+    coefficient_scale,
     ground_state_energy,
     ground_state_pt,
     # not called here, nor is overlap_ratio: re-exported for perfbench's tracer
     ground_state_wavefunction,  # noqa: F401
     partner_potential_minus,
-    pt_defect,
+    pt_coefficient_defect,
     pt_superpotentials,
     superpotentials,
 )
@@ -88,7 +91,9 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_CPT = 0.0
 DEFAULT_POINTS = 4001
 DEFAULT_ORDER = 4
-# Property thresholds used by the verify suite.
+# Property thresholds used by the verify suite, relative to the potential's
+# size: max(1, max |V|) for the expansion, max(1, |s|, |t|, |c0|) for the
+# uniqueness; pt_symmetric_potential takes superpotential.PT_ROUNDING_TOL.
 EXPANSION_TOL = 1e-12
 UNIQUENESS_TOL = 1e-14
 GS_BROKEN_SELF_MAX = 0.999
@@ -441,10 +446,14 @@ def _potential_expansion(p: Params, ws, x, g):
 
 
 def _unique_broken_potential(p: Params, ws, x, g):
-    """Both broken-sector superpotentials share one potential."""
+    """Both broken-sector superpotentials share one potential.
+
+    The bound is relative to max(1, |s|, |t|, |c0|): at |s| ~ 1.5e3 the two
+    forms differ by 1.4e-14 of rounding in Im s.
+    """
     vp, vm = (partner_potential_minus(w) for _, w in ws)
     defect = max(abs(vp.s - vm.s), abs(vp.t - vm.t), abs(vp.c0 - vm.c0))
-    return defect <= UNIQUENESS_TOL, defect, ""
+    return defect <= UNIQUENESS_TOL * coefficient_scale(vp), defect, ""
 
 
 def _exchange_negates_cpt(p: Params, ws, x, g):
@@ -459,23 +468,39 @@ def _exchange_negates_cpt(p: Params, ws, x, g):
 
 
 def _exchange_swaps_sectors(p: Params, ws, x, g):
-    """The exchange swaps the two bifurcated families and nothing else."""
+    """The exchange swaps the two bifurcated families and nothing else.
+
+    Levels pair up by n.  A level that only one family of a pair has must
+    be a rung on the threshold Re(a - n alpha) = 0 that rounding moved to
+    the other side of it (the exchange moves A by an ulp or so): its
+    defect is its distance from the threshold, Re sqrt(-E).
+    """
     fam_plus, fam_minus = bifurcated_spectrum(p)
     x_plus, x_minus = bifurcated_spectrum(sl2_exchange(p, Sector.PLUS))
-    defect = 0.0
+    defect, details = 0.0, []
     for fam, swapped in ((fam_plus, x_minus), (fam_minus, x_plus)):
-        for (_, e1), (_, e2) in zip(fam.levels, swapped.levels):
+        mine, theirs = fam.energies, swapped.energies
+        for e1, e2 in zip(mine, theirs):
             defect = max(defect, abs(e1 - e2))
-        if len(fam.levels) != len(swapped.levels):
-            defect = float("inf")
-    return defect <= TAU_PARAM, defect, ""
+        unpaired = mine[len(theirs):] + theirs[len(mine):]
+        for e in unpaired:
+            defect = max(defect, cmath.sqrt(-e).real)
+        if unpaired:
+            details.append(
+                f"levels: {fam.label()} {len(mine)}, exchanged {swapped.label()} {len(theirs)}"
+            )
+    return defect <= TAU_PARAM, defect, "; ".join(details)
 
 
 def _pt_symmetric_potential(p: Params, ws, x, g):
-    """The potential itself is PT-symmetric, in its coefficients and sampled."""
+    """The potential itself is PT-symmetric, in its coefficients and sampled.
+
+    Both are judged to rounding relative to the potential's size
+    (check_pt_symmetric_on); the defect is the larger of the two.
+    """
     v = partner_potential_minus(ws[0][1])
-    defect = max(pt_defect(v, x), abs(v.s.imag), abs(v.t.real), abs(v.c0.imag))
-    return check_pt_symmetric_potential(v) and defect <= 1e-12, defect, ""
+    symmetric, sampled = check_pt_symmetric_on(v, x)
+    return symmetric, max(sampled, pt_coefficient_defect(v)), ""
 
 
 def _ground_state_pt(p: Params, ws, x, g):

@@ -28,8 +28,10 @@ antiderivative of sech).
 The PT verdict on a parameter point lives here too, for the verify suite
 (cli) and solver.verify_spectrum alike: superpotentials() picks the
 regime's W's (pt_superpotentials() adds V_-, or refuses a non-PT point),
-pt_defect() samples V(-x)* - V(x), and ground_state_pt() gives the PT
-overlaps of their ground states, judged against GS_PT_TOL.
+pt_defect() samples V(-x)* - V(x), check_pt_symmetric_on() judges a
+potential's coefficients and that defect to rounding (PT_ROUNDING_TOL), and
+ground_state_pt() gives the PT overlaps of their ground states, judged
+against GS_PT_TOL.
 """
 
 from __future__ import annotations
@@ -41,11 +43,15 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizableError, RegimeError
 from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
-from .params import TAU_PARAM, Params, Regime, classify_regime
+from .params import Params, Regime, classify_regime
 
 # A ground state counts as PT-invariant when its PT self overlap is within
 # this of 1 (and, in the broken regime, PT maps W+'s onto W-'s as closely).
 GS_PT_TOL = 1e-6
+# Rounding a PT-symmetric potential may show in Im s, Re t and Im c0 and in
+# its sampled defect, relative to max(1, |s|, |t|, |c0|): at |t| ~ 4e3, Im s
+# was 5e-13 and the sampled defect 1.0e-12.
+PT_ROUNDING_TOL = 1e-12
 
 
 def sech(z):
@@ -250,13 +256,19 @@ def ground_state_residual(w: Superpotential, psi: Wavefunction) -> float:
     return float(np.linalg.norm(residual) / np.linalg.norm(f[2:-2]))
 
 
+def coefficient_scale(v: PotentialCoeffs) -> float:
+    """max(1, |s|, |t|, |c0|): the size that bounds the coefficients' rounding."""
+    return max(1.0, abs(v.s), abs(v.t), abs(v.c0))
+
+
+def pt_coefficient_defect(v: PotentialCoeffs) -> float:
+    """max(|Im s|, |Re t|, |Im c0|), 0 for the coefficients of a PT-symmetric V."""
+    return max(abs(v.s.imag), abs(v.t.real), abs(v.c0.imag))
+
+
 def check_pt_symmetric_potential(v: PotentialCoeffs) -> bool:
-    """True iff the coefficients describe a PT-symmetric potential."""
-    return (
-        abs(v.s.imag) <= TAU_PARAM
-        and abs(v.t.real) <= TAU_PARAM
-        and abs(v.c0.imag) <= TAU_PARAM
-    )
+    """True iff the coefficients describe a PT-symmetric potential, to rounding."""
+    return pt_coefficient_defect(v) <= PT_ROUNDING_TOL * coefficient_scale(v)
 
 
 def superpotentials(p: Params) -> tuple[tuple[str, Superpotential], ...]:
@@ -289,6 +301,17 @@ def pt_defect(v: PotentialCoeffs, x) -> float:
     """max |conj V(-x) - V(x)| over the sample points x; 0 for a PT-symmetric V."""
     x = np.asarray(x, dtype=float)
     return float(np.max(np.abs(np.conj(v.evaluate(-x)) - v.evaluate(x))))
+
+
+def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
+    """The PT verdict on V from its coefficients and its samples, and pt_defect(v, x).
+
+    V is PT-symmetric iff check_pt_symmetric_potential(v) holds and the
+    sampled defect is at most PT_ROUNDING_TOL * coefficient_scale(v).
+    """
+    defect = pt_defect(v, x)
+    bound = PT_ROUNDING_TOL * coefficient_scale(v)
+    return check_pt_symmetric_potential(v) and defect <= bound, defect
 
 
 def ground_state_pt(

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ptscarf
-from ptscarf import lapack, solver
+from ptscarf import cli, lapack, solver
 from ptscarf.cli import build_config, build_parser, main
 
 
@@ -415,6 +416,53 @@ class TestVerifyCommand:
         props = {q["name"]: q for q in json.loads(text)["properties"]}
         assert props["potential_expansion"]["status"] == "pass"
         assert props["potential_expansion"]["defect"] > 1e-12
+
+    def test_a_level_count_that_rounding_moves_passes_the_exchange(self, tmp_path):
+        # sl2_exchange moves A from 1.3 to 1.3000000000000003, which puts
+        # level n = 1 2.2e-16 above its threshold: 2 exchanged levels against 1
+        code, text = run_cli(
+            tmp_path, ["verify", "--A=1.3", "--alpha=1.3", "--B=1.9500000000000002", "--cpt=22.8"]
+        )
+        assert code == 0
+        prop = {q["name"]: q for q in json.loads(text)["properties"]}["exchange_swaps_sectors"]
+        assert prop["status"] == "pass" and prop["defect"] <= ptscarf.TAU_PARAM
+        assert prop["detail"] == (
+            "levels: plus 1, exchanged minus 2; levels: minus 1, exchanged plus 2"
+        )
+
+    def test_a_real_level_count_mismatch_fails_with_a_finite_defect(self, tmp_path, monkeypatch):
+        exchange = cli.sl2_exchange
+
+        def one_rung_deeper(p, sector):
+            q = exchange(p, sector)
+            return ptscarf.Params(q.A + q.alpha, q.B + q.alpha, q.alpha, q.c_pt)
+
+        monkeypatch.setattr(cli, "sl2_exchange", one_rung_deeper)
+        code, text = run_cli(tmp_path, ["verify", "--A", "1.5", "--B", "2", "--cpt", "0.5"])
+        assert code == 1
+        prop = {q["name"]: q for q in json.loads(text)["properties"]}["exchange_swaps_sectors"]
+        assert prop["status"] == "fail" and math.isfinite(prop["defect"]) and prop["defect"] > 1.0
+        assert prop["detail"] == (
+            "levels: plus 2, exchanged minus 3; levels: minus 2, exchanged plus 3"
+        )
+
+    @pytest.mark.parametrize(
+        "point, name, defect",
+        [
+            (["--A", "1", "--alpha", "1.2", "--B", "1.6", "--cpt", "27.2"],
+             "unique_broken_potential", 1.42e-14),
+            (["--A=35.6", "--alpha=1.4", "--B=36.300000000000004", "--cpt=28.9"],
+             "pt_symmetric_potential", 1.02e-12),
+        ],
+        ids=["unique", "pt_symmetric"],
+    )
+    def test_large_potentials_pass_despite_rounding(self, tmp_path, point, name, defect):
+        # |V| ~ 1.5e3 and 2.2e3: their rounding exceeds 1e-14 and 1e-12 absolute
+        code, text = run_cli(tmp_path, ["verify", *point])
+        assert code == 0
+        prop = {q["name"]: q for q in json.loads(text)["properties"]}[name]
+        assert prop["status"] == "pass"
+        assert prop["defect"] == pytest.approx(defect, rel=0.01)
 
     def test_not_pt_symmetric_fails_condition(self, tmp_path):
         code, text = run_cli(tmp_path, ["verify", "--A", "1", "--B", "1", "--cpt", "0.5"])

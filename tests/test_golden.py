@@ -153,6 +153,17 @@ CASES = [
     # csv is a scan format: the other subcommands refuse it
     _case("spectrum", *UNBROKEN, "--points", "201", "--format", "csv"),
     _case("verify", *POINT, "--config", "cfg.json", files={"cfg.json": '{"fmt": "csv"}'}),
+    # B < 0 and A < 0: (2, -1) has the same potential as its mirror (2, 1)
+    # and as (-3, 1), whose labels give no level there; the numerical level
+    # -0.25 of the mirror's exchanged family stays unmatched
+    _case("spectrum", "--A", "2", "--B=-1", "--points", "601"),
+    _case("spectrum", "--A=-3", "--B", "1"),
+    *(_case(command, "--A", "2", "--B=-1") for command in ("verify", "potential")),
+    # large potentials: rounding that absolute bounds once failed, and a
+    # threshold rung that the exchange moves by an ulp
+    _case("verify", "--A", "1", "--alpha", "1.2", "--B", "1.6", "--cpt", "27.2"),
+    _case("verify", "--A=35.6", "--alpha=1.4", "--B=36.300000000000004", "--cpt=28.9"),
+    _case("verify", "--A=1.3", "--alpha=1.3", "--B=1.9500000000000002", "--cpt=22.8"),
 ]
 
 

@@ -7,6 +7,7 @@ form is the reference.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,11 @@ def _potential(p):
 
 
 def _window_and_dense(p, n_points, half_width):
-    """region.solve_window and the dense candidates (Re E < margin) of one point."""
+    """region.solve_window and the dense candidates (Re E < margin) of one point.
+
+    On the way it checks that the dense eigenvalues and the kinetic values
+    clear the window's top and left edges by its pad.
+    """
     g = Grid(half_width, n_points)
     bands = _bands(_potential(p), g, 4)
     dim = bands.shape[1]
@@ -56,7 +61,18 @@ def _window_and_dense(p, n_points, half_width):
     kinetic = _kinetic_eigenvalues(dim, g.h, 4)
     solved = region.solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
     eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
+    _assert_padded_edges_are_clear(bands, solved.window, np.concatenate([eigs, kinetic]))
     return solved, [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
+
+
+def _assert_padded_edges_are_clear(bands, window, values):
+    """Every value lies at least the window's pad right of its left edge and
+    below its top edge, the two edges the count starts coarse on."""
+    pad = window.im_hi - float(np.max(np.abs(bands.imag[bands.shape[0] // 2])))
+    assert pad >= region.WINDOW_PAD * (1.0 - 1e-12)
+    slack = pad * (1.0 - 1e-9)
+    assert np.min(values.real) - window.re_lo >= slack
+    assert window.im_hi - np.max(np.abs(values.imag)) >= slack
 
 
 def _assert_same_candidates(found, dense):
@@ -187,9 +203,9 @@ class TestSyntheticCount:
         # spectrum close to it but not equal
         continuum = [w.re_hi + d * (1 + j * j) for j in range(200)]
         kinetic = [w.re_hi + 1.3 * d * (1 + j * j) for j in range(200)]
-        count, evaluations = self._count(inside + outside + continuum, kinetic)
+        count, lu_edges = self._count(inside + outside + continuum, kinetic)
         assert count == pytest.approx(10.0, abs=region.COUNT_TOL)
-        assert evaluations > 0
+        assert sum(lu_edges) > 0
 
     def test_kinetic_values_inside_the_window_are_added_back(self):
         # the continuum reaches into the window: 3 of its values and 3
@@ -203,8 +219,8 @@ class TestSyntheticCount:
 
     def test_an_eigenvalue_on_the_contour_hits_the_floor(self):
         on_edge = (self.WINDOW.re_hi, 1.0, -1.0)  # re_hi +- 1i, on the right edge
-        count, evaluations = self._count([-2.0, on_edge], [])
-        assert count is None and evaluations > 0
+        count, lu_edges = self._count([-2.0, on_edge], [])
+        assert count is None and sum(lu_edges) > 0
 
     def test_the_raw_phase_winds_for_turns_along_the_right_edge(self):
         # The discretized continuum just past Re E = 1e-3 turns the phase of
@@ -285,6 +301,30 @@ class TestKineticEigenvalues:
         assert count == pytest.approx(levels, abs=region.COUNT_TOL)
 
 
+class TestEdgeSampling:
+    def test_padded_edges_start_coarse(self, monkeypatch):
+        # Started from EDGE_SEGMENTS pieces on every edge, the count took
+        # 69/93/103 LUs at the reference points; the padded top and left
+        # edges need far fewer, and the right edge exactly as many.
+        fewer = []
+        for p, lus_from_eight in zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), (69, 93, 103)):
+            g = Grid(20.0, 1501)
+            bands = _bands(_potential(p), g, 4)
+            kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+            window = region.bound_window(bands, ENERGY_MARGIN)
+            count, lu_edges = region.count_eigenvalues(bands, kinetic, window)
+            with monkeypatch.context() as every_edge_fine:
+                every_edge_fine.setattr(region, "PADDED_EDGE_SEGMENTS", region.EDGE_SEGMENTS)
+                fine_count, fine_edges = region.count_eigenvalues(bands, kinetic, window)
+            assert sum(fine_edges) == lus_from_eight, p
+            assert count == pytest.approx(round(fine_count), abs=region.COUNT_TOL), p
+            right, top, left = lu_edges
+            assert right == fine_edges[0] and right > top + left, p
+            assert sum(lu_edges) <= 0.9 * lus_from_eight, p
+            fewer.append(sum(lu_edges))
+        assert sum(fewer) <= 0.85 * (69 + 93 + 103)
+
+
 class TestFallback:
     POINT = ACCEPTANCE_POINTS[1]
     GRID = Grid(20.0, 601)
@@ -329,6 +369,24 @@ class TestFallback:
         assert line.count("residual=") == line.count("kappa=") == len(bound.eigenvalues)
         assert not any(m.startswith("dgeev order") for m in lines)
         assert "anti-PT defect of H: 0.000e+00" in lines
+
+    def test_region_path_logs_its_lus_per_edge(self, monkeypatch, caplog):
+        factorizations = []
+        factor = region.zgbtrf
+
+        def counted(*args, **kwargs):
+            factorizations.append(args[0].shape)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(region, "zgbtrf", counted)
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        self._solve()
+        line = next(m for m in (r.getMessage() for r in caplog.records) if "path=region" in m)
+        split = re.search(r" lu_evaluations=(\d+) \(right (\d+), top (\d+), left (\d+)\) ", line)
+        assert split is not None, line
+        total, right, top, left = map(int, split.groups())
+        assert right + top + left == total == len(factorizations)
+        assert right > top + left
 
     def test_region_path_logs_its_stage_times_and_solves(self, caplog):
         caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
@@ -387,7 +445,7 @@ class TestFallback:
         found = region.arnoldi_window(m, signature, window, 2)
         assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
-        monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, 1))
+        monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, (1, 0, 0)))
         monkeypatch.setattr(region, "arnoldi_window", lambda m, s, w, k: arnoldi(m, s, w, 2))
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
         solved = region.solve_window(bands, kinetic, m, signature, ENERGY_MARGIN)

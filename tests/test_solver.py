@@ -583,6 +583,16 @@ class TestVerifySpectrum:
         report = verify_spectrum(Params(1.5, 2.0, 1.0, 0.5), Grid(20.0, 801), order=4)
         assert report.pt_potential_defect <= 1e-12
 
+    def test_pt_verdict_on_grid_is_relative_to_the_coefficients(self):
+        # |t| ~ 4.3e3 leaves a sampled defect of 1.02e-12 on this grid
+        p = Params(35.6, 36.300000000000004, 1.4, 28.9)
+        try:
+            report = verify_spectrum(p, Grid(20.0 / p.alpha, 601))
+        except MatchError as exc:
+            report = exc.report
+        assert report.pt_potential_defect > 1e-12
+        assert report.pt_potential_symmetric
+
     def test_not_pt_symmetric_rejected(self):
         with pytest.raises(RegimeError):
             verify_spectrum(Params(1.0, 1.0, 1.0, 0.5), Grid(20.0, 801))

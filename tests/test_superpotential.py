@@ -20,7 +20,14 @@ from ptscarf import (
     partner_potential_plus,
     pt_apply,
 )
-from ptscarf.superpotential import GS_PT_TOL, ground_state_pt, pt_defect, superpotentials
+from ptscarf.superpotential import (
+    GS_PT_TOL,
+    check_pt_symmetric_on,
+    ground_state_pt,
+    pt_defect,
+    pt_superpotentials,
+    superpotentials,
+)
 from conftest import random_broken, random_unbroken
 
 # fine grid for wavefunction checks: h = 0.005 at alpha = 1
@@ -239,6 +246,29 @@ class TestPtSymmetryCheck:
         # unbroken-style construction with both depths complexified
         w = Superpotential(1.0 + 0.5j, 2.0j, 1.0)
         assert not check_pt_symmetric_potential(partner_potential_minus(w))
+
+
+class TestPtRounding:
+    """PT checks judge rounding relative to the potential's size."""
+
+    def test_large_coefficients_keep_their_rounding(self):
+        v = PotentialCoeffs(-964.47 + 5e-13j, 4305.8j, 0.0, 1.4)
+        assert check_pt_symmetric_potential(v)
+        v = PotentialCoeffs(-964.47 + 1e-8j, 4305.8j, 0.0, 1.4)
+        assert not check_pt_symmetric_potential(v)
+        assert not check_pt_symmetric_potential(PotentialCoeffs(-0.5 + 2e-12j, 0.5j, 0.0, 1.0))
+
+    def test_the_sampled_defect_is_relative_to_the_coefficients(self):
+        # measured: a sampled defect of 1.02e-12 where |t| ~ 4.3e3
+        _, v = pt_superpotentials(Params(35.6, 36.300000000000004, 1.4, 28.9))
+        x = np.random.default_rng(1234).uniform(-10.0 / 1.4, 10.0 / 1.4, size=1000)
+        symmetric, defect = check_pt_symmetric_on(v, x)
+        assert symmetric and defect == pt_defect(v, x) and defect > 1e-12
+
+    def test_a_real_asymmetry_fails(self):
+        x = FINE_GRID.x()
+        symmetric, defect = check_pt_symmetric_on(PotentialCoeffs(-6.0, 1e-9 + 6.0j, 0.0, 1.0), x)
+        assert not symmetric and defect == pytest.approx(1e-9, rel=1e-3)
 
 
 class TestPtVerdict:
