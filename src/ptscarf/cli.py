@@ -70,7 +70,6 @@ from .reporting import (
 )
 from .spectrum import bifurcated_spectrum
 from .superpotential import (
-    GS_PT_TOL,
     Superpotential,
     check_pt_symmetric_on,
     check_pt_symmetric_potential,
@@ -96,7 +95,6 @@ DEFAULT_ORDER = 4
 # uniqueness; pt_symmetric_potential takes superpotential.PT_ROUNDING_TOL.
 EXPANSION_TOL = 1e-12
 UNIQUENESS_TOL = 1e-14
-GS_BROKEN_SELF_MAX = 0.999
 _VERIFY_SAMPLES = 1000
 _VERIFY_SEED = 1234
 # What a config value must be, by its flag's argparse type (--format has
@@ -504,16 +502,12 @@ def _pt_symmetric_potential(p: Params, ws, x, g):
 
 
 def _ground_state_pt(p: Params, ws, x, g):
-    """The ground state is PT-invariant iff unbroken; broken sectors' are PT-images."""
-    self_overlap, swap = ground_state_pt(ws, g)
+    """ground_state_pt's verdict; the defect is 1 - the overlap that decides it."""
+    self_overlap, swap, passed = ground_state_pt(ws, g)
     if swap is None:
-        detail = f"pt_self_overlap={self_overlap!r}"
-        return self_overlap >= 1.0 - GS_PT_TOL, 1.0 - self_overlap, detail
-    return (
-        swap >= 1.0 - GS_PT_TOL and self_overlap <= GS_BROKEN_SELF_MAX,
-        max(1.0 - swap, self_overlap - GS_BROKEN_SELF_MAX),
-        f"sector_swap_overlap={swap!r} pt_self_overlap={self_overlap!r}",
-    )
+        return passed, 1.0 - self_overlap, f"pt_self_overlap={self_overlap!r}"
+    detail = f"sector_swap_overlap={swap!r} pt_self_overlap={self_overlap!r}"
+    return passed, 1.0 - swap, detail
 
 
 _PT_REGIMES = frozenset({Regime.UNBROKEN, Regime.BROKEN})

@@ -56,10 +56,6 @@ class Sector(enum.Enum):
     def sign(self) -> int:
         return 1 if self is Sector.PLUS else -1
 
-    @property
-    def other(self) -> "Sector":
-        return Sector.MINUS if self is Sector.PLUS else Sector.PLUS
-
 
 @dataclass(frozen=True)
 class Params:

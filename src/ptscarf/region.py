@@ -232,8 +232,8 @@ def _phase_change(
     """Phase change along the segment start -> end; None at the floor.
 
     known holds the phases at start and end, which the caller has already
-    (the corners that two edges share), saving their LUs.  Sampling starts
-    from segments equal pieces.
+    computed (the corners that two edges share), saving their LUs.  Sampling
+    starts from segments equal pieces.
     """
     floor = REFINEMENT_FLOOR * abs(end - start)
     points = [start + (end - start) * t for t in np.linspace(0.0, 1.0, segments + 1)]

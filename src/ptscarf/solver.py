@@ -92,7 +92,6 @@ from .grids import Grid, Wavefunction, overlap_ratio  # noqa: F401  (a re-export
 from .params import Params, Regime, classify_regime
 from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
-    GS_PT_TOL,
     PotentialCoeffs,
     check_pt_symmetric_on,
     ground_state_pt,
@@ -672,7 +671,7 @@ def verify_spectrum(
     )
     pairing = conjugate_pairing_check(numerical)
     pt_symmetric, defect = check_pt_symmetric_on(v, g.x())
-    gs_overlap, swap_overlap = ground_state_pt(ws, g)
+    gs_overlap, swap_overlap, gs_passed = ground_state_pt(ws, g)
 
     report = SpectrumReport(
         params=p,
@@ -689,7 +688,7 @@ def verify_spectrum(
         pt_potential_symmetric=pt_symmetric,
         ground_state_pt_overlap=gs_overlap,
         sector_swap_overlap=swap_overlap,
-        ground_state_pt_invariant=gs_overlap >= 1.0 - GS_PT_TOL,
+        ground_state_pt_invariant=gs_passed and swap_overlap is None,
     )
     if unmatched_a:
         missing = ", ".join(

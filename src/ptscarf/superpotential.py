@@ -30,8 +30,8 @@ The PT verdict on a parameter point lives here too, for the verify suite
 regime's W's (pt_superpotentials() adds V_-, or refuses a non-PT point),
 pt_defect() samples V(-x)* - V(x), check_pt_symmetric_on() judges a
 potential's coefficients and that defect to rounding (PT_ROUNDING_TOL), and
-ground_state_pt() gives the PT overlaps of their ground states, judged
-against GS_PT_TOL.
+ground_state_pt() gives the PT overlaps of their ground states and the one
+verdict on them (GS_PT_TOL; a broken pair also needs a non-real energy).
 """
 
 from __future__ import annotations
@@ -316,17 +316,26 @@ def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
 
 def ground_state_pt(
     ws: Sequence[tuple[str, Superpotential]], g: Grid
-) -> tuple[float, Optional[float]]:
-    """PT overlaps of the ground states of superpotentials(p) on the grid.
+) -> tuple[float, Optional[float], bool]:
+    """PT overlaps of the ground states of superpotentials(p) on g, and their verdict.
 
     Returns the self overlap |<PT psi_0, psi_0>| of the first ground state
-    (1 iff it is PT-invariant) and, for a broken pair, the sector-swap
-    overlap |<PT psi_+, psi_->| (1 iff PT maps one onto the other), else None.
+    (1 iff it is PT-invariant); for a broken pair, the sector-swap overlap
+    |<PT psi_+, psi_->| (1 iff PT maps one onto the other), else None; and
+    whether the ground states behave as the regime says.  An unbroken state
+    passes iff its self overlap is within GS_PT_TOL of 1.  A broken pair
+    passes iff its swap overlap is, and the energy -a^2 of psi_+ is not
+    real: H PT psi = E* PT psi, so a state with non-real E is never
+    PT-invariant, however close to 1 its self overlap reads near the
+    exceptional point.
 
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
     """
     psi = [ground_state_wavefunction(w, g) for _, w in ws]
     self_overlap = overlap_ratio(pt_apply(psi[0]), psi[0])
-    swap = overlap_ratio(pt_apply(psi[0]), psi[1]) if len(psi) > 1 else None
-    return self_overlap, swap
+    if len(psi) == 1:
+        return self_overlap, None, self_overlap >= 1.0 - GS_PT_TOL
+    swap = overlap_ratio(pt_apply(psi[0]), psi[1])
+    passed = swap >= 1.0 - GS_PT_TOL and ground_state_energy(ws[0][1]).imag != 0.0
+    return self_overlap, swap, passed

@@ -717,7 +717,12 @@ class TestImportPath:
 
 
 @pytest.mark.parametrize(
-    "point", [["--A", "2.5", "--B", "1"], ["--A", "1.5", "--B", "2", "--cpt", "0.5"]], ids=str
+    "point",
+    [
+        ["--A", "2.5", "--B", "1"],
+        *(["--A", "1.5", "--B", "2", "--cpt", c] for c in ("0.5", "0.01", "1e-3", "1e-4")),
+    ],
+    ids=str,
 )
 def test_verify_and_spectrum_report_the_same_ground_state_overlaps(tmp_path, point):
     code_v, verify = run_cli(tmp_path, ["verify", *point, "--points=601"], name="v.json")
@@ -730,3 +735,7 @@ def test_verify_and_spectrum_report_the_same_ground_state_overlaps(tmp_path, poi
     swap = detail.get("sector_swap_overlap")
     assert report["sector_swap_overlap"] == (None if swap is None else float(swap))
     assert (len(point) == 6) == (swap is not None)
+    # one verdict: near the exceptional point the broken ground state still
+    # passes verify and is not reported PT-invariant
+    assert props["ground_state_pt"]["status"] == "pass"
+    assert report["ground_state_pt_invariant"] is (swap is None)

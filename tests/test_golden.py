@@ -164,6 +164,11 @@ CASES = [
     _case("verify", "--A", "1", "--alpha", "1.2", "--B", "1.6", "--cpt", "27.2"),
     _case("verify", "--A=35.6", "--alpha=1.4", "--B=36.300000000000004", "--cpt=28.9"),
     _case("verify", "--A=1.3", "--alpha=1.3", "--B=1.9500000000000002", "--cpt=22.8"),
+    # broken points near the exceptional point, whose ground state's PT self
+    # overlap reads above 0.999: non-real energies, so not PT-invariant
+    _case("verify", "--A", "1.5", "--B", "2", "--cpt", "0.01"),
+    _case("verify", "--A=49.2", "--alpha=1.6", "--B=50.0", "--cpt=0.2"),
+    _case("spectrum", "--A", "1.5", "--B", "2", "--cpt", "1e-4", "--points", "601"),
 ]
 
 

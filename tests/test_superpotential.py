@@ -295,13 +295,30 @@ class TestPtVerdict:
 
     def test_ground_state_pt_overlaps(self):
         unbroken = superpotentials(Params(2.5, 1.0))
-        self_overlap, swap = ground_state_pt(unbroken, FINE_GRID)
-        assert swap is None and self_overlap >= 1.0 - GS_PT_TOL
+        self_overlap, swap, passed = ground_state_pt(unbroken, FINE_GRID)
+        assert swap is None and self_overlap >= 1.0 - GS_PT_TOL and passed
         broken = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
-        self_overlap, swap = ground_state_pt(broken, FINE_GRID)
+        self_overlap, swap, passed = ground_state_pt(broken, FINE_GRID)
         psi_p, psi_m = (ground_state_wavefunction(w, FINE_GRID) for _, w in broken)
         assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
         assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
+        assert passed
+        # near the exceptional point the self overlap alone cannot tell a
+        # broken state from an invariant one; its non-real energy -a^2 does
+        near_ep = [Params(1.5, 2.0, 1.0, c) for c in (0.01, 1e-3, 1e-4, -1e-3)]
+        for p in [*near_ep, Params(49.2, 50.0, 1.6, 0.2)]:
+            self_overlap, swap, passed = ground_state_pt(superpotentials(p), FINE_GRID)
+            assert self_overlap > 0.999 and swap >= 1.0 - GS_PT_TOL and passed, p
+
+    def test_ground_state_pt_fails_what_the_regime_rules_out(self):
+        w = build_unbroken(Params(2.5, 1.0))
+        # a PT-invariant pair at a real energy is not a broken pair
+        self_overlap, swap, passed = ground_state_pt((("plus", w), ("minus", w)), FINE_GRID)
+        assert self_overlap >= 1.0 - GS_PT_TOL and swap >= 1.0 - GS_PT_TOL and not passed
+        # nor is a ground state that PT does not map onto itself an unbroken one
+        tilted = Superpotential(a=2.5, b=0.5 + 1.0j, alpha=1.0)
+        self_overlap, swap, passed = ground_state_pt((("unbroken", tilted),), FINE_GRID)
+        assert swap is None and self_overlap < 1.0 - GS_PT_TOL and not passed
 
     def test_ground_state_pt_refuses_a_non_normalizable_state(self):
         with pytest.raises(NonNormalizableError):
