@@ -21,17 +21,18 @@ result only when two independent methods agree on how many there are:
     divided out and the mu_j inside the window are added back.  Any mu_j
     known exactly serve; they are the sine-basis values of
     solver._kinetic_eigenvalues, K's own spectrum for the 3-point stencil
-    and that of K minus its corner term for the 5-point one, in O(n).  det(H - z) is the determinant of the real
-    PT-basis form M - z, so the phase on the lower half of the contour
-    mirrors the upper half: only the upper half is sampled, and its phase
-    change must be a whole multiple of pi.  Sampling is adaptive: a segment
-    is accepted when both of its halves turn the phase by at most pi/8;
-    otherwise it is bisected, down to a floor.  The window's pad keeps every
-    eigenvalue of H and every mu_j at least pad from its left and top edges,
-    so the phase turns slowly there and those edges start from 2 segments;
-    the right edge, the energy margin just short of the continuum, has no
-    such clearance and starts from 8.  That saves about a quarter of the
-    LUs (69/93/103 to 51/73/89 at the reference points at n = 1501).
+    and that of K minus its corner term for the 5-point one, in O(n).
+    det(H - z) is the determinant of the real PT-basis form M - z, so the
+    phase on the lower half of the contour mirrors the upper half: only the
+    upper half is sampled, and its phase change must be a whole multiple of
+    pi.  Sampling is adaptive: a segment is accepted when both of its halves
+    turn the phase by at most pi/8; otherwise it is bisected, down to a
+    floor.  The window's pad keeps every eigenvalue of H and every mu_j at
+    least pad from its left and top edges, so the phase turns slowly there
+    and those edges start from 2 segments; the right edge, the energy margin
+    just short of the continuum, has no such clearance and starts from 8.
+    That saves about a quarter of the LUs (69/93/103 to 51/73/89 at the
+    reference points at n = 1501).
   * The eigenvalues come from shift-invert Arnoldi (ARPACK through
     scipy.sparse.linalg.eigs) on the real banded M, with a real shift sigma
     at the centre of the window, so complex eigenvalues come in exact
@@ -40,8 +41,8 @@ result only when two independent methods agree on how many there are:
     that factor.  k is the count plus the kinetic eigenvalues in the disc
     around the shift that covers the window, plus a few, so the k nearest
     eigenvalues should reach past every corner of the window.  ARPACK
-    converges them to 1e-10 relative, and each one inside the window is
-    refined by the two-sided Rayleigh quotient of its Ritz vector.
+    returns them to 1e-10 relative, values only, and polish gives each
+    conjugate pair inside one inverse iteration on H.
 
 The result is kept only when the count is integral, no segment hit the
 floor, the Arnoldi eigenvalues reach past the window's corners and as many
@@ -57,13 +58,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, zgbtrf
 
-if TYPE_CHECKING:
-    import scipy.sparse
+from . import solver
 
 # Pad of the window beyond the field-of-values bounds, relative to its
 # larger side (at least 1), so the contour stays clear of eigenvalues that
@@ -82,11 +83,11 @@ PADDED_EDGE_SEGMENTS = 2
 REFINEMENT_FLOOR = 1e-10
 # Largest distance of (phase change / pi) from an integer.
 COUNT_TOL = 1e-6
-# Arnoldi vectors requested beyond the count and the kinetic estimate of
-# the continuum inside the shift's disc.
+# Ritz values requested beyond the count and the kinetic estimate of the
+# continuum inside the shift's disc.
 ARNOLDI_SPARE = 4
 # ARPACK's relative accuracy of the Ritz values.  Only the few inside the
-# window are kept, and the Rayleigh quotient polishes them past it; the
+# window are kept, and polish's quotient takes them past it; the
 # continuum ones only show whether the k reach past the corners.
 ARNOLDI_TOL = 1e-10
 
@@ -126,12 +127,12 @@ class Window:
 class RegionSolve:
     """Outcome of one window solve.
 
-    eigenvalues holds the eigenvalues inside the window when the result is
-    admitted, and is None otherwise, with reason saying why.  count is the
-    winding count before rounding, and lu_edges the banded LUs it took on
-    the right, top and left edges; arnoldi_k and arnoldi_solves (the
+    eigenvalues, vectors and ritz hold what polish returns when the result
+    is admitted, and are None otherwise, with reason saying why.  count is
+    the winding count before rounding, and lu_edges the banded LUs it took
+    on the right, top and left edges; arnoldi_k and arnoldi_solves (the
     applications of (M - sigma)^-1) are 0 if Arnoldi did not run.  The _s
-    fields are the seconds each stage took.
+    fields are the seconds each stage took, vectors_s those of polish.
     """
 
     window: Window
@@ -139,11 +140,14 @@ class RegionSolve:
     lu_edges: tuple[int, int, int]
     window_s: float
     count_s: float
-    eigenvalues: Optional[np.ndarray] = None
+    eigenvalues: Optional[tuple[complex, ...]] = None
+    vectors: Optional[tuple[np.ndarray, ...]] = None
+    ritz: Optional[tuple[complex, ...]] = None
     reason: Optional[str] = None
     arnoldi_k: int = 0
     arnoldi_solves: int = 0
     arnoldi_s: float = 0.0
+    vectors_s: float = 0.0
 
     @property
     def lu_evaluations(self) -> int:
@@ -294,8 +298,8 @@ def count_eigenvalues(
 class ArnoldiResult:
     """What arnoldi_window found.
 
-    eigenvalues are the polished ones inside the window, covered says
-    whether the k nearest reach past its corners, and solves counts the
+    eigenvalues are the Ritz values inside the window, covered says whether
+    the k nearest reach past its corners, and solves counts the
     applications of (M - sigma)^-1.
     """
 
@@ -304,38 +308,22 @@ class ArnoldiResult:
     solves: int
 
 
-def arnoldi_window(
-    m: scipy.sparse.spmatrix, signature: np.ndarray, window: Window, k: int
-) -> ArnoldiResult:
-    """The eigenvalues of the real M inside the window, from the k nearest.
+def arnoldi_window(m: np.ndarray, window: Window, k: int) -> ArnoldiResult:
+    """The Ritz values of the real banded M inside the window, from the k nearest.
 
-    The k eigenvalues nearest the window's centre sigma come from
-    shift-invert Arnoldi, with (M - sigma)^-1 applied by band solves
-    (dgbtrs) against one band LU of M - sigma (dgbtrf).
-    Returns those inside the window, and whether the k reach past the
-    window's corners, i.e. whether no eigenvalue inside can be missing.
-    ARPACK failures (no convergence) and an exactly singular M - sigma
-    return nothing and False.
-
-    Each returned eigenvalue is the two-sided Rayleigh quotient of its Ritz
-    vector u: with S = diag(signature), S M is symmetric, so S u is the left
-    eigenvector and E = u^T S M u / u^T S u.  Its error is second order in
-    the vector's, while Arnoldi's own Ritz values carry the backward error
-    of the shifted LU times the condition number kappa = ||u||^2 / |u^T S u|:
-    at kappa ~1e7 the Ritz values were 7e-6 from dgeev's and the quotients
-    1e-7, inside dgeev's own distance from zgeev.  A quotient is kept only
-    within the first-order bound kappa ||(M - E_ritz) u|| / ||u|| of its
-    Ritz value, where the eigenvalue must lie.  Conjugate Ritz vectors give
-    conjugate quotients, and real ones real quotients.  So ARPACK need only
-    converge to ARNOLDI_TOL, not to machine precision.
+    m is M in solver._kinetic_band layout.  The k eigenvalues nearest the
+    window's centre sigma come from shift-invert Arnoldi, values only, with
+    (M - sigma)^-1 applied by band solves (dgbtrs) against one band LU of
+    M - sigma (dgbtrf).  Returns those inside the window, and whether the k
+    reach past the window's corners, i.e. whether no eigenvalue inside can
+    be missing.  ARPACK failures (no convergence) and an exactly singular
+    M - sigma return nothing and False.
     """
     import scipy.sparse.linalg
 
-    m = m.tocoo()
-    dim = m.shape[0]
-    kl = int(np.max(np.abs(m.row - m.col), initial=0))
-    ab = np.zeros((3 * kl + 1, dim), order="F")
-    ab[2 * kl + m.row - m.col, m.col] = m.data  # LAPACK band storage, ku = kl
+    kl, dim = m.shape[0] // 2, m.shape[1]
+    ab = np.zeros((3 * kl + 1, dim), order="F")  # LAPACK band storage, ku = kl
+    ab[kl:] = m
     ab[2 * kl] -= window.centre
     lu, ipiv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
     if info:
@@ -347,42 +335,61 @@ def arnoldi_window(
         solves += 1
         return dgbtrs(lu, kl, kl, x, ipiv)[0]
 
-    op = scipy.sparse.linalg.LinearOperator(m.shape, matvec=shift_invert, dtype=float)
+    linear = partial(scipy.sparse.linalg.LinearOperator, (dim, dim), dtype=float)
+    op = linear(matvec=shift_invert)
+    a = linear(matvec=partial(solver._band_matvec, m))  # applied only for a complex shift
     v0 = np.random.default_rng(0xA2A0).standard_normal(dim)
     try:
-        vals, vecs = scipy.sparse.linalg.eigs(
-            m, k=k, sigma=window.centre, v0=v0, tol=ARNOLDI_TOL, OPinv=op
+        vals = scipy.sparse.linalg.eigs(
+            a, k=k, sigma=window.centre, v0=v0, tol=ARNOLDI_TOL, OPinv=op,
+            return_eigenvectors=False,
         )
     except RuntimeError:  # ArpackError, ArpackNoConvergence
         return ArnoldiResult(np.empty(0, dtype=complex), False, solves)
     covered = bool(np.max(np.abs(vals - window.centre)) > window.radius)
-    keep = np.array([window.contains(e) for e in vals], dtype=bool)
-    ritz, u = vals[keep], vecs[:, keep]
-    mu = m @ u
-    pairing = np.sum(signature[:, None] * u * u, axis=0)  # u^T S u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.sum(signature[:, None] * u * mu, axis=0) / pairing
-        bound = (
-            np.linalg.norm(u, axis=0) * np.linalg.norm(mu - ritz * u, axis=0) / np.abs(pairing)
-        )
-    quotient = np.where(ritz.imag == 0.0, quotient.real, quotient)
-    inside = np.where(np.abs(quotient - ritz) <= bound, quotient, ritz)
+    inside = np.array([e for e in vals if window.contains(e)], dtype=complex)
     return ArnoldiResult(inside, covered, solves)
 
 
+def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """Eigenvalues, vectors and the Ritz values they came from, upper then lower.
+
+    ritz comes from the real M, so it is closed under conjugation.  Each
+    E_r with Im E_r >= 0 gets x = solver._inverse_iteration at E_r and
+    E = x^T H x / x^T x (H is complex symmetric: conj(x) is the left
+    eigenvector), whose error is second order in x's, while E_r carries the
+    shifted LU's backward error times kappa = ||x||^2 / |x^T x| (at kappa
+    ~1e7 E_r is 7e-6 from dgeev's, E within zgeev's).  E is kept only within the
+    first-order bound kappa ||(H - E_r) x|| / ||x|| of E_r, and is real when
+    E_r is, so ARPACK need only converge to ARNOLDI_TOL.  The lower partner
+    gets conj(E) and conj(x[::-1]), exact as J conj(H) J = H.
+    """
+    halfwidth = bands.shape[0] // 2
+    levels = []
+    for e in ritz[ritz.imag >= 0.0]:
+        e = complex(e)
+        x = solver._inverse_iteration(bands, halfwidth, e)
+        hx = solver._band_matvec(bands, x)
+        pairing = x @ x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = complex((x @ hx) / pairing)
+            bound = np.linalg.norm(hx - e * x) / abs(pairing)  # ||x|| = 1
+        quotient = complex(quotient.real) if e.imag == 0.0 else quotient
+        value = quotient if abs(quotient - e) <= bound else e
+        levels.append((value, x, e))
+        if e.imag > 0.0:
+            levels.append((value.conjugate(), x[::-1].conj(), e.conjugate()))
+    return tuple(zip(*levels)) or ((), (), ())
+
+
 def solve_window(
-    bands: np.ndarray,
-    kinetic: np.ndarray,
-    m: scipy.sparse.spmatrix,
-    signature: np.ndarray,
-    energy_margin: float,
+    bands: np.ndarray, kinetic: np.ndarray, m: np.ndarray, energy_margin: float
 ) -> RegionSolve:
-    """Eigenvalues of H with Re E < energy_margin, or why there are none.
+    """Eigenvalues and vectors of H with Re E < energy_margin, or why there are none.
 
     bands is H in solver._bands layout, kinetic the zeros of the free phase
-    that the count divides out (solver._kinetic_eigenvalues), m the real
-    PT-basis form of H as a sparse matrix and signature the diagonal of
-    Q^T Q for its basis Q (S M is symmetric).
+    that the count divides out (solver._kinetic_eigenvalues) and m the real
+    form of H in the same layout (solver._pt_real_band).
     """
     t0 = time.perf_counter()
     window = bound_window(bands, energy_margin)
@@ -397,13 +404,14 @@ def solve_window(
     if rounded < 0 or abs(count - rounded) > COUNT_TOL:  # < 0 counts nothing
         return RegionSolve(reason=NON_INTEGRAL, **stages)
     continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
-    k = min(rounded + continuum + ARNOLDI_SPARE, m.shape[0] - 2)
-    arnoldi = arnoldi_window(m, signature, window, k)
-    stages.update(
-        arnoldi_k=k, arnoldi_solves=arnoldi.solves, arnoldi_s=time.perf_counter() - t2
-    )
+    k = min(rounded + continuum + ARNOLDI_SPARE, m.shape[1] - 2)
+    arnoldi = arnoldi_window(m, window, k)
+    t3 = time.perf_counter()
+    stages.update(arnoldi_k=k, arnoldi_solves=arnoldi.solves, arnoldi_s=t3 - t2)
     inside = arnoldi.eigenvalues
     if not arnoldi.covered or inside.size != rounded:
         reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={arnoldi.covered})"
         return RegionSolve(reason=reason, **stages)
-    return RegionSolve(eigenvalues=inside, **stages)
+    values, vectors, ritz = polish(bands, inside)
+    stages["vectors_s"] = time.perf_counter() - t3
+    return RegionSolve(eigenvalues=values, vectors=vectors, ritz=ritz, **stages)

@@ -18,8 +18,8 @@ Notes on the numerics:
     Linear Algebra Appl. 29, 205 (1980)): with the PT-invariant basis
     (e_k + e_k')/sqrt(2), i(e_k - e_k')/sqrt(2) and the centre node e_c
     (k' the mirror of k) as the columns of Q, M = Q^H H Q is real.  Q has
-    two nonzeros per column, so M is built in O(n) as a sparse band with
-    twice H's half-bandwidth.
+    two nonzeros per column, so M is built in O(n) straight into band
+    storage with twice H's half-bandwidth, bit for bit the product.
   * The imaginary part of Q^H H Q is exactly the anti-PT part of H.  A
     PT-symmetric potential leaves at most a few ulps of max |H_ij| there
     (rounding in the coefficients and near the centre node); anything
@@ -28,17 +28,14 @@ Notes on the numerics:
   * From order REGION_MIN_DIM on, only the bound-state window is solved
     (region.solve_window): a rectangle from the field of values of H,
     whose eigenvalues are counted by the winding of det(H - z) from banded
-    LUs and found by shift-invert Arnoldi on M.  The result is admitted
-    only when the count is integral, its sampling never hit the refinement
-    floor, and Arnoldi finds exactly as many eigenvalues inside; otherwise
-    the dense solve below runs instead.  The window's pads keep every
-    eigenvalue clear of its left and top edges, so the count samples them
-    from 2 starting segments and the right edge, at the energy margin, from
-    8: about 53 LUs per count on average over 1,048 inputs, against 73 with
-    8 on every edge.  At order 1499 the window solve
-    takes about 0.02 s against about 2 s for the dense one (2-vCPU VM,
-    OpenBLAS 0.3.31).  The free-kinetic values that the count divides out
-    have a closed form in the sine basis, O(n) per solve.
+    LUs (about 53 per count over 1,048 inputs) and found by shift-invert
+    Arnoldi on M, values only.  The result is admitted, with its vectors
+    (region.polish), only when the count is integral, its sampling never hit
+    the refinement floor, and Arnoldi finds exactly as many eigenvalues
+    inside; otherwise the dense solve below runs instead.  At order 1499 the
+    window solve takes about 0.02 s against about 2 s for the dense one
+    (2-vCPU VM, OpenBLAS 0.3.31).  The free-kinetic values that the count
+    divides out have a closed form in the sine basis, O(n) per solve.
   * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
@@ -52,10 +49,11 @@ Notes on the numerics:
     fallback at order ~1500 is slower (1.8 s against 1.6 s).
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
-  * Eigenvectors are recovered only for candidate eigenvalues, by inverse
-    iteration with the computed eigenvalue as shift: the shifted complex
-    band is factored once per level (zgbtrf) and its three solves reuse
-    the factor (zgbtrs).
+  * Each level's eigenvector is computed once, by inverse iteration: the
+    shifted complex band is factored once (zgbtrf) and its three solves
+    reuse the factor (zgbtrs).  The window path runs it at the Arnoldi value,
+    once per conjugate pair (region.polish); the dense path at each
+    candidate eigenvalue.
   * Bound-state filtering uses the eigenvector amplitude near the walls
     rather than an energy cutoff alone: continuum artifacts can acquire
     small complex shifts with Re(E) near 0, while genuine bound states in
@@ -63,10 +61,9 @@ Notes on the numerics:
   * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
     or dense with its reason), the window, the count, the number of LU
     evaluations with their split over the right, top and left edges,
-    Arnoldi's k and its number of shift-invert solves, the
-    seconds of each stage (window, count, Arnoldi, the whole eigenvalue
-    solve, inverse iteration), and for each kept level its residual and
-    condition number.
+    Arnoldi's k and its number of shift-invert solves, the seconds of each
+    stage (window, count, Arnoldi, the whole eigenvalue solve, inverse
+    iteration), and for each kept level its residual and condition number.
 """
 
 from __future__ import annotations
@@ -83,8 +80,6 @@ import numpy as np
 # scipy is imported inside the functions that solve:
 # the closed-form commands import this module and never load it.
 if TYPE_CHECKING:
-    import scipy.sparse
-
     from .region import RegionSolve
 
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
@@ -173,12 +168,24 @@ def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
     return (28.0 - 32.0 * c + 4.0 * c * c) / (12.0 * h**2)
 
 
-def _banded_to_sparse(ab: np.ndarray) -> scipy.sparse.dia_matrix:
-    import scipy.sparse
+def _band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """The matrix held in _kinetic_band layout, as a Fortran-ordered array."""
+    halfwidth, dim = ab.shape[0] // 2, ab.shape[1]
+    dense = np.zeros((dim, dim), dtype=ab.dtype, order="F")
+    for d in range(-halfwidth, halfwidth + 1):
+        i = np.arange(max(0, -d), min(dim, dim - d))
+        dense[i, i + d] = ab[halfwidth - d, i + d]
+    return dense
 
-    halfwidth = ab.shape[0] // 2
-    offsets = np.arange(halfwidth, -halfwidth - 1, -1)
-    return scipy.sparse.dia_matrix((ab, offsets), shape=(ab.shape[1], ab.shape[1]))
+
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product of the matrix held in _kinetic_band layout with x, in O(n)."""
+    halfwidth, dim = ab.shape[0] // 2, ab.shape[1]
+    y = ab[halfwidth] * x
+    for d in range(1, halfwidth + 1):
+        y[: dim - d] += ab[halfwidth - d, d:] * x[d:]  # A[i, i + d]
+        y[d:] += ab[halfwidth + d, : dim - d] * x[: dim - d]  # A[i + d, i]
+    return y
 
 
 def discretize(v: PotentialCoeffs, g: Grid, order: int = 4) -> np.ndarray:
@@ -188,79 +195,66 @@ def discretize(v: PotentialCoeffs, g: Grid, order: int = 4) -> np.ndarray:
     the matrix has dimension n_points - 2.  order selects the 3-point (2)
     or 5-point (4) Laplacian stencil; the diagonal carries V(x_i).
     """
-    return _banded_to_sparse(_bands(v, g, order)).toarray()
+    return _band_to_dense(_bands(v, g, order))
 
 
-def _pt_basis(dim: int) -> scipy.sparse.csr_matrix:
-    """Unitary Q whose columns are PT-invariant: J conj(q) = q.
+def _pt_real_band(ab: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real M = Q^H H Q in _kinetic_band layout, and H's anti-PT defect.
 
-    J reverses the node order and c = dim // 2 is the centre node (dim is
-    odd).  Column 0 is e_c; for the mirror pair (c - j, c + j), j >= 1,
-    column 2j - 1 is (e_{c-j} + e_{c+j})/sqrt(2) and column 2j is
-    i(e_{c-j} - e_{c+j})/sqrt(2).  Ordered outward from the centre, the
-    columns keep Q^H H Q banded, with twice the half-bandwidth of H.
-    """
-    import scipy.sparse
-
-    c = dim // 2
-    j = np.arange(1, c + 1)
-    left, right = c - j, c + j
-    r = np.sqrt(0.5)
-    rows = np.concatenate([[c], left, right, left, right])
-    cols = np.concatenate([[0], 2 * j - 1, 2 * j - 1, 2 * j, 2 * j])
-    vals = np.concatenate(
-        [[1.0], np.full(2 * c, r), np.full(c, 1j * r), np.full(c, -1j * r)]
-    )
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def _pt_signature(dim: int) -> np.ndarray:
-    """The diagonal of Q^T Q for _pt_basis(dim): +1, then +1, -1 per pair.
-
-    Q^T Q = S is diagonal because each mirror pair's two columns are
-    orthogonal under the plain (unconjugated) product; the second one, i times
-    a real vector, squares to -1.  As H^T = H, M = Q^H H Q satisfies
-    M^T = S M S, so S M is symmetric and S u is the left eigenvector of M for
-    a right one u.
-    """
-    s = np.ones(dim)
-    s[2::2] = -1.0
-    return s
-
-
-def _pt_real_sparse(ab: np.ndarray) -> tuple[scipy.sparse.coo_matrix, float]:
-    """Real matrix Q^H H Q similar to the banded H, and H's anti-PT defect.
-
-    Q^H H Q is real exactly when H is centrohermitian (J conj(H) J = H),
-    which is what V(-x)* = V(x) makes of H on the symmetric grid; its
-    imaginary part is the anti-PT part of H.  Returns the real part as a
-    sparse matrix with twice H's half-bandwidth, and the largest imaginary
-    entry.
+    Q's columns are PT-invariant: e_c for the centre node c = dim // 2 (dim
+    is odd), then (e_{c-j} + e_{c+j})/sqrt(2) and i(e_{c-j} - e_{c+j})/sqrt(2)
+    for j >= 1, so S = Q^T Q = diag(1, 1, -1, 1, -1, ...) and S M is
+    symmetric.  Q^H H Q is real exactly when H is centrohermitian, and its
+    imaginary part is the anti-PT part of H.  Each entry is built in O(n)
+    as the product (Q^H H) Q forms it, r (r h1 + r h2) + r (r h3 + r h4)
+    with r = 1/sqrt(2) up to factors of +-i, so it is the same to the bit.
+    H's off-diagonals are real, so M's half-bandwidth is twice H's hw; the
+    imaginary part reaches 2 hw + 1.
 
     Raises:
-      RegimeError: if the imaginary part exceeds ANTI_PT_ULPS ulps of
-        max |H_ij|, i.e. the potential is not PT-symmetric on the grid.
+      RegimeError: if that entry exceeds ANTI_PT_ULPS ulps of max |H_ij|,
+        i.e. the potential is not PT-symmetric on the grid.
     """
-    import scipy.sparse
-
-    dim = ab.shape[1]
-    q = _pt_basis(dim)
-    m = (q.conj().T @ _banded_to_sparse(ab) @ q).tocoo()
-    defect = float(np.max(np.abs(m.data.imag), initial=0.0))
+    hw, dim = ab.shape[0] // 2, ab.shape[1]
+    c, w = dim // 2, 2 * hw + 1
+    r, ir = math.sqrt(0.5), 1j * math.sqrt(0.5)
+    qhq = np.zeros((2 * w + 1, dim), dtype=complex)  # row w - d holds diagonal d
+    qhq[w, 0] = ab[hw, c]
+    # the centre node against the pairs j <= hw: row 0 of Q^H H is H[c, :]
+    for j in range(1, min(hw, c) + 1):
+        left, right = ab[hw + j, c - j], ab[hw - j, c + j]  # H[c, c - j], H[c, c + j]
+        qhq[w - 2 * j + 1, 2 * j - 1] = left * r + right * r
+        qhq[w - 2 * j, 2 * j] = left * ir + right * -ir
+        left, right = ab[hw - j, c], ab[hw + j, c]  # H[c - j, c], H[c + j, c]
+        qhq[w + 2 * j - 1, 0] = r * left + r * right
+        qhq[w + 2 * j, 0] = -ir * left + ir * right
+    # pair j against pair k = j + e: H[c -+ j, c -+ k] as slices of ab's rows
+    for e in range(-hw, hw + 1):
+        lo, hi = max(1, 1 - e), min(c, c - e)
+        if lo > hi:
+            continue
+        ll = ab[hw + e, c - hi - e : c - lo - e + 1][::-1]  # H[c - j, c - k]
+        rr = ab[hw - e, c + lo + e : c + hi + e + 1]  # H[c + j, c + k]
+        lr, rl = np.zeros((2, hi - lo + 1), dtype=complex)  # H[c -+ j, c +- k], near c
+        for j in range(lo, min(hi, (hw - e) // 2) + 1):
+            lr[j - lo] = ab[hw - 2 * j - e, c + j + e]
+            rl[j - lo] = ab[hw + 2 * j + e, c - j - e]
+        even_l, even_r = r * ll + r * rl, r * lr + r * rr  # rows 2j - 1 of Q^H H
+        odd_l, odd_r = -ir * ll + ir * rl, -ir * lr + ir * rr  # rows 2j
+        even_cols = slice(2 * (lo + e) - 1, 2 * (hi + e), 2)
+        odd_cols = slice(2 * (lo + e), 2 * (hi + e) + 1, 2)
+        qhq[w - 2 * e, even_cols] = even_l * r + even_r * r
+        qhq[w - 2 * e - 1, odd_cols] = even_l * ir + even_r * -ir
+        qhq[w - 2 * e + 1, even_cols] = odd_l * r + odd_r * r
+        qhq[w - 2 * e, odd_cols] = odd_l * ir + odd_r * -ir
+    defect = float(np.max(np.abs(qhq.imag)))
     scale = float(np.max(np.abs(ab)))
     if defect > ANTI_PT_ULPS * np.finfo(float).eps * scale:
         raise RegimeError(
             f"the discretized Hamiltonian is not PT-symmetric: anti-PT part "
             f"{defect:.3e} against max |H_ij| = {scale:.3e}"
         )
-    return scipy.sparse.coo_matrix((m.data.real, (m.row, m.col)), shape=m.shape), defect
-
-
-def _dense_fortran(m: scipy.sparse.coo_matrix) -> np.ndarray:
-    """m as a Fortran-ordered float64 array, ready for LAPACK to overwrite."""
-    dense = np.zeros(m.shape, order="F")
-    dense[m.row, m.col] = m.data
-    return dense
+    return np.ascontiguousarray(qhq.real[1:-1]), defect
 
 
 def eig_complex_dense(
@@ -378,11 +372,11 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
 
     The eigenvalues come from the real PT-basis form of H, so v must be
     PT-symmetric on the grid.  From REGION_MIN_DIM on, only the eigenvalues
-    in the bound-state window are computed (region.solve_window), falling
-    back to all eigenvalues of the dense form when that result is not
-    admitted; below it, the dense form is solved directly.  The whole eigen
-    stage runs on one BLAS thread.  Returns bound states sorted by (Re, Im)
-    for deterministic reporting.
+    in the bound-state window are computed, with their vectors
+    (region.solve_window), falling back to all eigenvalues of the dense form
+    when that result is not admitted; below it, the dense form is solved
+    directly.  The whole eigen stage runs on one BLAS thread.  Returns bound
+    states sorted by (Re, Im) for deterministic reporting.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
@@ -397,36 +391,36 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
     halfwidth = bands.shape[0] // 2
     with blas_threads(1):
         threads = blas_thread_count()
-        m, anti_pt = _pt_real_sparse(bands)
+        m, anti_pt = _pt_real_band(bands)
         logger.debug("anti-PT defect of H: %.3e", anti_pt)
         t0 = time.perf_counter()
         solved = None
-        eigs = None
         if dim >= REGION_MIN_DIM:
             from .region import solve_window
 
             kinetic = _kinetic_eigenvalues(dim, g.h, order)
-            solved = solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
-            eigs = solved.eigenvalues
-        if eigs is None:
-            eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
-        seconds = time.perf_counter() - t0
-        del m
-        candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
-        candidates.sort(key=lambda e: (e.real, e.imag))
-        kept_e = []
-        kept_v = []
-        t1 = time.perf_counter()
-        for e in candidates:
-            psi = _embed_interior(_inverse_iteration(bands, halfwidth, e), g)
-            if _is_bound_state(e, psi):
-                kept_e.append(e)
-                kept_v.append(psi)
-        vectors_s = time.perf_counter() - t1
+            solved = solve_window(bands, kinetic, m, ENERGY_MARGIN)
+        if solved is None or solved.eigenvalues is None:
+            eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
+            seconds = time.perf_counter() - t0
+            candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
+            levels = [(e, _inverse_iteration(bands, halfwidth, e)) for e in candidates]
+            vectors_s = time.perf_counter() - t0 - seconds
+        else:
+            seconds = time.perf_counter() - t0
+            levels = list(zip(solved.eigenvalues, solved.vectors))
+            vectors_s = solved.vectors_s
+    levels.sort(key=lambda level: (level[0].real, level[0].imag))
+    kept_e, kept_v = [], []
+    for e, x in levels:
+        psi = _embed_interior(x, g)
+        if _is_bound_state(e, psi):
+            kept_e.append(e)
+            kept_v.append(psi)
     logger.info(
         "bound states: %d of %d candidates kept (dim %d)",
         len(kept_e),
-        len(candidates),
+        len(levels),
         dim,
     )
     if logger.isEnabledFor(logging.DEBUG):
@@ -450,11 +444,10 @@ def _solve_line(
     solved is the window solve, or None below REGION_MIN_DIM; threads is
     the BLAS thread count it ran on (None if scipy's OpenBLAS was not
     found); seconds is the eigenvalue solve and vectors_s the inverse
-    iteration.  Each level
-    carries its residual ||(H - E)x|| / ||x|| and its eigenvalue condition
-    number kappa = ||x||^2 / |x^T x|, both from the inverse-iteration vector
-    x on the interior nodes: H is complex symmetric, so conj(x) is the left
-    eigenvector.
+    iteration, a part of seconds on the window path.  Each level carries
+    its residual ||(H - E)x|| / ||x|| and its eigenvalue condition number
+    kappa = ||x||^2 / |x^T x|, both from its vector x on the interior
+    nodes: H is complex symmetric, so conj(x) is the left eigenvector.
     """
     dim = bands.shape[1]
     if solved is None:
@@ -469,12 +462,11 @@ def _solve_line(
             f"arnoldi_solves={solved.arnoldi_solves} window_s={solved.window_s:.4f} "
             f"count_s={solved.count_s:.4f} arnoldi_s={solved.arnoldi_s:.4f}"
         )
-    h = _banded_to_sparse(bands)
     levels = []
     for e, psi in zip(energies, vectors):
         x = psi.values[1:-1]
         norm2 = float(np.vdot(x, x).real)
-        residual = np.linalg.norm(h @ x - e * x) / math.sqrt(norm2)
+        residual = np.linalg.norm(_band_matvec(bands, x) - e * x) / math.sqrt(norm2)
         kappa = norm2 / abs(x @ x)
         levels.append(f"E={e:.10g} residual={residual:.2e} kappa={kappa:.3g}")
     return (

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The two full-resolution eigensolves (criteria 4 and 5) dominate the
-runtime at a few minutes total on one core.
+lines.  The two full-resolution eigensolves (criteria 4 and 5, n = 4001) take
+the window path and well under a second together (about 0.6 s with the
+imports, 0.2 s warm); the whole file runs in about ten seconds on a 2-vCPU
+VM.
 """
 
 import csv

@@ -281,7 +281,7 @@ class TestScanCommand:
         if lapack.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
         # the first and the last stage of each solve record the count they run on
-        seen: dict[str, list] = {"_pt_real_sparse": [], "_inverse_iteration": []}
+        seen: dict[str, list] = {"_pt_real_band": [], "_inverse_iteration": []}
         for name, calls in seen.items():
             def recording(*args, _stage=getattr(solver, name), _calls=calls, **kwargs):
                 _calls.append(lapack.blas_thread_count())
@@ -293,7 +293,7 @@ class TestScanCommand:
             code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
             assert lapack.blas_thread_count() == 2
         assert code == 0
-        assert seen["_pt_real_sparse"] == [1, 1]
+        assert seen["_pt_real_band"] == [1, 1]
         assert seen["_inverse_iteration"] and set(seen["_inverse_iteration"]) == {1}
 
     def test_blas_thread_count_restored_when_a_point_raises(self, tmp_path, monkeypatch):
@@ -305,7 +305,7 @@ class TestScanCommand:
             seen.append(lapack.blas_thread_count())
             raise RuntimeError("solve failed")
 
-        monkeypatch.setattr(solver, "_pt_real_sparse", failing)
+        monkeypatch.setattr(solver, "_pt_real_band", failing)
         args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "4"]
         with lapack.blas_threads(2):
             with pytest.raises(RuntimeError, match="solve failed"):
@@ -703,6 +703,20 @@ class TestImportPath:
         assert result["codes"] == [0]
         assert result["loaded"]["import ptscarf.cli"] == []
         assert "scipy.linalg" in result["loaded"][" ".join(argv)]
+
+    def test_a_dense_solve_loads_no_scipy_sparse(self):
+        # the real form is built straight into band storage: below the
+        # crossover nothing of scipy.sparse loads, above it ARPACK does
+        small = ["spectrum", "--A=2.5", "--B=1", "--points=201"]
+        large = ["spectrum", "--A=2.5", "--B=1", "--points=601"]
+        result = _run_child([small, large])
+        assert result["codes"] == [0, 0]
+        sparse = {
+            k: [m for m in mods if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+            for k, mods in result["loaded"].items()
+        }
+        assert sparse.pop(" ".join(large))
+        assert all(mods == [] for mods in sparse.values()), sparse
 
     def test_an_unmatched_level_does_not_load_scipy_optimize(self):
         # on this coarse grid the shallow point loses a level: matching

@@ -12,7 +12,13 @@ The tests never write the golden file.  To record it again, on purpose, run
     PYTHONPATH=src python tests/test_golden.py
 
 which lists on stdout the argv of every case that is new or whose record
-changed, so a re-record shows exactly what moved.
+changed, so a re-record shows exactly what moved.  For a changed case it
+also says whether anything other than a number moved (the exit code, or
+the stdout and stderr with every number blanked out) and, if not, the
+largest relative change of a number, |new - old| / max(|new|, |old|), and
+the largest change against max(1, |new|, |old|), the scale of MATCH_TOL:
+an error or an imaginary part of 1e-4 moves far more relative to itself
+than the energy it belongs to.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -172,6 +179,9 @@ CASES = [
 ]
 
 
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def _key(case: dict) -> str:
     return json.dumps([case["argv"], case["files"]])
 
@@ -191,6 +201,26 @@ def run_case(case: dict, workdir: Path) -> dict:
     return {**case, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def describe_change(old: dict, new: dict) -> str:
+    """Whether more than numbers moved from old to new, and the largest relative change."""
+    texts = [(old[k], new[k]) for k in ("stdout", "stderr")]
+    numbers = [(NUMBER.findall(a), NUMBER.findall(b)) for a, b in texts]
+    if old["code"] != new["code"] or any(
+        NUMBER.sub("#", a) != NUMBER.sub("#", b) for a, b in texts
+    ):
+        return "text moved"
+    relative = scaled = 0.0
+    for a, b in numbers:
+        for x, y in zip(map(float, a), map(float, b)):
+            if x != y:
+                relative = max(relative, abs(x - y) / max(abs(x), abs(y)))
+                scaled = max(scaled, abs(x - y) / max(1.0, abs(x), abs(y)))
+    return (
+        f"numbers only, largest relative change {relative:.3g} "
+        f"({scaled:.3g} against max(1, |x|))"
+    )
+
+
 @functools.cache
 def _recorded() -> dict[str, dict]:
     return {_key(r): r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
@@ -205,6 +235,17 @@ def cli_env(monkeypatch):
 def test_golden_file_holds_exactly_the_cases():
     assert sorted(_recorded()) == sorted(_key(c) for c in CASES)
     assert len(CASES) >= 40
+
+
+def test_describe_change_tells_numbers_from_text():
+    old = {"code": 0, "stdout": '{"re": -0.25, "err": 2e-06}\n', "stderr": ""}
+    moved = {**old, "stdout": '{"re": -0.2500000001, "err": 3e-06}\n'}
+    assert describe_change(old, moved) == (
+        "numbers only, largest relative change 0.333 (1e-06 against max(1, |x|))"
+    )
+    for other in ({**old, "code": 4}, {**old, "stdout": '{"im": -0.25, "err": 2e-06}\n'},
+                  {**old, "stderr": "warning: 3\n"}):
+        assert describe_change(old, other) == "text moved"
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<none>")
@@ -225,6 +266,6 @@ if __name__ == "__main__":
         if previous is None:
             print("new:", json.dumps(case["argv"]))
         elif previous != record:
-            print("changed:", json.dumps(case["argv"]))
+            print("changed:", json.dumps(case["argv"]), describe_change(previous, record))
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

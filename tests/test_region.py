@@ -29,11 +29,10 @@ from ptscarf import lapack, region, solver
 from ptscarf.solver import (
     ENERGY_MARGIN,
     REGION_MIN_DIM,
+    _band_to_dense,
     _bands,
-    _dense_fortran,
     _kinetic_eigenvalues,
-    _pt_real_sparse,
-    _pt_signature,
+    _pt_real_band,
 )
 from conftest import random_broken, random_unbroken
 
@@ -57,10 +56,10 @@ def _window_and_dense(p, n_points, half_width):
     bands = _bands(_potential(p), g, 4)
     dim = bands.shape[1]
     assert dim >= REGION_MIN_DIM
-    m, _ = _pt_real_sparse(bands)
+    m, _ = _pt_real_band(bands)
     kinetic = _kinetic_eigenvalues(dim, g.h, 4)
-    solved = region.solve_window(bands, kinetic, m, _pt_signature(dim), ENERGY_MARGIN)
-    eigs = eig_complex_dense(_dense_fortran(m), overwrite=True)
+    solved = region.solve_window(bands, kinetic, m, ENERGY_MARGIN)
+    eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
     _assert_padded_edges_are_clear(bands, solved.window, np.concatenate([eigs, kinetic]))
     return solved, [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
 
@@ -151,6 +150,37 @@ class TestEquivalence:
         ]
         np.testing.assert_allclose(fast.numerical, dense.numerical, rtol=0, atol=1e-9)
         assert fast.pairing.max_defect == 0.0
+
+
+class TestVectors:
+    def test_each_pair_takes_one_inverse_iteration_and_its_pt_image(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        asked, shifts = [], []
+        eigs, inverse = scipy.sparse.linalg.eigs, solver._inverse_iteration
+
+        def recording_eigs(*args, **kwargs):
+            asked.append(kwargs.get("return_eigenvectors", True))
+            return eigs(*args, **kwargs)
+
+        def recording_inverse(bands, halfwidth, eigenvalue, *args):
+            shifts.append(eigenvalue)
+            return inverse(bands, halfwidth, eigenvalue, *args)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
+        monkeypatch.setattr(solver, "_inverse_iteration", recording_inverse)
+        p, g = ACCEPTANCE_POINTS[1], Grid(20.0, 601)
+        bound = solve_bound_states(_potential(p), g)
+        assert asked == [False]  # Ritz values only
+        assert len(bound.eigenvalues) == 4 and len(shifts) == 2
+        assert all(e.imag > 0.0 for e in shifts)
+        vectors = dict(zip(bound.eigenvalues, bound.vectors))
+        lower = [e for e in vectors if e.imag < 0.0]
+        assert len(lower) == 2
+        for e in lower:
+            upper = vectors[e.conjugate()].values
+            np.testing.assert_array_equal(vectors[e].values, upper[::-1].conj())
+        assert verify_spectrum(p, g).pairing.max_defect == 0.0
 
 
 def _block_band(blocks):
@@ -251,7 +281,7 @@ class TestPhase:
         # move the phase by a multiple of pi.
         dim, hw = 40, 2
         bands = rng.standard_normal((2 * hw + 1, dim)) + 1j * rng.standard_normal((2 * hw + 1, dim))
-        dense = solver._banded_to_sparse(bands).toarray()
+        dense = solver._band_to_dense(bands)
         kinetic = np.sort(rng.uniform(-3.0, 3.0, dim))
         phase = region._Phase(bands, kinetic)
         for z in (0.3 + 0.7j, -2.0 - 0.1j, 1.5 + 0.0j):
@@ -267,11 +297,9 @@ class TestPhase:
         assert phase.evaluations == 3
 
     def test_arnoldi_at_an_exactly_singular_shift_finds_nothing(self):
-        import scipy.sparse
-
         window = region.Window(-1.0, 1.0, 0.5)  # centre 0
-        m = scipy.sparse.diags([-3.0, -2.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        found = region.arnoldi_window(m, np.ones(8), window, 2)
+        m = np.array([[-3.0, -2.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0]])  # a diagonal band
+        found = region.arnoldi_window(m, window, 2)
         assert found.eigenvalues.size == 0
         assert (found.covered, found.solves) == (False, 0)
 
@@ -281,7 +309,7 @@ class TestKineticEigenvalues:
     def test_closed_form_is_the_spectrum_of_the_sine_diagonalized_band(self, order):
         # 3-point: K itself; 5-point: K minus its corner term (e1 e1^T + en en^T)/(12 h^2)
         dim, h = 60, 0.3
-        k = solver._banded_to_sparse(solver._kinetic_band(dim, h, order)).toarray()
+        k = solver._band_to_dense(solver._kinetic_band(dim, h, order))
         if order == 4:
             k[0, 0] -= 1.0 / (12.0 * h**2)
             k[-1, -1] -= 1.0 / (12.0 * h**2)
@@ -439,16 +467,15 @@ class TestFallback:
         # and only the coverage check refuses the result.
         g = self.GRID
         bands = _bands(_potential(self.POINT), g, 4)
-        m, _ = _pt_real_sparse(bands)
-        signature = _pt_signature(bands.shape[1])
+        m, _ = _pt_real_band(bands)
         window = region.bound_window(bands, ENERGY_MARGIN)
-        found = region.arnoldi_window(m, signature, window, 2)
+        found = region.arnoldi_window(m, window, 2)
         assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
         monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, (1, 0, 0)))
-        monkeypatch.setattr(region, "arnoldi_window", lambda m, s, w, k: arnoldi(m, s, w, 2))
+        monkeypatch.setattr(region, "arnoldi_window", lambda m, w, k: arnoldi(m, w, 2))
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        solved = region.solve_window(bands, kinetic, m, signature, ENERGY_MARGIN)
+        solved = region.solve_window(bands, kinetic, m, ENERGY_MARGIN)
         assert solved.eigenvalues is None
         assert solved.reason == f"{region.MISMATCH} (2 counted, 2 found, covered=False)"
 

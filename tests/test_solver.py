@@ -1,8 +1,10 @@
 import itertools
 import logging
+import math
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,14 +33,13 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
-from ptscarf import lapack, solver
+from ptscarf import lapack, region, solver
 from ptscarf.solver import (
+    _band_matvec,
+    _band_to_dense,
     _bands,
-    _dense_fortran,
     _is_bound_state,
-    _pt_basis,
-    _pt_real_sparse,
-    _pt_signature,
+    _pt_real_band,
 )
 from conftest import assert_multiset_close
 
@@ -317,15 +318,33 @@ class TestInverseIteration:
 
     @pytest.mark.parametrize("n_points", [199, 1501], ids=["dense", "window"])
     @pytest.mark.parametrize("p", [UNBROKEN, BROKEN], ids=str)
-    def test_vectors_are_bit_identical_to_a_factor_per_solve(self, p, n_points):
+    def test_vectors_are_bit_identical_to_a_factor_per_solve(self, p, n_points, monkeypatch):
         w = build_unbroken(p) if p.c_pt == 0.0 else build_broken_pair(p)[0]
         v, g = partner_potential_minus(w), Grid(20.0, n_points)
         bands = _bands(v, g, 4)
+        solves = []
+        solve_window = region.solve_window
+
+        def recording(*args):
+            solves.append(solve_window(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(region, "solve_window", recording)
         bound = solve_bound_states(v, g)
         assert bound.eigenvalues
+        assert [s.reason for s in solves] == ([] if n_points < 200 else [None])
+        # the window path shifts by the Arnoldi value that each level was
+        # polished from, the dense path by the level itself
+        shifts = dict(zip(solves[0].eigenvalues, solves[0].ritz)) if solves else {}
         for e, psi in zip(bound.eigenvalues, bound.vectors):
-            reference = _inverse_iteration_by_solve_banded(bands, 2, e)
-            np.testing.assert_array_equal(solver._inverse_iteration(bands, 2, e), reference)
+            shift = shifts.get(e, e)
+            mirrored = shift.imag < 0.0 and bool(solves)  # the PT image of its partner's vector
+            if mirrored:
+                shift = shift.conjugate()
+            reference = _inverse_iteration_by_solve_banded(bands, 2, shift)
+            np.testing.assert_array_equal(solver._inverse_iteration(bands, 2, shift), reference)
+            if mirrored:
+                reference = reference[::-1].conj()
             np.testing.assert_array_equal(psi.values[1:-1], reference)
 
     @staticmethod
@@ -370,8 +389,8 @@ class TestPTRealForm:
     ):
         v = PotentialCoeffs(s, 1j * t_im, 0.0, alpha)
         g = Grid(half_width, n_points)
-        m, defect = _pt_real_sparse(_bands(v, g, order))
-        real = _dense_fortran(m)
+        m, defect = _pt_real_band(_bands(v, g, order))
+        real = _band_to_dense(m)
         assert real.dtype == np.float64 and real.flags.f_contiguous
         assert defect == 0.0
         expected = eig_complex_dense(discretize(v, g, order=order))
@@ -382,14 +401,54 @@ class TestPTRealForm:
             assert errs[k] <= 1e-9 * max(1.0, abs(e))
             computed.pop(k)
 
-    def test_signature_makes_s_times_the_real_form_symmetric(self):
-        v = PotentialCoeffs(-7.25, 8.5j, 0.0, 1.0)
-        m, _ = _pt_real_sparse(_bands(v, Grid(10.0, 41), 4))
-        s = _pt_signature(39)
-        q = _pt_basis(39)
-        np.testing.assert_allclose((q.T @ q).toarray(), np.diag(s), atol=1e-15)
-        sm = (m.toarray().T * s).T
+    @staticmethod
+    def _dense_pt_basis(dim):
+        """Q column by column: e_c, then (e_{c-j} + e_{c+j})/sqrt(2), i(e_{c-j} - e_{c+j})/sqrt(2)."""
+        c, r = dim // 2, math.sqrt(0.5)
+        q = np.zeros((dim, dim), dtype=complex)
+        q[c, 0] = 1.0
+        for j in range(1, c + 1):
+            q[c - j, 2 * j - 1] = q[c + j, 2 * j - 1] = r
+            q[c - j, 2 * j], q[c + j, 2 * j] = 1j * r, -1j * r
+        return q
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        s=st.floats(-20.0, 5.0),
+        t_im=st.floats(-10.0, 10.0),
+        alpha=st.floats(0.5, 2.0),
+        half_width=st.floats(3.0, 10.0),
+        dim=st.integers(2, 30).map(lambda k: 2 * k + 1),
+        order=st.sampled_from((2, 4)),
+        anti_pt=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+        node=st.integers(0, 60),
+    )
+    def test_band_built_form_is_the_real_part_of_q_h_h_q(
+        self, s, t_im, alpha, half_width, dim, order, anti_pt, node
+    ):
+        # odd orders 5..61, both stencils; anti_pt breaks PT at one node, and
+        # the refusal is switched off so that its defect can be compared
+        ab = _bands(PotentialCoeffs(s, 1j * t_im, 0.0, alpha), Grid(half_width, dim + 2), order)
+        hw = ab.shape[0] // 2
+        ab[hw, node % dim] += anti_pt * (1.0 + 1.0j)
+        h = sum(
+            np.diag(ab[hw - d, max(d, 0) : dim + min(d, 0)], d) for d in range(-hw, hw + 1)
+        )
+        q = self._dense_pt_basis(dim)
+        exact = q.conj().T @ h @ q
+        with mock.patch.object(solver, "ANTI_PT_ULPS", math.inf):
+            m, defect = _pt_real_band(ab)
+        ulp = np.spacing(np.max(np.abs(h)))
+        real = _band_to_dense(m)
+        assert np.max(np.abs(real - exact.real)) <= ulp
+        signature = np.ones(dim)
+        signature[2::2] = -1.0
+        np.testing.assert_allclose(q.T @ q, np.diag(signature), rtol=0, atol=1e-15)
+        sm = signature[:, None] * real
         np.testing.assert_array_equal(sm, sm.T)
+        assert abs(defect - np.max(np.abs(exact.imag))) <= ulp
+        if anti_pt == 0.0:
+            assert defect == 0.0
 
     def test_real_t_potential_refused(self):
         with pytest.raises(RegimeError):
@@ -418,6 +477,22 @@ class TestPTRealForm:
             m.startswith("dgeev order 39 took ") and m.endswith("s") for m in messages
         )
         assert "anti-PT defect of H: 0.000e+00" in messages
+
+
+class TestBandHelpers:
+    @pytest.mark.parametrize("halfwidth", [0, 1, 2, 4])
+    def test_dense_and_matvec_agree_with_the_diagonals(self, rng, halfwidth):
+        dim = 9
+        ab = rng.standard_normal((2 * halfwidth + 1, dim)) + 1j * rng.standard_normal(
+            (2 * halfwidth + 1, dim)
+        )
+        dense = np.zeros((dim, dim), dtype=complex)
+        for i in range(dim):
+            for j in range(max(0, i - halfwidth), min(dim, i + halfwidth + 1)):
+                dense[i, j] = ab[halfwidth + i - j, j]  # row halfwidth - d holds diagonal d
+        np.testing.assert_array_equal(_band_to_dense(ab), dense)
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        np.testing.assert_allclose(_band_matvec(ab, x), dense @ x, rtol=1e-14, atol=1e-14)
 
 
 class TestBoundStateFilter:
