@@ -9,8 +9,8 @@ result only when two independent methods agree on how many there are:
     ladder.  For a unit eigenvector x, E = x^H (K + Re V) x + i x^H (Im V) x,
     so Re E >= lambda_min(K + Re V) and |Im E| <= max |Im V|; a pad moves the
     contour away from those bounds.  lambda_min is bracketed by bisection
-    on banded Cholesky factorizations, O(n) each.  The right edge is the
-    energy margin.
+    on banded Cholesky factorizations, O(n) each, save the ~8 of 20 that
+    proven bounds on lambda_min decide.  The right edge is the energy margin.
   * The count is the winding number of det(H - z) around the window (the
     argument principle; Sakurai & Sugiura, J. Comput. Appl. Math. 159, 119
     (2003); Beyn, Linear Algebra Appl. 436, 3839 (2012)).  Each determinant
@@ -36,13 +36,12 @@ result only when two independent methods agree on how many there are:
   * The eigenvalues come from shift-invert Arnoldi (ARPACK through
     scipy.sparse.linalg.eigs) on the real banded M, with a real shift sigma
     at the centre of the window, so complex eigenvalues come in exact
-    conjugate pairs.  M - sigma is factored once by a real band LU
-    (dgbtrf), and ARPACK's (M - sigma)^-1 is a band solve (dgbtrs) against
-    that factor.  k is the count plus the kinetic eigenvalues in the disc
-    around the shift that covers the window, plus a few, so the k nearest
-    eigenvalues should reach past every corner of the window.  ARPACK
-    returns them to 1e-10 relative, values only, and polish gives each
-    conjugate pair inside one inverse iteration on H.
+    conjugate pairs; (M - sigma)^-1 is a band solve (dgbtrs) against one
+    band LU (dgbtrf).  k is the count plus the kinetic eigenvalues in the
+    disc around the shift that covers the window, plus one (four on a
+    retry), so the k nearest should reach past every corner of the window.
+    ARPACK returns them to 1e-10 relative, values only, and polish gives
+    each conjugate pair inside one inverse iteration on H.
 
 The result is kept only when the count is integral, no segment hit the
 floor, the Arnoldi eigenvalues reach past the window's corners and as many
@@ -83,9 +82,9 @@ PADDED_EDGE_SEGMENTS = 2
 REFINEMENT_FLOOR = 1e-10
 # Largest distance of (phase change / pi) from an integer.
 COUNT_TOL = 1e-6
-# Ritz values requested beyond the count and the kinetic estimate of the
-# continuum inside the shift's disc.
-ARNOLDI_SPARE = 4
+# Ritz values requested beyond the count and the kinetic estimate of the continuum
+# inside the shift's disc; the second attempt only if the first misses a corner.
+ARNOLDI_SPARES = (1, 4)
 # ARPACK's relative accuracy of the Ritz values.  Only the few inside the
 # window are kept, and polish's quotient takes them past it; the
 # continuum ones only show whether the k reach past the corners.
@@ -130,12 +129,14 @@ class RegionSolve:
     eigenvalues, vectors and ritz hold what polish returns when the result
     is admitted, and are None otherwise, with reason saying why.  count is
     the winding count before rounding, and lu_edges the banded LUs it took
-    on the right, top and left edges; arnoldi_k and arnoldi_solves (the
-    applications of (M - sigma)^-1) are 0 if Arnoldi did not run.  The _s
-    fields are the seconds each stage took, vectors_s those of polish.
+    on the right, top and left edges; bisection, the window's Cholesky
+    factorizations and steps; arnoldi_k, each Arnoldi attempt's k, and
+    arnoldi_solves, all their applications of (M - sigma)^-1.  The _s fields
+    are the seconds each stage took, vectors_s those of polish.
     """
 
     window: Window
+    bisection: tuple[int, int]
     count: float
     lu_edges: tuple[int, int, int]
     window_s: float
@@ -144,24 +145,21 @@ class RegionSolve:
     vectors: Optional[tuple[np.ndarray, ...]] = None
     ritz: Optional[tuple[complex, ...]] = None
     reason: Optional[str] = None
-    arnoldi_k: int = 0
+    arnoldi_k: tuple[int, ...] = ()
     arnoldi_solves: int = 0
     arnoldi_s: float = 0.0
     vectors_s: float = 0.0
 
-    @property
-    def lu_evaluations(self) -> int:
-        return sum(self.lu_edges)
 
-
-def _lowest_eigenvalue_bound(upper: np.ndarray) -> float:
+def _lowest_eigenvalue_bound(upper: np.ndarray, bracket: tuple) -> tuple[float, tuple[int, int]]:
     """A lower bound on the lowest eigenvalue of a real symmetric band matrix.
 
     upper is the upper band in scipy.linalg.eig_banded layout (diagonal in
     the last row).  A - sigma I has a Cholesky factor iff sigma is below the
     lowest eigenvalue, so bisection on dpbtrf's success, from the Gershgorin
     bound up to the smallest diagonal entry, brackets it in O(n) per step;
-    the lower end of the bracket, within 1e-3 relative, is returned.
+    the lower end, within 1e-3 relative, is returned with the factorizations
+    and steps.  Steps outside bracket (solver._lowest_eigenvalue_bracket) factor nothing.
     """
     kd = upper.shape[0] - 1
     diag = upper[kd]
@@ -171,55 +169,62 @@ def _lowest_eigenvalue_bound(upper: np.ndarray) -> float:
         radius[:-d] += band
         radius[d:] += band
     lo, hi = float(np.min(diag - radius)), float(np.min(diag))
+    factorizations = steps = 0
     while hi - lo > 1e-3 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
-        shifted = np.array(upper, order="F")
-        shifted[kd] -= mid
-        if dpbtrf(shifted, overwrite_ab=1)[1] == 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        steps, factors = steps + 1, mid <= bracket[0]
+        if bracket[0] < mid < bracket[1]:
+            factorizations += 1
+            shifted = np.array(upper, order="F")
+            shifted[kd] -= mid
+            factors = dpbtrf(shifted, overwrite_ab=1)[1] == 0
+        lo, hi = (mid, hi) if factors else (lo, mid)
+    return lo, (factorizations, steps)
 
 
-def bound_window(bands: np.ndarray, energy_margin: float) -> Window:
-    """The window of H's bound-state eigenvalues, from its field of values.
+def bound_window(
+    bands: np.ndarray, energy_margin: float, bracket: tuple = (-math.inf, math.inf)
+) -> tuple[Window, tuple[int, int]]:
+    """The window of H's bound-state eigenvalues, and its bisection's tally.
 
     bands is H in the layout of solver._bands; its real part is K + Re V
-    (K is real) and its imaginary part is Im V on the diagonal.
+    (K is real) and its imaginary part is Im V on the diagonal.  bracket
+    (solver._lowest_eigenvalue_bracket) saves factorizations, nothing else.
     """
     halfwidth = bands.shape[0] // 2
-    lam_min = _lowest_eigenvalue_bound(bands.real[: halfwidth + 1])
+    lam_min, bisection = _lowest_eigenvalue_bound(bands.real[: halfwidth + 1], bracket)
     lam_min = min(lam_min, energy_margin)
     im_max = float(np.max(np.abs(bands.imag[halfwidth])))
     pad = WINDOW_PAD * max(1.0, energy_margin - lam_min, im_max)
-    return Window(lam_min - pad, energy_margin, im_max + pad)
+    return Window(lam_min - pad, energy_margin, im_max + pad), bisection
 
 
 class _Phase:
-    """arg det(H - z) - sum_j arg(mu_j - z), wrapped, with an LU count."""
+    """arg det(H - z) - sum_j arg(mu_j - z), wrapped, with an LU count; allocation-free."""
 
     def __init__(self, bands: np.ndarray, kinetic: np.ndarray):
-        self.bands = bands
-        self.kinetic = kinetic
-        self.halfwidth = bands.shape[0] // 2
-        hw = self.halfwidth
-        self.work = np.empty((3 * hw + 1, bands.shape[1]), dtype=complex, order="F")
-        self.rows = np.arange(bands.shape[1], dtype=np.intc)
+        self.kinetic, self.halfwidth = kinetic, bands.shape[0] // 2
+        hw, dim = self.halfwidth, bands.shape[1]
+        self.start = np.zeros((3 * hw + 1, dim), dtype=complex, order="F")
+        self.start[hw:] = bands
+        self.work, self.free = np.empty_like(self.start), np.empty(kinetic.shape)
+        self.rows = np.arange(dim, dtype=np.intc)
+        self.swapped, self.angles = np.empty(dim, bool), np.empty(dim)
         self.evaluations = 0
 
     def __call__(self, z: complex) -> float:
         hw = self.halfwidth
-        self.work[hw:] = self.bands
+        np.copyto(self.work, self.start)
         self.work[2 * hw] -= z
         lu, ipiv, info = zgbtrf(self.work, hw, hw, overwrite_ab=1)
         self.evaluations += 1
         if info:
             return math.nan  # z is an eigenvalue to working precision
-        swaps = int(np.count_nonzero(ipiv != self.rows))
-        det = float(np.sum(np.angle(lu[2 * hw]))) + math.pi * swaps
-        free = float(np.sum(np.arctan2(-z.imag, self.kinetic - z.real)))
-        return _wrap(det - free)
+        swaps = int(np.count_nonzero(np.not_equal(ipiv, self.rows, out=self.swapped)))
+        det = float(np.sum(np.arctan2(lu[2 * hw].imag, lu[2 * hw].real, out=self.angles)))
+        np.subtract(self.kinetic, z.real, out=self.free)
+        free = float(np.sum(np.arctan2(-z.imag, self.free, out=self.free)))
+        return _wrap(det + math.pi * swaps - free)
 
 
 def _wrap(phi: float) -> float:
@@ -337,6 +342,7 @@ def arnoldi_window(m: np.ndarray, window: Window, k: int) -> ArnoldiResult:
 
     linear = partial(scipy.sparse.linalg.LinearOperator, (dim, dim), dtype=float)
     op = linear(matvec=shift_invert)
+    op.matvec = shift_invert  # what ARPACK calls, without the shape checks
     a = linear(matvec=partial(solver._band_matvec, m))  # applied only for a complex shift
     v0 = np.random.default_rng(0xA2A0).standard_normal(dim)
     try:
@@ -392,11 +398,13 @@ def solve_window(
     form of H in the same layout (solver._pt_real_band).
     """
     t0 = time.perf_counter()
-    window = bound_window(bands, energy_margin)
+    bracket = solver._lowest_eigenvalue_bracket(bands, kinetic)
+    window, bisection = bound_window(bands, energy_margin, bracket)
     t1 = time.perf_counter()
     count, lu_edges = count_eigenvalues(bands, kinetic, window)
     t2 = time.perf_counter()
-    stages = dict(window=window, lu_edges=lu_edges, window_s=t1 - t0, count_s=t2 - t1)
+    stages = dict(window=window, bisection=bisection, lu_edges=lu_edges)
+    stages.update(window_s=t1 - t0, count_s=t2 - t1)
     if count is None:
         return RegionSolve(count=math.nan, reason=FLOOR, **stages)
     stages["count"] = count
@@ -404,10 +412,15 @@ def solve_window(
     if rounded < 0 or abs(count - rounded) > COUNT_TOL:  # < 0 counts nothing
         return RegionSolve(reason=NON_INTEGRAL, **stages)
     continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
-    k = min(rounded + continuum + ARNOLDI_SPARE, m.shape[1] - 2)
-    arnoldi = arnoldi_window(m, window, k)
+    ks, solves = [], 0
+    for spare in ARNOLDI_SPARES:
+        ks.append(min(rounded + continuum + spare, m.shape[1] - 2))
+        arnoldi = arnoldi_window(m, window, ks[-1])
+        solves += arnoldi.solves
+        if arnoldi.covered:
+            break
     t3 = time.perf_counter()
-    stages.update(arnoldi_k=k, arnoldi_solves=arnoldi.solves, arnoldi_s=t3 - t2)
+    stages.update(arnoldi_k=tuple(ks), arnoldi_solves=solves, arnoldi_s=t3 - t2)
     inside = arnoldi.eigenvalues
     if not arnoldi.covered or inside.size != rounded:
         reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={arnoldi.covered})"

@@ -34,8 +34,8 @@ Notes on the numerics:
     the refinement floor, and Arnoldi finds exactly as many eigenvalues
     inside; otherwise the dense solve below runs instead.  At order 1499 the
     window solve takes about 0.02 s against about 2 s for the dense one
-    (2-vCPU VM, OpenBLAS 0.3.31).  The free-kinetic values that the count
-    divides out have a closed form in the sine basis, O(n) per solve.
+    (2-vCPU VM, OpenBLAS 0.3.31).  The kinetic values the count divides out,
+    and bounds on lambda_min(K + Re V), have sine-basis closed forms, O(n).
   * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
@@ -59,15 +59,16 @@ Notes on the numerics:
     small complex shifts with Re(E) near 0, while genuine bound states in
     the broken regime can sit exactly at Re(E) = 0.
   * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
-    or dense with its reason), the window, the count, the number of LU
-    evaluations with their split over the right, top and left edges,
-    Arnoldi's k and its number of shift-invert solves, the seconds of each
-    stage (window, count, Arnoldi, the whole eigenvalue solve, inverse
+    or dense with its reason), the window and its Cholesky factorizations
+    against bisection steps, the count, its LUs per edge, Arnoldi's k on
+    each attempt and its shift-invert solves, the seconds of each stage
+    (window, count, Arnoldi, the whole eigenvalue solve, inverse
     iteration), and for each kept level its residual and condition number.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -166,6 +167,23 @@ def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
     if order == 2:
         return (2.0 - 2.0 * c) / h**2
     return (28.0 - 32.0 * c + 4.0 * c * c) / (12.0 * h**2)
+
+
+def _lowest_eigenvalue_bracket(bands: np.ndarray, kinetic: np.ndarray) -> tuple[float, float]:
+    """Bounds on lambda_min(K + Re V) in O(n), kinetic being _kinetic_eigenvalues.
+
+    K is the sine-diagonalized band plus a corner term >= 0 (5-point only),
+    so lambda_min >= kinetic[0] + min Re V (Weyl, Math. Ann. 71, 441 (1912));
+    K's rows sum to 0, so Re V is the real diagonal plus the off-diagonals'
+    sum.  Above it lies the first unit sine vector's Rayleigh quotient.  Each
+    end moves out by 1e-8 max |H_ij|, far beyond dpbtrf's backward error.
+    """
+    hw, dim, real = bands.shape[0] // 2, bands.shape[1], bands.real
+    re_v = real[hw] + (np.sum(real[:, dim // 2]) - real[hw, dim // 2])  # a full column
+    sine = np.sin(np.arange(1, dim + 1) * (np.pi / (dim + 1))) * math.sqrt(2.0 / (dim + 1))
+    slack = 1e-8 * float(np.max(np.abs(bands)))
+    lower = float(kinetic[0] + np.min(re_v)) - slack
+    return lower, float(sine @ _band_matvec(real, sine)) + slack
 
 
 def _band_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -304,6 +322,16 @@ def eig_complex_dense(
     return eigs
 
 
+@functools.lru_cache(maxsize=8)
+def _start_vector(dim: int) -> np.ndarray:
+    """Inverse iteration's seeded random unit start vector of this order, read-only."""
+    rng = np.random.default_rng(0x5CA2F)
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    vec.flags.writeable = False
+    return vec
+
+
 def _inverse_iteration(
     bands: np.ndarray, halfwidth: int, eigenvalue: complex, iterations: int = 3
 ) -> np.ndarray:
@@ -312,14 +340,12 @@ def _inverse_iteration(
     The shift is offset by ~1e-10 so the factorization never hits the exact
     singularity; 2-3 solves are enough for filtering and overlap purposes.
     H minus the shift is factored once (zgbtrf) and every solve reuses the
-    factor (zgbtrs).
+    factor (zgbtrs), which copies the cached start vector.
     """
     from scipy.linalg.lapack import zgbtrf, zgbtrs
 
     dim = bands.shape[1]
-    rng = np.random.default_rng(0x5CA2F)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
+    vec = _start_vector(dim)
     delta = 1e-10 * max(1.0, abs(eigenvalue))
     ab = np.empty((3 * halfwidth + 1, dim), dtype=complex, order="F")
     for attempt in range(4):
@@ -456,9 +482,10 @@ def _solve_line(
         path = "region" if solved.reason is None else f"dense (fallback: {solved.reason})"
         right, top, left = solved.lu_edges
         head = (
-            f"path={path} window={solved.window} count={solved.count:.6f} "
-            f"lu_evaluations={solved.lu_evaluations} (right {right}, top {top}, left {left}) "
-            f"arnoldi_k={solved.arnoldi_k} "
+            f"path={path} window={solved.window} cholesky={solved.bisection[0]} "
+            f"bisection_steps={solved.bisection[1]} count={solved.count:.6f} "
+            f"lu_evaluations={sum(solved.lu_edges)} (right {right}, top {top}, left {left}) "
+            f"arnoldi_k={','.join(map(str, solved.arnoldi_k)) or 'none'} "
             f"arnoldi_solves={solved.arnoldi_solves} window_s={solved.window_s:.4f} "
             f"count_s={solved.count_s:.4f} arnoldi_s={solved.arnoldi_s:.4f}"
         )

@@ -259,7 +259,7 @@ class TestSyntheticCount:
         g = Grid(20.0, 1501)
         bands = _bands(_potential(ACCEPTANCE_POINTS[1]), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        w = region.bound_window(bands, ENERGY_MARGIN)
+        w, _ = region.bound_window(bands, ENERGY_MARGIN)
         bottom, top = complex(w.re_hi, -w.im_hi), complex(w.re_hi, w.im_hi)
         raw = region._Phase(bands, np.empty(0))
         divided = region._Phase(bands, kinetic)
@@ -274,7 +274,59 @@ class TestSyntheticCount:
         assert count == pytest.approx(4.0, abs=region.COUNT_TOL)
 
 
+class _FormulaPhase(region._Phase):
+    """region._Phase computed with fresh arrays: angle sum less arctan2 sum."""
+
+    def __call__(self, z):
+        hw = self.halfwidth
+        work = np.empty_like(self.start)
+        work[hw:] = self.start[hw:]
+        work[2 * hw] -= z
+        lu, ipiv, info = region.zgbtrf(work, hw, hw, overwrite_ab=1)
+        self.evaluations += 1
+        if info:
+            return math.nan
+        swaps = int(np.count_nonzero(ipiv != self.rows))
+        det = float(np.sum(np.angle(lu[2 * hw]))) + math.pi * swaps
+        free = float(np.sum(np.arctan2(-z.imag, self.kinetic - z.real)))
+        return region._wrap(det - free)
+
+
+def _reference_bands(p, n_points=1501):
+    g = Grid(20.0, n_points)
+    bands = _bands(_potential(p), g, 4)
+    return bands, _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+
+
 class TestPhase:
+    def test_buffered_samples_equal_the_formula_and_keep_their_start(self, rng):
+        # H at the broken reference point, and a random band that pivots on many rows
+        bands, kinetic = _reference_bands(ACCEPTANCE_POINTS[1])
+        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        noise = rng.standard_normal((2, 5, 40))
+        cases = [(bands, kinetic), (noise[0] + 1j * noise[1], np.sort(rng.uniform(-3.0, 3.0, 40)))]
+        points = rng.uniform(window.re_lo, window.re_hi, 20) + 1j * rng.uniform(0.0, 1.0, 20)
+        for bands, kinetic in cases:
+            phase, formula = region._Phase(bands, kinetic), _FormulaPhase(bands, kinetic)
+            start = phase.start.copy()
+            for z in [complex(window.re_hi, 0.0), *points]:
+                assert phase(z) == formula(z), z
+            np.testing.assert_array_equal(phase.start, start)
+            assert phase.evaluations == 1 + len(points)
+
+    @pytest.mark.parametrize(
+        "p, lu_edges",
+        list(zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), ((37, 8, 6), (61, 8, 4), (71, 12, 6)))),
+        ids=str,
+    )
+    def test_count_and_its_lus_per_edge_are_the_formulas(self, p, lu_edges, monkeypatch):
+        bands, kinetic = _reference_bands(p)
+        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        count, edges = region.count_eigenvalues(bands, kinetic, window)
+        monkeypatch.setattr(region, "_Phase", _FormulaPhase)
+        assert (count, edges) == region.count_eigenvalues(bands, kinetic, window)
+        assert edges == lu_edges
+
     def test_is_the_dense_determinants_argument_less_the_kinetic_one(self, rng):
         # A random non-symmetric band pivots on many rows, so a row-swap
         # count taken with 1-based pivots against scipy's 0-based ones would
@@ -325,8 +377,37 @@ class TestKineticEigenvalues:
         g = Grid(20.0, n_points)
         bands = _bands(_potential(p), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        count, _ = region.count_eigenvalues(bands, kinetic, region.bound_window(bands, ENERGY_MARGIN))
+        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        count, _ = region.count_eigenvalues(bands, kinetic, window)
         assert count == pytest.approx(levels, abs=region.COUNT_TOL)
+
+
+class TestWindowBracket:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bracket_holds_the_lowest_eigenvalue(self, rng, order):
+        # odd orders 5..61, conftest draws, each grid 20 / alpha wide
+        for p in random_unbroken(rng, 6) + random_broken(rng, 6):
+            for dim in range(5, 62, 2):
+                g = Grid(20.0 / p.alpha, dim + 2)
+                bands = _bands(_potential(p), g, order)
+                kinetic = _kinetic_eigenvalues(dim, g.h, order)
+                lower, upper = solver._lowest_eigenvalue_bracket(bands, kinetic)
+                lowest = np.linalg.eigvalsh(_band_to_dense(bands.real))[0]
+                assert lower <= lowest <= upper, (p, dim, order)
+
+    def test_bisection_with_the_bracket_finds_the_same_window(self, rng):
+        cases = [(p, Grid(20.0, 1501)) for p in ACCEPTANCE_POINTS + (SHALLOW_POINT,)]
+        for p in random_unbroken(rng, 25) + random_broken(rng, 25):
+            cases += [(p, Grid(20.0 / p.alpha, 601)), (p, Grid(20.0, 1501))]
+        saved = total = 0
+        for p, g in cases:
+            bands = _bands(_potential(p), g, 4)
+            kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+            bracket = solver._lowest_eigenvalue_bracket(bands, kinetic)
+            window, (factored, steps) = region.bound_window(bands, ENERGY_MARGIN, bracket)
+            assert (window, (steps, steps)) == region.bound_window(bands, ENERGY_MARGIN), p
+            saved, total = saved + steps - factored, total + steps
+        assert saved >= 0.3 * total  # about 40 % of the steps are decided
 
 
 class TestEdgeSampling:
@@ -339,7 +420,7 @@ class TestEdgeSampling:
             g = Grid(20.0, 1501)
             bands = _bands(_potential(p), g, 4)
             kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-            window = region.bound_window(bands, ENERGY_MARGIN)
+            window, _ = region.bound_window(bands, ENERGY_MARGIN)
             count, lu_edges = region.count_eigenvalues(bands, kinetic, window)
             with monkeypatch.context() as every_edge_fine:
                 every_edge_fine.setattr(region, "PADDED_EDGE_SEGMENTS", region.EDGE_SEGMENTS)
@@ -394,6 +475,10 @@ class TestFallback:
         assert "path=region window=[" in line
         for key in ("count=4.0", "lu_evaluations=", "arnoldi_k=", " took "):
             assert key in line
+        fields = dict(f.split("=", 1) for f in line.split(";")[0].split() if "=" in f)
+        # the bracket decides some bisection steps; one Arnoldi attempt covers
+        assert 0 < int(fields["cholesky"]) < int(fields["bisection_steps"])
+        assert int(fields["arnoldi_k"]) > 4
         assert line.count("residual=") == line.count("kappa=") == len(bound.eigenvalues)
         assert not any(m.startswith("dgeev order") for m in lines)
         assert "anti-PT defect of H: 0.000e+00" in lines
@@ -468,7 +553,7 @@ class TestFallback:
         g = self.GRID
         bands = _bands(_potential(self.POINT), g, 4)
         m, _ = _pt_real_band(bands)
-        window = region.bound_window(bands, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, ENERGY_MARGIN)
         found = region.arnoldi_window(m, window, 2)
         assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
@@ -478,6 +563,58 @@ class TestFallback:
         solved = region.solve_window(bands, kinetic, m, ENERGY_MARGIN)
         assert solved.eigenvalues is None
         assert solved.reason == f"{region.MISMATCH} (2 counted, 2 found, covered=False)"
+
+    def _recorded_attempts(self, monkeypatch):
+        """Each arnoldi_window call's k and coverage, as the solve makes them."""
+        attempts = []
+        arnoldi = region.arnoldi_window
+
+        def recording(m, window, k):
+            found = arnoldi(m, window, k)
+            attempts.append((k, found.covered))
+            return found
+
+        monkeypatch.setattr(region, "arnoldi_window", recording)
+        return attempts
+
+    def test_a_first_attempt_short_of_the_corners_is_retried(self, monkeypatch, caplog):
+        expected = self._solve()
+        g = self.GRID
+        bands = _bands(_potential(self.POINT), g, 4)
+        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+        continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
+        # k = 4 counted + continuum + spare: 2 on the first attempt, which
+        # stops short of the corners (test_arnoldi_short_of_the_corners_is_refused)
+        monkeypatch.setattr(region, "ARNOLDI_SPARES", (-2 - continuum, 4))
+        attempts = self._recorded_attempts(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        retried = self._solve()
+        retry_k = 4 + continuum + 4
+        assert attempts == [(2, False), (retry_k, True)]
+        lines = [r.getMessage() for r in caplog.records]
+        assert any("path=region " in m and f" arnoldi_k=2,{retry_k} " in m for m in lines)
+        assert not any(m.startswith("dgeev order") for m in lines)
+        assert len(retried.eigenvalues) == len(expected.eigenvalues) == 4
+        for e, f in zip(retried.eigenvalues, expected.eigenvalues):
+            assert abs(e - f) <= 1e-8 * max(1.0, abs(f))
+
+    def test_a_covered_count_mismatch_is_not_retried(self, monkeypatch, caplog):
+        count = region.count_eigenvalues
+
+        def two_more(*args):
+            value, lu_edges = count(*args)
+            return value + 2.0, lu_edges
+
+        monkeypatch.setattr(region, "count_eigenvalues", two_more)
+        attempts = self._recorded_attempts(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
+        self._solve()
+        assert len(attempts) == 1 and attempts[0][1]  # covered, 4 found against 6
+        lines = [r.getMessage() for r in caplog.records]
+        reason = f"path=dense (fallback: {region.MISMATCH} (6 counted, 4 found, covered=True))"
+        assert any(reason in m for m in lines), lines
+        assert any(m.startswith("dgeev order 599 took ") for m in lines)
 
     def test_max_dim_refuses_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -347,6 +347,13 @@ class TestInverseIteration:
                 reference = reference[::-1].conj()
             np.testing.assert_array_equal(psi.values[1:-1], reference)
 
+    def test_start_vector_is_drawn_once_per_order_and_read_only(self):
+        first = solver._start_vector(599)
+        assert solver._start_vector(599) is first and not first.flags.writeable
+        rng = np.random.default_rng(0x5CA2F)
+        drawn = rng.standard_normal(599) + 1j * rng.standard_normal(599)
+        np.testing.assert_array_equal(first, drawn / np.linalg.norm(drawn))
+
     @staticmethod
     def _diagonal_with_shifts(rng, e, singular):
         """A diagonal H holding the first `singular` shifts exactly."""
