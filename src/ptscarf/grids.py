@@ -66,6 +66,8 @@ class Wavefunction:
         n = self.norm()
         if n == 0.0:
             raise GridError("cannot normalize the zero wavefunction")
+        if not np.isfinite(n):
+            raise GridError(f"cannot normalize a wavefunction of norm {n}")
         return Wavefunction(self.grid, self.values / n)
 
     def overlap(self, other: "Wavefunction") -> complex:

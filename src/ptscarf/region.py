@@ -8,9 +8,10 @@ result only when two independent methods agree on how many there are:
   * The window comes from the field of values of H, never from the analytic
     ladder.  For a unit eigenvector x, E = x^H (K + Re V) x + i x^H (Im V) x,
     so Re E >= lambda_min(K + Re V) and |Im E| <= max |Im V|; a pad moves the
-    contour away from those bounds.  lambda_min is bracketed by bisection
-    on banded Cholesky factorizations, O(n) each, save the ~8 of 20 that
-    proven bounds on lambda_min decide.  The right edge is the energy margin.
+    contour away from those bounds.  lambda_min lies between a Weyl bound
+    below and a Rayleigh quotient above, both in O(n), and bisection inside
+    them on banded Cholesky factorizations, O(n) each, about 11 per window,
+    narrows it.  The right edge is the energy margin.
   * The count is the winding number of det(H - z) around the window (the
     argument principle; Sakurai & Sugiura, J. Comput. Appl. Math. 159, 119
     (2003); Beyn, Linear Algebra Appl. 436, 3839 (2012)).  Each determinant
@@ -20,7 +21,7 @@ result only when two independent methods agree on how many there are:
     there, so the phase of a free kinetic part, sum_j arg(mu_j - z), is
     divided out and the mu_j inside the window are added back.  Any mu_j
     known exactly serve; they are the sine-basis values of
-    solver._kinetic_eigenvalues, K's own spectrum for the 3-point stencil
+    _kinetic_eigenvalues, K's own spectrum for the 3-point stencil
     and that of K minus its corner term for the 5-point one, in O(n).
     det(H - z) is the determinant of the real PT-basis form M - z, so the
     phase on the lower half of the contour mirrors the upper half: only the
@@ -130,13 +131,14 @@ class RegionSolve:
     is admitted, and are None otherwise, with reason saying why.  count is
     the winding count before rounding, and lu_edges the banded LUs it took
     on the right, top and left edges; bisection, the window's Cholesky
-    factorizations and steps; arnoldi_k, each Arnoldi attempt's k, and
-    arnoldi_solves, all their applications of (M - sigma)^-1.  The _s fields
-    are the seconds each stage took, vectors_s those of polish.
+    factorizations, one per bisection step; arnoldi_k, each Arnoldi
+    attempt's k, and arnoldi_solves, all their applications of
+    (M - sigma)^-1.  The _s fields are the seconds each stage took,
+    vectors_s those of polish.
     """
 
     window: Window
-    bisection: tuple[int, int]
+    bisection: int
     count: float
     lu_edges: tuple[int, int, int]
     window_s: float
@@ -151,52 +153,77 @@ class RegionSolve:
     vectors_s: float = 0.0
 
 
-def _lowest_eigenvalue_bound(upper: np.ndarray, bracket: tuple) -> tuple[float, tuple[int, int]]:
-    """A lower bound on the lowest eigenvalue of a real symmetric band matrix.
+def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
+    """Eigenvalues of solver._kinetic_band in the sine basis, ascending, in O(n).
 
-    upper is the upper band in scipy.linalg.eig_banded layout (diagonal in
-    the last row).  A - sigma I has a Cholesky factor iff sigma is below the
-    lowest eigenvalue, so bisection on dpbtrf's success, from the Gershgorin
-    bound up to the smallest diagonal entry, brackets it in O(n) per step;
-    the lower end, within 1e-3 relative, is returned with the factorizations
-    and steps.  Steps outside bracket (solver._lowest_eigenvalue_bracket) factor nothing.
+    With theta_j = j pi / (dim + 1), j = 1..dim, the sine vectors
+    sin(k theta_j) diagonalize the 3-point band exactly, with eigenvalues
+    (2 - 2 cos theta_j) / h^2.  For the 5-point band they diagonalize K
+    minus its rank-2 corner term (e_1 e_1^T + e_n e_n^T) / (12 h^2), with
+    eigenvalues (28 - 32 cos theta_j + 4 cos^2 theta_j) / (12 h^2) (Strang &
+    MacNamara, SIAM Rev. 56, 525 (2014)).  The window count needs only a
+    divisor known exactly, not K's own spectrum, so either serves.
     """
-    kd = upper.shape[0] - 1
-    diag = upper[kd]
-    radius = np.zeros_like(diag)
-    for d in range(1, kd + 1):
-        band = np.abs(upper[kd - d, d:])
-        radius[:-d] += band
-        radius[d:] += band
-    lo, hi = float(np.min(diag - radius)), float(np.min(diag))
-    factorizations = steps = 0
-    while hi - lo > 1e-3 * max(1.0, abs(lo)):
+    c = np.cos(np.arange(1, dim + 1) * (np.pi / (dim + 1)))
+    if order == 2:
+        return (2.0 - 2.0 * c) / h**2
+    return (28.0 - 32.0 * c + 4.0 * c * c) / (12.0 * h**2)
+
+
+def _lowest_eigenvalue_bracket(bands: np.ndarray, kinetic: np.ndarray) -> tuple[float, float]:
+    """Bounds on lambda_min(K + Re V) in O(n), kinetic being _kinetic_eigenvalues.
+
+    K is the sine-diagonalized band plus a corner term >= 0 (5-point only),
+    so lambda_min >= kinetic[0] + min Re V (Weyl, Math. Ann. 71, 441 (1912));
+    K's rows sum to 0, so Re V is the real diagonal plus the off-diagonals'
+    sum.  Above it lies the first unit sine vector's Rayleigh quotient.  Each
+    end moves out by 1e-8 max |H_ij|, far beyond dpbtrf's backward error.
+    """
+    hw, dim, real = bands.shape[0] // 2, bands.shape[1], bands.real
+    re_v = real[hw] + (np.sum(real[:, dim // 2]) - real[hw, dim // 2])  # a full column
+    sine = np.sin(np.arange(1, dim + 1) * (np.pi / (dim + 1))) * math.sqrt(2.0 / (dim + 1))
+    slack = 1e-8 * float(np.max(np.abs(bands)))
+    lower = float(kinetic[0] + np.min(re_v)) - slack
+    return lower, float(sine @ solver._band_matvec(real, sine)) + slack
+
+
+def _lowest_eigenvalue_bound(bands: np.ndarray, kinetic: np.ndarray) -> tuple[float, int]:
+    """A lower bound on lambda_min(K + Re V), and the Cholesky factorizations it took.
+
+    K + Re V - sigma has a Cholesky factor iff sigma < lambda_min, so each
+    bisection step inside _lowest_eigenvalue_bracket factors once (dpbtrf,
+    O(n)), until the width is at most 1e-3 max(1, |lambda_min|): it is
+    measured against the end nearer 0, no farther from 0 than lambda_min
+    unless the bracket straddles 0, and is then at most 1e-3.
+    """
+    halfwidth = bands.shape[0] // 2
+    lo, hi = _lowest_eigenvalue_bracket(bands, kinetic)
+    factorizations = 0
+    while hi - lo > 1e-3 * max(1.0, min(abs(lo), abs(hi))):
         mid = 0.5 * (lo + hi)
-        steps, factors = steps + 1, mid <= bracket[0]
-        if bracket[0] < mid < bracket[1]:
-            factorizations += 1
-            shifted = np.array(upper, order="F")
-            shifted[kd] -= mid
-            factors = dpbtrf(shifted, overwrite_ab=1)[1] == 0
+        shifted = np.array(bands.real[: halfwidth + 1], order="F")  # eig_banded layout
+        shifted[halfwidth] -= mid
+        factorizations += 1
+        factors = dpbtrf(shifted, overwrite_ab=1)[1] == 0
         lo, hi = (mid, hi) if factors else (lo, mid)
-    return lo, (factorizations, steps)
+    return lo, factorizations
 
 
 def bound_window(
-    bands: np.ndarray, energy_margin: float, bracket: tuple = (-math.inf, math.inf)
-) -> tuple[Window, tuple[int, int]]:
-    """The window of H's bound-state eigenvalues, and its bisection's tally.
+    bands: np.ndarray, kinetic: np.ndarray, energy_margin: float
+) -> tuple[Window, int]:
+    """The window of H's bound-state eigenvalues, and its Cholesky factorizations.
 
     bands is H in the layout of solver._bands; its real part is K + Re V
-    (K is real) and its imaginary part is Im V on the diagonal.  bracket
-    (solver._lowest_eigenvalue_bracket) saves factorizations, nothing else.
+    (K is real) and its imaginary part is Im V on the diagonal.  kinetic is
+    _kinetic_eigenvalues of its order.
     """
     halfwidth = bands.shape[0] // 2
-    lam_min, bisection = _lowest_eigenvalue_bound(bands.real[: halfwidth + 1], bracket)
-    lam_min = min(lam_min, energy_margin)
+    bound, factorizations = _lowest_eigenvalue_bound(bands, kinetic)
+    lam_min = min(bound, energy_margin)
     im_max = float(np.max(np.abs(bands.imag[halfwidth])))
     pad = WINDOW_PAD * max(1.0, energy_margin - lam_min, im_max)
-    return Window(lam_min - pad, energy_margin, im_max + pad), bisection
+    return Window(lam_min - pad, energy_margin, im_max + pad), factorizations
 
 
 class _Phase:
@@ -370,11 +397,10 @@ def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
     E_r is, so ARPACK need only converge to ARNOLDI_TOL.  The lower partner
     gets conj(E) and conj(x[::-1]), exact as J conj(H) J = H.
     """
-    halfwidth = bands.shape[0] // 2
     levels = []
     for e in ritz[ritz.imag >= 0.0]:
         e = complex(e)
-        x = solver._inverse_iteration(bands, halfwidth, e)
+        x = solver._inverse_iteration(bands, e)
         hx = solver._band_matvec(bands, x)
         pairing = x @ x
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,17 +415,18 @@ def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
 
 
 def solve_window(
-    bands: np.ndarray, kinetic: np.ndarray, m: np.ndarray, energy_margin: float
+    bands: np.ndarray, m: np.ndarray, h: float, order: int, energy_margin: float
 ) -> RegionSolve:
     """Eigenvalues and vectors of H with Re E < energy_margin, or why there are none.
 
-    bands is H in solver._bands layout, kinetic the zeros of the free phase
-    that the count divides out (solver._kinetic_eigenvalues) and m the real
-    form of H in the same layout (solver._pt_real_band).
+    bands is H in solver._bands layout, m the real form of H in the same
+    layout (solver._pt_real_band), h the grid spacing and order the
+    stencil's, from which the zeros of the free phase that the count divides
+    out come (_kinetic_eigenvalues).
     """
     t0 = time.perf_counter()
-    bracket = solver._lowest_eigenvalue_bracket(bands, kinetic)
-    window, bisection = bound_window(bands, energy_margin, bracket)
+    kinetic = _kinetic_eigenvalues(bands.shape[1], h, order)
+    window, bisection = bound_window(bands, kinetic, energy_margin)
     t1 = time.perf_counter()
     count, lu_edges = count_eigenvalues(bands, kinetic, window)
     t2 = time.perf_counter()

@@ -34,8 +34,9 @@ Notes on the numerics:
     the refinement floor, and Arnoldi finds exactly as many eigenvalues
     inside; otherwise the dense solve below runs instead.  At order 1499 the
     window solve takes about 0.02 s against about 2 s for the dense one
-    (2-vCPU VM, OpenBLAS 0.3.31).  The kinetic values the count divides out,
-    and bounds on lambda_min(K + Re V), have sine-basis closed forms, O(n).
+    (2-vCPU VM, OpenBLAS 0.3.31).  region builds the window and the kinetic
+    values its count divides out from H's band, the grid spacing and the
+    stencil order alone.
   * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
     a dense float64 array (O(n^2)) and computes all its eigenvalues with
     LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
@@ -60,7 +61,7 @@ Notes on the numerics:
     the broken regime can sit exactly at Re(E) = 0.
   * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
     or dense with its reason), the window and its Cholesky factorizations
-    against bisection steps, the count, its LUs per edge, Arnoldi's k on
+    (one per bisection step), the count, its LUs per edge, Arnoldi's k on
     each attempt and its shift-invert solves, the seconds of each stage
     (window, count, Arnoldi, the whole eigenvalue solve, inverse
     iteration), and for each kept level its residual and condition number.
@@ -150,40 +151,6 @@ def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
     ab = _kinetic_band(g.n_points - 2, g.h, order).astype(complex)
     ab[ab.shape[0] // 2] += v.evaluate(g.x())[1:-1]
     return ab
-
-
-def _kinetic_eigenvalues(dim: int, h: float, order: int) -> np.ndarray:
-    """Eigenvalues of _kinetic_band in the sine basis, ascending, in O(n).
-
-    With theta_j = j pi / (dim + 1), j = 1..dim, the sine vectors
-    sin(k theta_j) diagonalize the 3-point band exactly, with eigenvalues
-    (2 - 2 cos theta_j) / h^2.  For the 5-point band they diagonalize K
-    minus its rank-2 corner term (e_1 e_1^T + e_n e_n^T) / (12 h^2), with
-    eigenvalues (28 - 32 cos theta_j + 4 cos^2 theta_j) / (12 h^2) (Strang &
-    MacNamara, SIAM Rev. 56, 525 (2014)).  The window count needs only a
-    divisor known exactly, not K's own spectrum, so either serves.
-    """
-    c = np.cos(np.arange(1, dim + 1) * (np.pi / (dim + 1)))
-    if order == 2:
-        return (2.0 - 2.0 * c) / h**2
-    return (28.0 - 32.0 * c + 4.0 * c * c) / (12.0 * h**2)
-
-
-def _lowest_eigenvalue_bracket(bands: np.ndarray, kinetic: np.ndarray) -> tuple[float, float]:
-    """Bounds on lambda_min(K + Re V) in O(n), kinetic being _kinetic_eigenvalues.
-
-    K is the sine-diagonalized band plus a corner term >= 0 (5-point only),
-    so lambda_min >= kinetic[0] + min Re V (Weyl, Math. Ann. 71, 441 (1912));
-    K's rows sum to 0, so Re V is the real diagonal plus the off-diagonals'
-    sum.  Above it lies the first unit sine vector's Rayleigh quotient.  Each
-    end moves out by 1e-8 max |H_ij|, far beyond dpbtrf's backward error.
-    """
-    hw, dim, real = bands.shape[0] // 2, bands.shape[1], bands.real
-    re_v = real[hw] + (np.sum(real[:, dim // 2]) - real[hw, dim // 2])  # a full column
-    sine = np.sin(np.arange(1, dim + 1) * (np.pi / (dim + 1))) * math.sqrt(2.0 / (dim + 1))
-    slack = 1e-8 * float(np.max(np.abs(bands)))
-    lower = float(kinetic[0] + np.min(re_v)) - slack
-    return lower, float(sine @ _band_matvec(real, sine)) + slack
 
 
 def _band_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -332,19 +299,18 @@ def _start_vector(dim: int) -> np.ndarray:
     return vec
 
 
-def _inverse_iteration(
-    bands: np.ndarray, halfwidth: int, eigenvalue: complex, iterations: int = 3
-) -> np.ndarray:
+def _inverse_iteration(bands: np.ndarray, eigenvalue: complex) -> np.ndarray:
     """Eigenvector by inverse iteration with the eigenvalue as shift.
 
-    The shift is offset by ~1e-10 so the factorization never hits the exact
-    singularity; 2-3 solves are enough for filtering and overlap purposes.
-    H minus the shift is factored once (zgbtrf) and every solve reuses the
-    factor (zgbtrs), which copies the cached start vector.
+    bands is H in _bands layout.  The shift is offset by ~1e-10 so the
+    factorization never hits the exact singularity; 3 solves are enough for
+    filtering and overlap purposes.  H minus the shift is factored once
+    (zgbtrf) and every solve reuses the factor (zgbtrs), which copies the
+    cached start vector.
     """
     from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-    dim = bands.shape[1]
+    halfwidth, dim = bands.shape[0] // 2, bands.shape[1]
     vec = _start_vector(dim)
     delta = 1e-10 * max(1.0, abs(eigenvalue))
     ab = np.empty((3 * halfwidth + 1, dim), dtype=complex, order="F")
@@ -354,7 +320,7 @@ def _inverse_iteration(
         lu, ipiv, info = zgbtrf(ab, halfwidth, halfwidth, overwrite_ab=1)
         if info == 0:
             v = vec
-            for _ in range(iterations):
+            for _ in range(3):
                 v = zgbtrs(lu, halfwidth, halfwidth, v, ipiv)[0]
                 v /= np.linalg.norm(v)
             return v
@@ -414,7 +380,6 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"matrix dimension {dim} exceeds configured max {MAX_DENSE_DIM}")
     bands = _bands(v, g, order)
-    halfwidth = bands.shape[0] // 2
     with blas_threads(1):
         threads = blas_thread_count()
         m, anti_pt = _pt_real_band(bands)
@@ -424,13 +389,12 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
         if dim >= REGION_MIN_DIM:
             from .region import solve_window
 
-            kinetic = _kinetic_eigenvalues(dim, g.h, order)
-            solved = solve_window(bands, kinetic, m, ENERGY_MARGIN)
+            solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
         if solved is None or solved.eigenvalues is None:
             eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
             seconds = time.perf_counter() - t0
             candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
-            levels = [(e, _inverse_iteration(bands, halfwidth, e)) for e in candidates]
+            levels = [(e, _inverse_iteration(bands, e)) for e in candidates]
             vectors_s = time.perf_counter() - t0 - seconds
         else:
             seconds = time.perf_counter() - t0
@@ -482,8 +446,8 @@ def _solve_line(
         path = "region" if solved.reason is None else f"dense (fallback: {solved.reason})"
         right, top, left = solved.lu_edges
         head = (
-            f"path={path} window={solved.window} cholesky={solved.bisection[0]} "
-            f"bisection_steps={solved.bisection[1]} count={solved.count:.6f} "
+            f"path={path} window={solved.window} cholesky={solved.bisection} "
+            f"count={solved.count:.6f} "
             f"lu_evaluations={sum(solved.lu_edges)} (right {right}, top {top}, left {left}) "
             f"arnoldi_k={','.join(map(str, solved.arnoldi_k)) or 'none'} "
             f"arnoldi_solves={solved.arnoldi_solves} window_s={solved.window_s:.4f} "

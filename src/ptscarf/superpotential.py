@@ -52,6 +52,10 @@ GS_PT_TOL = 1e-6
 # its sampled defect, relative to max(1, |s|, |t|, |c0|): at |t| ~ 4e3, Im s
 # was 5e-13 and the sampled defect 1.0e-12.
 PT_ROUNDING_TOL = 1e-12
+# Cap on Re(-int_0^x W), the ground state's exponent: a higher peak is shifted
+# down to it (normalization removes the factor), so |psi|^2 <= e^600 sums to a
+# finite norm on any grid; a lower one, as at every desk-scale point, is kept.
+PSI_EXPONENT_CAP = 300.0
 
 
 def sech(z):
@@ -220,7 +224,8 @@ def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
     steps = 0.5 * h * (values[:-1] + values[1:])
     integral[mid + 1 :] = np.cumsum(steps[mid:])
     integral[mid - 1 :: -1] = -np.cumsum(steps[mid - 1 :: -1])
-    psi = np.exp(-integral)
+    exponent = -integral
+    psi = np.exp(exponent - max(0.0, float(np.max(exponent.real)) - PSI_EXPONENT_CAP))
     return Wavefunction(g, psi).normalized()
 
 

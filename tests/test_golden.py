@@ -176,6 +176,12 @@ CASES = [
     _case("verify", "--A", "1.5", "--B", "2", "--cpt", "0.01"),
     _case("verify", "--A=49.2", "--alpha=1.6", "--B=50.0", "--cpt=0.2"),
     _case("spectrum", "--A", "1.5", "--B", "2", "--cpt", "1e-4", "--points", "601"),
+    # far into the broken regime, |c_pt| / alpha = 400 and 1000: unless the
+    # ground state's exponent is shifted, |psi|^2 or psi itself overflows
+    *(
+        _case("verify", "--A", "1", "--B", "1.005", "--cpt", cpt, "--alpha", "0.01")
+        for cpt in ("4", "10")
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptscarf import (
     Grid,
@@ -26,14 +27,8 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack, region, solver
-from ptscarf.solver import (
-    ENERGY_MARGIN,
-    REGION_MIN_DIM,
-    _band_to_dense,
-    _bands,
-    _kinetic_eigenvalues,
-    _pt_real_band,
-)
+from ptscarf.region import _kinetic_eigenvalues
+from ptscarf.solver import ENERGY_MARGIN, REGION_MIN_DIM, _band_to_dense, _bands, _pt_real_band
 from conftest import random_broken, random_unbroken
 
 ACCEPTANCE_POINTS = (Params(2.5, 1.0, 1.0, 0.0), Params(1.5, 2.0, 1.0, 0.5))
@@ -46,20 +41,22 @@ def _potential(p):
     return partner_potential_minus(build_broken_pair(p)[0])
 
 
-def _window_and_dense(p, n_points, half_width):
+def _window_and_dense(p, n_points, half_width, threads=1):
     """region.solve_window and the dense candidates (Re E < margin) of one point.
 
-    On the way it checks that the dense eigenvalues and the kinetic values
-    clear the window's top and left edges by its pad.
+    Both solves run on `threads` BLAS threads, one as in production unless
+    a test pins another.  On the way it checks that the dense eigenvalues
+    and the kinetic values clear the window's top and left edges by its pad.
     """
     g = Grid(half_width, n_points)
     bands = _bands(_potential(p), g, 4)
     dim = bands.shape[1]
     assert dim >= REGION_MIN_DIM
     m, _ = _pt_real_band(bands)
+    with lapack.blas_threads(threads):
+        solved = region.solve_window(bands, m, g.h, 4, ENERGY_MARGIN)
+        eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
     kinetic = _kinetic_eigenvalues(dim, g.h, 4)
-    solved = region.solve_window(bands, kinetic, m, ENERGY_MARGIN)
-    eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
     _assert_padded_edges_are_clear(bands, solved.window, np.concatenate([eigs, kinetic]))
     return solved, [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
 
@@ -90,8 +87,7 @@ class TestEquivalence:
         points = random_unbroken(rng, 75) + random_broken(rng, 75)
         reasons = []
         for p in points:
-            with lapack.blas_threads(1):  # the dense order-599 references run faster
-                solved, dense = _window_and_dense(p, 601, 20.0 / p.alpha)
+            solved, dense = _window_and_dense(p, 601, 20.0 / p.alpha)
             if solved.eigenvalues is None:
                 reasons.append(solved.reason)
                 continue
@@ -123,7 +119,7 @@ class TestEquivalence:
         # pinned to two threads.
         p, g = Params(2.9, 2.9, 0.5, 0.0), Grid(40.0, 801)
         with lapack.blas_threads(2):
-            solved, dense = _window_and_dense(p, g.n_points, g.half_width)
+            solved, dense = _window_and_dense(p, g.n_points, g.half_width, threads=2)
             assert solved.eigenvalues is not None, solved.reason
             zgeev = eig_complex_dense(discretize(_potential(p), g, order=4))
 
@@ -163,9 +159,9 @@ class TestVectors:
             asked.append(kwargs.get("return_eigenvectors", True))
             return eigs(*args, **kwargs)
 
-        def recording_inverse(bands, halfwidth, eigenvalue, *args):
+        def recording_inverse(bands, eigenvalue):
             shifts.append(eigenvalue)
-            return inverse(bands, halfwidth, eigenvalue, *args)
+            return inverse(bands, eigenvalue)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
         monkeypatch.setattr(solver, "_inverse_iteration", recording_inverse)
@@ -259,7 +255,7 @@ class TestSyntheticCount:
         g = Grid(20.0, 1501)
         bands = _bands(_potential(ACCEPTANCE_POINTS[1]), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        w, _ = region.bound_window(bands, ENERGY_MARGIN)
+        w, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         bottom, top = complex(w.re_hi, -w.im_hi), complex(w.re_hi, w.im_hi)
         raw = region._Phase(bands, np.empty(0))
         divided = region._Phase(bands, kinetic)
@@ -302,7 +298,7 @@ class TestPhase:
     def test_buffered_samples_equal_the_formula_and_keep_their_start(self, rng):
         # H at the broken reference point, and a random band that pivots on many rows
         bands, kinetic = _reference_bands(ACCEPTANCE_POINTS[1])
-        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         noise = rng.standard_normal((2, 5, 40))
         cases = [(bands, kinetic), (noise[0] + 1j * noise[1], np.sort(rng.uniform(-3.0, 3.0, 40)))]
         points = rng.uniform(window.re_lo, window.re_hi, 20) + 1j * rng.uniform(0.0, 1.0, 20)
@@ -321,7 +317,7 @@ class TestPhase:
     )
     def test_count_and_its_lus_per_edge_are_the_formulas(self, p, lu_edges, monkeypatch):
         bands, kinetic = _reference_bands(p)
-        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         count, edges = region.count_eigenvalues(bands, kinetic, window)
         monkeypatch.setattr(region, "_Phase", _FormulaPhase)
         assert (count, edges) == region.count_eigenvalues(bands, kinetic, window)
@@ -377,7 +373,7 @@ class TestKineticEigenvalues:
         g = Grid(20.0, n_points)
         bands = _bands(_potential(p), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         count, _ = region.count_eigenvalues(bands, kinetic, window)
         assert count == pytest.approx(levels, abs=region.COUNT_TOL)
 
@@ -391,23 +387,47 @@ class TestWindowBracket:
                 g = Grid(20.0 / p.alpha, dim + 2)
                 bands = _bands(_potential(p), g, order)
                 kinetic = _kinetic_eigenvalues(dim, g.h, order)
-                lower, upper = solver._lowest_eigenvalue_bracket(bands, kinetic)
+                lower, upper = region._lowest_eigenvalue_bracket(bands, kinetic)
                 lowest = np.linalg.eigvalsh(_band_to_dense(bands.real))[0]
                 assert lower <= lowest <= upper, (p, dim, order)
 
-    def test_bisection_with_the_bracket_finds_the_same_window(self, rng):
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bisection_factors_once_per_step_inside_the_bracket(self, rng, order, monkeypatch):
+        # the 3 reference points at n = 1501, then 50 conftest draws at 601 and at 1501
         cases = [(p, Grid(20.0, 1501)) for p in ACCEPTANCE_POINTS + (SHALLOW_POINT,)]
         for p in random_unbroken(rng, 25) + random_broken(rng, 25):
             cases += [(p, Grid(20.0 / p.alpha, 601)), (p, Grid(20.0, 1501))]
-        saved = total = 0
+        verdicts = []
+        factor = region.dpbtrf
+
+        def recording(*args, **kwargs):
+            result = factor(*args, **kwargs)
+            verdicts.append(result[1] == 0)
+            return result
+
+        monkeypatch.setattr(region, "dpbtrf", recording)
         for p, g in cases:
-            bands = _bands(_potential(p), g, 4)
-            kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-            bracket = solver._lowest_eigenvalue_bracket(bands, kinetic)
-            window, (factored, steps) = region.bound_window(bands, ENERGY_MARGIN, bracket)
-            assert (window, (steps, steps)) == region.bound_window(bands, ENERGY_MARGIN), p
-            saved, total = saved + steps - factored, total + steps
-        assert saved >= 0.3 * total  # about 40 % of the steps are decided
+            bands = _bands(_potential(p), g, order)
+            kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, order)
+            lower, upper = region._lowest_eigenvalue_bracket(bands, kinetic)
+            verdicts.clear()
+            bound, factorizations = region._lowest_eigenvalue_bound(bands, kinetic)
+            # the symmetric band eigensolver (dsbevx): eigvalsh's value, in O(n)
+            lowest = scipy.linalg.eig_banded(
+                bands.real[: bands.shape[0] // 2 + 1], eigvals_only=True,
+                select="i", select_range=(0, 0),
+            )[0]
+            assert lower <= bound <= upper, (p, g)
+            assert 0.0 <= lowest - bound <= 1e-3 * max(1.0, abs(lowest)), (p, g)
+            # one factorization per step, and each one decides its step
+            lo, hi = lower, upper
+            for factors in verdicts:
+                mid = 0.5 * (lo + hi)
+                assert factors == (mid < lowest), (p, g)
+                lo, hi = (mid, hi) if factors else (lo, mid)
+            assert (lo, len(verdicts)) == (bound, factorizations), (p, g)
+            _, window_factorizations = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+            assert window_factorizations == factorizations
 
 
 class TestEdgeSampling:
@@ -420,7 +440,7 @@ class TestEdgeSampling:
             g = Grid(20.0, 1501)
             bands = _bands(_potential(p), g, 4)
             kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-            window, _ = region.bound_window(bands, ENERGY_MARGIN)
+            window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
             count, lu_edges = region.count_eigenvalues(bands, kinetic, window)
             with monkeypatch.context() as every_edge_fine:
                 every_edge_fine.setattr(region, "PADDED_EDGE_SEGMENTS", region.EDGE_SEGMENTS)
@@ -476,8 +496,8 @@ class TestFallback:
         for key in ("count=4.0", "lu_evaluations=", "arnoldi_k=", " took "):
             assert key in line
         fields = dict(f.split("=", 1) for f in line.split(";")[0].split() if "=" in f)
-        # the bracket decides some bisection steps; one Arnoldi attempt covers
-        assert 0 < int(fields["cholesky"]) < int(fields["bisection_steps"])
+        # one Cholesky factorization per bisection step; one Arnoldi attempt covers
+        assert int(fields["cholesky"]) > 0 and "bisection_steps" not in fields
         assert int(fields["arnoldi_k"]) > 4
         assert line.count("residual=") == line.count("kappa=") == len(bound.eigenvalues)
         assert not any(m.startswith("dgeev order") for m in lines)
@@ -553,14 +573,14 @@ class TestFallback:
         g = self.GRID
         bands = _bands(_potential(self.POINT), g, 4)
         m, _ = _pt_real_band(bands)
-        window, _ = region.bound_window(bands, ENERGY_MARGIN)
+        kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         found = region.arnoldi_window(m, window, 2)
         assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
         monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, (1, 0, 0)))
         monkeypatch.setattr(region, "arnoldi_window", lambda m, w, k: arnoldi(m, w, 2))
-        kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        solved = region.solve_window(bands, kinetic, m, ENERGY_MARGIN)
+        solved = region.solve_window(bands, m, g.h, 4, ENERGY_MARGIN)
         assert solved.eigenvalues is None
         assert solved.reason == f"{region.MISMATCH} (2 counted, 2 found, covered=False)"
 
@@ -581,8 +601,8 @@ class TestFallback:
         expected = self._solve()
         g = self.GRID
         bands = _bands(_potential(self.POINT), g, 4)
-        window, _ = region.bound_window(bands, ENERGY_MARGIN)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
         continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
         # k = 4 counted + continuum + spare: 2 on the first attempt, which
         # stops short of the corners (test_arnoldi_short_of_the_corners_is_refused)

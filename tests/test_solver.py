@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestWavefunction:
         u = Wavefunction(g, np.ones(11)).normalized()
         assert u.norm() == pytest.approx(1.0)
         assert u.overlap(u) == pytest.approx(1.0)
+
+    def test_an_overflowing_norm_is_refused(self):
+        # sum |psi|^2 overflows to inf, and psi / inf would read as all zeros
+        psi = Wavefunction(Grid(5.0, 11), np.full(11, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(GridError, match="norm inf"):
+            psi.normalized()
+        with pytest.raises(GridError, match="zero wavefunction"):
+            Wavefunction(Grid(5.0, 11), np.zeros(11)).normalized()
 
     def test_pt_apply(self):
         g = Grid(5.0, 101)
@@ -342,7 +351,7 @@ class TestInverseIteration:
             if mirrored:
                 shift = shift.conjugate()
             reference = _inverse_iteration_by_solve_banded(bands, 2, shift)
-            np.testing.assert_array_equal(solver._inverse_iteration(bands, 2, shift), reference)
+            np.testing.assert_array_equal(solver._inverse_iteration(bands, shift), reference)
             if mirrored:
                 reference = reference[::-1].conj()
             np.testing.assert_array_equal(psi.values[1:-1], reference)
@@ -368,7 +377,7 @@ class TestInverseIteration:
     def test_a_singular_shift_is_backed_off_as_before(self, rng):
         e = -1.25 + 0.5j
         bands = self._diagonal_with_shifts(rng, e, 2)  # the third shift factors
-        v = solver._inverse_iteration(bands, 2, e)
+        v = solver._inverse_iteration(bands, e)
         np.testing.assert_array_equal(v, _inverse_iteration_by_solve_banded(bands, 2, e))
         assert np.linalg.norm(v[[0, 5]]) == pytest.approx(1.0)
 
@@ -376,7 +385,7 @@ class TestInverseIteration:
         e = 2.0
         bands = self._diagonal_with_shifts(rng, e, 4)
         with pytest.raises(ConvergenceError, match="failed to factorize"):
-            solver._inverse_iteration(bands, 2, e)
+            solver._inverse_iteration(bands, e)
         with pytest.raises(ConvergenceError):
             _inverse_iteration_by_solve_banded(bands, 2, e)
 
@@ -675,6 +684,20 @@ class TestVerifySpectrum:
         assert report.pt_potential_defect > 1e-12
         assert report.pt_potential_symmetric
 
+    def test_ground_states_far_into_the_broken_regime_stay_finite(self):
+        # |c_pt| / alpha = 1000: psi = exp(-int W) unshifted overflowed, and
+        # the solve ended in GridError ("wavefunction samples must be finite")
+        p = Params(1.0, 1.005, 0.01, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = verify_spectrum(p, Grid(20.0 / p.alpha, 601))
+            except MatchError as exc:  # levels with Re E > 0 lie right of the window
+                report = exc.report
+        assert math.isfinite(report.ground_state_pt_overlap)
+        assert report.sector_swap_overlap == pytest.approx(1.0, abs=1e-6)
+        assert not report.ground_state_pt_invariant
+
     def test_not_pt_symmetric_rejected(self):
         with pytest.raises(RegimeError):
             verify_spectrum(Params(1.0, 1.0, 1.0, 0.5), Grid(20.0, 801))
@@ -692,7 +715,8 @@ class TestConvergenceOrder:
         v = PotentialCoeffs(-9.75, 6.0j, 0.0, 1.0)  # ground level -6.25
         errors = []
         for n in (301, 601):
-            eigs = eig_complex_dense(discretize(v, Grid(15.0, n), order=2))
+            with lapack.blas_threads(1):  # as every production solve runs
+                eigs = eig_complex_dense(discretize(v, Grid(15.0, n), order=2))
             e0 = eigs[np.argmin(np.abs(eigs - (-6.25)))]
             errors.append(abs(e0 - (-6.25)))
         ratio = errors[0] / errors[1]

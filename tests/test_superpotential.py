@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -309,6 +312,18 @@ class TestPtVerdict:
         for p in [*near_ep, Params(49.2, 50.0, 1.6, 0.2)]:
             self_overlap, swap, passed = ground_state_pt(superpotentials(p), FINE_GRID)
             assert self_overlap > 0.999 and swap >= 1.0 - GS_PT_TOL and passed, p
+
+    @pytest.mark.parametrize("c_pt", [4.0, 10.0])
+    def test_ground_state_pt_stays_finite_far_into_the_broken_regime(self, c_pt):
+        # |c_pt| / alpha = 400 and 1000 on verify's default grid: unshifted,
+        # the peak of exp(-int W) overflowed |psi|^2 (4.0) and psi itself (10.0)
+        p = Params(1.0, 1.005, 0.01, c_pt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self_overlap, swap, passed = ground_state_pt(
+                superpotentials(p), Grid(20.0 / p.alpha, 4001)
+            )
+        assert math.isfinite(self_overlap) and swap >= 1.0 - GS_PT_TOL and passed
 
     def test_ground_state_pt_fails_what_the_regime_rules_out(self):
         w = build_unbroken(Params(2.5, 1.0))
