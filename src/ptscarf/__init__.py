@@ -2,8 +2,10 @@
 
 Analytic machinery (superpotentials, partner potentials, parameter
 exchanges, bound-state families and the bifurcation split) together with an
-independent dense non-Hermitian eigensolver that cross-checks every claimed
-level, pairing and PT property.
+independent non-Hermitian eigensolver, which finds the discretized
+Hamiltonian's levels in their bound-state window (or densely, below a
+crossover order) and cross-checks every claimed level, pairing and PT
+property.
 """
 
 from .errors import (

@@ -1,9 +1,9 @@
-"""Eigenvalues of H in its bound-state window, admitted only with a count.
+"""The eigen backend: H's levels below the energy margin, with their vectors.
 
 The bound states are the few eigenvalues of H = K + V with Re E below the
-energy margin; the dense solve computes all n of them to keep those.  This
-module finds only the ones inside a rectangle, the window, and admits the
-result only when two independent methods agree on how many there are:
+energy margin.  From order REGION_MIN_DIM on, solve_window finds only the
+ones inside a rectangle, the window, and admits them only when two
+independent methods agree on how many there are:
 
   * The window comes from the field of values of H, never from the analytic
     ladder.  For a unit eigenvector x, E = x^H (K + Re V) x + i x^H (Im V) x,
@@ -41,16 +41,15 @@ result only when two independent methods agree on how many there are:
     band LU (dgbtrf).  k is the count plus the kinetic eigenvalues in the
     disc around the shift that covers the window, plus one (four on a
     retry), so the k nearest should reach past every corner of the window.
-    ARPACK returns them to 1e-10 relative, values only, and polish gives
-    each conjugate pair inside one inverse iteration on H.
+    ARPACK returns them to 1e-10 relative, values only.
 
 The result is kept only when the count is integral, no segment hit the
 floor, the Arnoldi eigenvalues reach past the window's corners and as many
-of them lie inside as the count says.  Otherwise the caller falls back to
-the dense solve.
-
-solver imports this module only for a solve above its crossover order,
-and scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
+of them lie inside as the count says.  Otherwise, and below REGION_MIN_DIM,
+the values are dgeev's on the dense M (solver.eig_complex_dense) with Re E
+below the margin.  Either way they are closed under conjugation, as M is
+real, and polish gives each conjugate pair one inverse iteration on H.
+scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
 """
 
 from __future__ import annotations
@@ -66,6 +65,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, zgbtrf
 
 from . import solver
 
+# From this order on, solve_window solves the bound-state window instead of
+# the whole dense form: on a 2-vCPU VM (OpenBLAS 0.3.31, one BLAS thread)
+# dense took 12 ms against 16 ms at order 149 and 22 ms against 20 ms at 199;
+# from 299 on, the window is 2x+ faster.
+REGION_MIN_DIM = 200
 # Pad of the window beyond the field-of-values bounds, relative to its
 # larger side (at least 1), so the contour stays clear of eigenvalues that
 # sit on a bound (all of them, for a real potential: Im E = 0 = max |Im V|).
@@ -125,31 +129,33 @@ class Window:
 
 @dataclass(frozen=True)
 class RegionSolve:
-    """Outcome of one window solve.
+    """Outcome of one eigen solve: what polish returns, and the path it took.
 
-    eigenvalues, vectors and ritz hold what polish returns when the result
-    is admitted, and are None otherwise, with reason saying why.  count is
+    eigenvalues, vectors and ritz are polish's, from Arnoldi's Ritz values
+    when reason is None and from dgeev's values otherwise, reason then saying
+    why the dense solve ran.  window is None below REGION_MIN_DIM; count is
     the winding count before rounding, and lu_edges the banded LUs it took
     on the right, top and left edges; bisection, the window's Cholesky
     factorizations, one per bisection step; arnoldi_k, each Arnoldi
     attempt's k, and arnoldi_solves, all their applications of
     (M - sigma)^-1.  The _s fields are the seconds each stage took,
-    vectors_s those of polish.
+    dense_s those of dgeev and vectors_s those of polish.
     """
 
-    window: Window
-    bisection: int
-    count: float
-    lu_edges: tuple[int, int, int]
-    window_s: float
-    count_s: float
-    eigenvalues: Optional[tuple[complex, ...]] = None
-    vectors: Optional[tuple[np.ndarray, ...]] = None
-    ritz: Optional[tuple[complex, ...]] = None
+    eigenvalues: tuple[complex, ...]
+    vectors: tuple[np.ndarray, ...]
+    ritz: tuple[complex, ...]
     reason: Optional[str] = None
+    window: Optional[Window] = None
+    bisection: int = 0
+    count: float = math.nan
+    lu_edges: tuple[int, int, int] = (0, 0, 0)
     arnoldi_k: tuple[int, ...] = ()
     arnoldi_solves: int = 0
+    window_s: float = 0.0
+    count_s: float = 0.0
     arnoldi_s: float = 0.0
+    dense_s: float = 0.0
     vectors_s: float = 0.0
 
 
@@ -385,9 +391,10 @@ def arnoldi_window(m: np.ndarray, window: Window, k: int) -> ArnoldiResult:
 
 
 def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
-    """Eigenvalues, vectors and the Ritz values they came from, upper then lower.
+    """Eigenvalues, vectors and the values they came from, upper then lower.
 
-    ritz comes from the real M, so it is closed under conjugation.  Each
+    ritz holds eigenvalues of the real M, Arnoldi's or dgeev's, so it is
+    closed under conjugation.  Each
     E_r with Im E_r >= 0 gets x = solver._inverse_iteration at E_r and
     E = x^T H x / x^T x (H is complex symmetric: conj(x) is the left
     eigenvector), whose error is second order in x's, while E_r carries the
@@ -414,18 +421,38 @@ def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
     return tuple(zip(*levels)) or ((), (), ())
 
 
+def _polished(bands: np.ndarray, values: np.ndarray, **stages) -> RegionSolve:
+    t0 = time.perf_counter()
+    eigenvalues, vectors, ritz = polish(bands, values)
+    stages["vectors_s"] = time.perf_counter() - t0
+    return RegionSolve(eigenvalues, vectors, ritz, **stages)
+
+
+def _dense(bands: np.ndarray, m: np.ndarray, energy_margin: float, **stages) -> RegionSolve:
+    """polish at dgeev's eigenvalues of M with Re E < energy_margin."""
+    t0 = time.perf_counter()
+    eigs = solver.eig_complex_dense(solver._band_to_dense(m), overwrite=True)
+    stages["dense_s"] = time.perf_counter() - t0
+    return _polished(bands, eigs[eigs.real < energy_margin], **stages)
+
+
 def solve_window(
     bands: np.ndarray, m: np.ndarray, h: float, order: int, energy_margin: float
 ) -> RegionSolve:
-    """Eigenvalues and vectors of H with Re E < energy_margin, or why there are none.
+    """Eigenvalues and vectors of H with Re E < energy_margin, and how they were found.
 
     bands is H in solver._bands layout, m the real form of H in the same
     layout (solver._pt_real_band), h the grid spacing and order the
     stencil's, from which the zeros of the free phase that the count divides
-    out come (_kinetic_eigenvalues).
+    out come (_kinetic_eigenvalues).  Below REGION_MIN_DIM, or when the
+    window's count is not admitted, the values come from the dense solve.
     """
+    dim = bands.shape[1]
+    if dim < REGION_MIN_DIM:
+        reason = f"order {dim} below the region crossover {REGION_MIN_DIM}"
+        return _dense(bands, m, energy_margin, reason=reason)
     t0 = time.perf_counter()
-    kinetic = _kinetic_eigenvalues(bands.shape[1], h, order)
+    kinetic = _kinetic_eigenvalues(dim, h, order)
     window, bisection = bound_window(bands, kinetic, energy_margin)
     t1 = time.perf_counter()
     count, lu_edges = count_eigenvalues(bands, kinetic, window)
@@ -433,25 +460,22 @@ def solve_window(
     stages = dict(window=window, bisection=bisection, lu_edges=lu_edges)
     stages.update(window_s=t1 - t0, count_s=t2 - t1)
     if count is None:
-        return RegionSolve(count=math.nan, reason=FLOOR, **stages)
+        return _dense(bands, m, energy_margin, reason=FLOOR, **stages)
     stages["count"] = count
     rounded = round(count)
     if rounded < 0 or abs(count - rounded) > COUNT_TOL:  # < 0 counts nothing
-        return RegionSolve(reason=NON_INTEGRAL, **stages)
+        return _dense(bands, m, energy_margin, reason=NON_INTEGRAL, **stages)
     continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
     ks, solves = [], 0
     for spare in ARNOLDI_SPARES:
-        ks.append(min(rounded + continuum + spare, m.shape[1] - 2))
+        ks.append(min(rounded + continuum + spare, dim - 2))
         arnoldi = arnoldi_window(m, window, ks[-1])
         solves += arnoldi.solves
         if arnoldi.covered:
             break
-    t3 = time.perf_counter()
-    stages.update(arnoldi_k=tuple(ks), arnoldi_solves=solves, arnoldi_s=t3 - t2)
+    stages.update(arnoldi_k=tuple(ks), arnoldi_solves=solves, arnoldi_s=time.perf_counter() - t2)
     inside = arnoldi.eigenvalues
     if not arnoldi.covered or inside.size != rounded:
         reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={arnoldi.covered})"
-        return RegionSolve(reason=reason, **stages)
-    values, vectors, ritz = polish(bands, inside)
-    stages["vectors_s"] = time.perf_counter() - t3
-    return RegionSolve(eigenvalues=values, vectors=vectors, ritz=ritz, **stages)
+        return _dense(bands, m, energy_margin, reason=reason, **stages)
+    return _polished(bands, inside, **stages)

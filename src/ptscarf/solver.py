@@ -25,36 +25,32 @@ Notes on the numerics:
     (rounding in the coefficients and near the centre node); anything
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
-  * From order REGION_MIN_DIM on, only the bound-state window is solved
-    (region.solve_window): a rectangle from the field of values of H,
-    whose eigenvalues are counted by the winding of det(H - z) from banded
-    LUs (about 53 per count over 1,048 inputs) and found by shift-invert
-    Arnoldi on M, values only.  The result is admitted, with its vectors
-    (region.polish), only when the count is integral, its sampling never hit
-    the refinement floor, and Arnoldi finds exactly as many eigenvalues
-    inside; otherwise the dense solve below runs instead.  At order 1499 the
-    window solve takes about 0.02 s against about 2 s for the dense one
-    (2-vCPU VM, OpenBLAS 0.3.31).  region builds the window and the kinetic
-    values its count divides out from H's band, the grid spacing and the
-    stencil order alone.
-  * The dense solve, below REGION_MIN_DIM or as the fallback, fills M into
-    a dense float64 array (O(n^2)) and computes all its eigenvalues with
-    LAPACK dgeev (balancing + Hessenberg + shifted QR), O(n^3): about a
-    third of the time of zgeev on the complex H.
+  * One backend, region.solve_window, returns the levels with Re E below
+    the energy margin and their vectors.  From order region.REGION_MIN_DIM
+    on it solves only the bound-state window: a rectangle from the field of
+    values of H, whose eigenvalues are counted by the winding of det(H - z)
+    from banded LUs (about 53 per count over 1,048 inputs) and found by
+    shift-invert Arnoldi on M, values only.  That result is admitted only
+    when the count is integral, its sampling never hit the refinement floor,
+    and Arnoldi finds exactly as many eigenvalues inside.  Otherwise, and
+    below the crossover, the dense solve runs instead: M filled into a dense
+    float64 array (O(n^2)) and all its eigenvalues from LAPACK dgeev
+    (balancing + Hessenberg + shifted QR), O(n^3), about a third of the time
+    of zgeev on the complex H.  At order 1499 the window solve takes about
+    0.02 s against about 2 s for the dense one (2-vCPU VM, OpenBLAS 0.3.31).
   * The BLAS thread count changes the last digits of the eigenvalues, so
     every solve runs its eigen stage (the PT-basis form, the window solve or
-    dgeev, inverse iteration) on one BLAS thread, and its bytes do not
+    dgeev, the polish) on one BLAS thread, and its bytes do not
     depend on the host.  On a 2-vCPU VM one thread is faster than two for
-    dgeev below REGION_MIN_DIM (20 ms against 37 ms at order 199), the
+    dgeev below the crossover (20 ms against 37 ms at order 199), the
     window solve takes the same time on either, and only the rare dense
     fallback at order ~1500 is slower (1.8 s against 1.6 s).
   * The eigenvalue sum is checked against the trace on every dense solve;
     a non-finite matrix or eigenvalue sum fails the check.
   * Each level's eigenvector is computed once, by inverse iteration: the
     shifted complex band is factored once (zgbtrf) and its three solves
-    reuse the factor (zgbtrs).  The window path runs it at the Arnoldi value,
-    once per conjugate pair (region.polish); the dense path at each
-    candidate eigenvalue.
+    reuse the factor (zgbtrs).  region.polish runs it once per conjugate
+    pair, at the Arnoldi or dgeev value, on either path.
   * Bound-state filtering uses the eigenvector amplitude near the walls
     rather than an energy cutoff alone: continuum artifacts can acquire
     small complex shifts with Re(E) near 0, while genuine bound states in
@@ -79,8 +75,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-# scipy is imported inside the functions that solve:
-# the closed-form commands import this module and never load it.
+# scipy (and region, which loads it) is imported inside the functions that
+# solve: the closed-form commands import this module and never load it.
 if TYPE_CHECKING:
     from .region import RegionSolve
 
@@ -113,11 +109,6 @@ MATCH_TOL = 5e-3
 # |Im(E)| below this (scaled) threshold counts as a real eigenvalue.
 REAL_IM_TOL = 1e-6
 MAX_DENSE_DIM = 6000
-# From this order on, solve_bound_states solves the bound-state window
-# (region.solve_window) instead of the whole dense form: on a 2-vCPU VM
-# (OpenBLAS 0.3.31, one BLAS thread) dense took 12 ms against 16 ms at
-# order 149 and 22 ms against 20 ms at 199; from 299 on, region is 2x+ faster.
-REGION_MIN_DIM = 200
 # Largest imaginary part of the PT-basis form, in ulps of max |H_ij|, that
 # still counts as rounding: a PT-symmetric potential leaves at most a few
 # (cancellations near the centre node), far below dgeev's own backward error.
@@ -242,9 +233,7 @@ def _pt_real_band(ab: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(qhq.real[1:-1]), defect
 
 
-def eig_complex_dense(
-    m: np.ndarray, max_dim: int = MAX_DENSE_DIM, overwrite: bool = False
-) -> np.ndarray:
+def eig_complex_dense(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """All eigenvalues of a dense matrix: LAPACK zgeev, or dgeev if it is real.
 
     Both go through scipy.linalg.eigvals; a real input is solved as float64.
@@ -254,6 +243,7 @@ def eig_complex_dense(
     backend; a matrix with a non-finite entry is refused before the solve.
 
     Raises:
+      ValueError: if m is not square or its order exceeds MAX_DENSE_DIM.
       ConvergenceError: if the matrix is not finite, the QR iteration fails
         or the trace identity is violated; whatever was computed is
         attached as .partial.
@@ -264,8 +254,8 @@ def eig_complex_dense(
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
-    if dim > max_dim:
-        raise ValueError(f"matrix dimension {dim} exceeds configured max {max_dim}")
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"matrix dimension {dim} exceeds configured max {MAX_DENSE_DIM}")
     driver = "zgeev" if np.iscomplexobj(m) else "dgeev"
     if driver == "dgeev":
         m = m.astype(float, copy=False)  # not sgeev for float32, nor int input
@@ -360,21 +350,19 @@ class BoundStates:
 
 
 def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStates:
-    """Full pipeline: discretize, eigensolve, recover vectors, filter.
+    """Full pipeline: discretize, eigensolve with vectors, filter.
 
-    The eigenvalues come from the real PT-basis form of H, so v must be
-    PT-symmetric on the grid.  From REGION_MIN_DIM on, only the eigenvalues
-    in the bound-state window are computed, with their vectors
-    (region.solve_window), falling back to all eigenvalues of the dense form
-    when that result is not admitted; below it, the dense form is solved
-    directly.  The whole eigen stage runs on one BLAS thread.  Returns bound
-    states sorted by (Re, Im) for deterministic reporting.
+    The levels with Re E below ENERGY_MARGIN and their vectors come from
+    region.solve_window, on the real PT-basis form of H, so v must be
+    PT-symmetric on the grid.  The whole eigen stage runs on one BLAS thread.
+    Returns bound states sorted by (Re, Im) for deterministic reporting.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
       ValueError: if the order of H exceeds MAX_DENSE_DIM, before H is built.
     """
     from .lapack import blas_thread_count, blas_threads
+    from .region import solve_window
 
     dim = g.n_points - 2
     if dim > MAX_DENSE_DIM:
@@ -384,64 +372,39 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
         threads = blas_thread_count()
         m, anti_pt = _pt_real_band(bands)
         logger.debug("anti-PT defect of H: %.3e", anti_pt)
-        t0 = time.perf_counter()
-        solved = None
-        if dim >= REGION_MIN_DIM:
-            from .region import solve_window
-
-            solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
-        if solved is None or solved.eigenvalues is None:
-            eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
-            seconds = time.perf_counter() - t0
-            candidates = [complex(e) for e in eigs if e.real < ENERGY_MARGIN]
-            levels = [(e, _inverse_iteration(bands, e)) for e in candidates]
-            vectors_s = time.perf_counter() - t0 - seconds
-        else:
-            seconds = time.perf_counter() - t0
-            levels = list(zip(solved.eigenvalues, solved.vectors))
-            vectors_s = solved.vectors_s
-    levels.sort(key=lambda level: (level[0].real, level[0].imag))
+        solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
+    levels = sorted(
+        zip(solved.eigenvalues, solved.vectors), key=lambda level: (level[0].real, level[0].imag)
+    )
     kept_e, kept_v = [], []
     for e, x in levels:
         psi = _embed_interior(x, g)
         if _is_bound_state(e, psi):
             kept_e.append(e)
             kept_v.append(psi)
-    logger.info(
-        "bound states: %d of %d candidates kept (dim %d)",
-        len(kept_e),
-        len(levels),
-        dim,
-    )
+    logger.info("bound states: %d of %d candidates kept (dim %d)", len(kept_e), len(levels), dim)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "%s", _solve_line(solved, threads, seconds, vectors_s, bands, kept_e, kept_v)
-        )
+        logger.debug("%s", _solve_line(solved, threads, bands, kept_e, kept_v))
     return BoundStates(tuple(kept_e), tuple(kept_v))
 
 
 def _solve_line(
-    solved: Optional[RegionSolve],
+    solved: RegionSolve,
     threads: Optional[int],
-    seconds: float,
-    vectors_s: float,
     bands: np.ndarray,
     energies: Sequence[complex],
     vectors: Sequence[Wavefunction],
 ) -> str:
     """The debug line of one solve: the path taken and each kept level.
 
-    solved is the window solve, or None below REGION_MIN_DIM; threads is
-    the BLAS thread count it ran on (None if scipy's OpenBLAS was not
-    found); seconds is the eigenvalue solve and vectors_s the inverse
-    iteration, a part of seconds on the window path.  Each level carries
-    its residual ||(H - E)x|| / ||x|| and its eigenvalue condition number
+    threads is the BLAS thread count the solve ran on (None if scipy's
+    OpenBLAS was not found).  Each level carries its residual
+    ||(H - E)x|| / ||x|| and its eigenvalue condition number
     kappa = ||x||^2 / |x^T x|, both from its vector x on the interior
     nodes: H is complex symmetric, so conj(x) is the left eigenvector.
     """
-    dim = bands.shape[1]
-    if solved is None:
-        head = f"path=dense (order {dim} below the region crossover {REGION_MIN_DIM})"
+    if solved.window is None:
+        head = f"path=dense ({solved.reason})"
     else:
         path = "region" if solved.reason is None else f"dense (fallback: {solved.reason})"
         right, top, left = solved.lu_edges
@@ -453,6 +416,7 @@ def _solve_line(
             f"arnoldi_solves={solved.arnoldi_solves} window_s={solved.window_s:.4f} "
             f"count_s={solved.count_s:.4f} arnoldi_s={solved.arnoldi_s:.4f}"
         )
+    stages = (solved.window_s, solved.count_s, solved.arnoldi_s, solved.dense_s, solved.vectors_s)
     levels = []
     for e, psi in zip(energies, vectors):
         x = psi.values[1:-1]
@@ -461,8 +425,9 @@ def _solve_line(
         kappa = norm2 / abs(x @ x)
         levels.append(f"E={e:.10g} residual={residual:.2e} kappa={kappa:.3g}")
     return (
-        f"solve order {dim}: {head} blas_threads={threads} took {seconds:.3f}s "
-        f"vectors_s={vectors_s:.4f}; kept: " + ("; ".join(levels) or "none")
+        f"solve order {bands.shape[1]}: {head} blas_threads={threads} "
+        f"took {sum(stages):.3f}s vectors_s={solved.vectors_s:.4f}; kept: "
+        + ("; ".join(levels) or "none")
     )
 
 

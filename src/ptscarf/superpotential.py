@@ -224,9 +224,12 @@ def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
     steps = 0.5 * h * (values[:-1] + values[1:])
     integral[mid + 1 :] = np.cumsum(steps[mid:])
     integral[mid - 1 :: -1] = -np.cumsum(steps[mid - 1 :: -1])
-    exponent = -integral
-    psi = np.exp(exponent - max(0.0, float(np.max(exponent.real)) - PSI_EXPONENT_CAP))
-    return Wavefunction(g, psi).normalized()
+    return Wavefunction(g, _capped_exp(-integral)).normalized()
+
+
+def _capped_exp(exponent: np.ndarray) -> np.ndarray:
+    """exp(exponent), shifted so its real part peaks at most at PSI_EXPONENT_CAP."""
+    return np.exp(exponent - max(0.0, float(np.max(exponent.real)) - PSI_EXPONENT_CAP))
 
 
 def ground_state_closed_form(w: Superpotential, g: Grid) -> Wavefunction:
@@ -238,7 +241,7 @@ def ground_state_closed_form(w: Superpotential, g: Grid) -> Wavefunction:
         )
     z = g.x() * w.alpha
     log_psi = -(w.a / w.alpha) * log_cosh(z) - (w.b / w.alpha) * gudermannian(z)
-    return Wavefunction(g, np.exp(log_psi)).normalized()
+    return Wavefunction(g, _capped_exp(log_psi)).normalized()
 
 
 def ground_state_residual(w: Superpotential, psi: Wavefunction) -> float:

@@ -182,6 +182,13 @@ CASES = [
         _case("verify", "--A", "1", "--B", "1.005", "--cpt", cpt, "--alpha", "0.01")
         for cpt in ("4", "10")
     ),
+    # broken levels with Re E > 0 lie right of the window: plus and minus
+    # n = 1 at 0.39 -+ 0.8i stay unmatched (exit 4), as do 4 of the scan's 12 rows
+    _case("spectrum", "--A", "1.5", "--B", "2", "--cpt", "0.8", "--points", "601"),
+    _case(
+        "scan", "--A", "1.5", "--points", "601",
+        "--scan-min", "0.25", "--scan-max", "1.0", "--scan-steps", "3",
+    ),
 ]
 
 

@@ -181,9 +181,11 @@ class TestEigComplexDense:
             eigs = eig_complex_dense(m)
             assert abs(np.sum(eigs) - np.trace(m)) <= 1e-8 * np.linalg.norm(m)
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            eig_complex_dense(np.eye(11, dtype=complex), max_dim=10)
+    def test_dimension_guard(self, monkeypatch):
+        eig_complex_dense(np.eye(11, dtype=complex))
+        monkeypatch.setattr(solver, "MAX_DENSE_DIM", 10)
+        with pytest.raises(ValueError, match="dimension 11 exceeds configured max 10"):
+            eig_complex_dense(np.eye(11, dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -341,13 +343,13 @@ class TestInverseIteration:
         monkeypatch.setattr(region, "solve_window", recording)
         bound = solve_bound_states(v, g)
         assert bound.eigenvalues
-        assert [s.reason for s in solves] == ([] if n_points < 200 else [None])
-        # the window path shifts by the Arnoldi value that each level was
-        # polished from, the dense path by the level itself
-        shifts = dict(zip(solves[0].eigenvalues, solves[0].ritz)) if solves else {}
+        assert [s.reason is None for s in solves] == [n_points >= region.REGION_MIN_DIM]
+        # each level shifts by the value it was polished from: Arnoldi's on
+        # the window path, dgeev's on the dense one
+        shifts = dict(zip(solves[0].eigenvalues, solves[0].ritz))
         for e, psi in zip(bound.eigenvalues, bound.vectors):
-            shift = shifts.get(e, e)
-            mirrored = shift.imag < 0.0 and bool(solves)  # the PT image of its partner's vector
+            shift = shifts[e]
+            mirrored = shift.imag < 0.0  # the PT image of its partner's vector
             if mirrored:
                 shift = shift.conjugate()
             reference = _inverse_iteration_by_solve_banded(bands, 2, shift)

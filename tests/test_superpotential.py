@@ -11,6 +11,7 @@ from ptscarf import (
     PotentialCoeffs,
     RegimeError,
     Superpotential,
+    Wavefunction,
     build_broken_pair,
     build_unbroken,
     check_pt_symmetric_potential,
@@ -27,6 +28,8 @@ from ptscarf.superpotential import (
     GS_PT_TOL,
     check_pt_symmetric_on,
     ground_state_pt,
+    gudermannian,
+    log_cosh,
     pt_defect,
     pt_superpotentials,
     superpotentials,
@@ -196,6 +199,29 @@ class TestGroundStateWavefunction:
             w = Superpotential(a, b, 1.0)
             quad = ground_state_wavefunction(w, FINE_GRID)
             closed = ground_state_closed_form(w, FINE_GRID)
+            assert overlap_ratio(quad, closed) >= 1.0 - 1e-10
+
+    def test_closed_form_below_the_cap_is_the_plain_exponential(self):
+        w = Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0)
+        z = FINE_GRID.x() * w.alpha
+        log_psi = -(w.a / w.alpha) * log_cosh(z) - (w.b / w.alpha) * gudermannian(z)
+        plain = Wavefunction(FINE_GRID, np.exp(log_psi)).normalized()
+        np.testing.assert_array_equal(ground_state_closed_form(w, FINE_GRID).values, plain.values)
+
+    @pytest.mark.parametrize("n_points", [4001, 16001])
+    def test_closed_form_stays_finite_far_into_the_broken_regime(self, n_points):
+        # |c_pt| / alpha = 400: the exponent peaks at 389, past PSI_EXPONENT_CAP;
+        # unshifted, |psi|^2 overflowed on verify's default grid (n = 4001)
+        w = build_broken_pair(Params(1.0, 1.005, 0.01, 4.0))[0]
+        g = Grid(2000.0, n_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = ground_state_closed_form(w, g)
+            quad = ground_state_wavefunction(w, g)
+        assert np.all(np.isfinite(closed.values)) and closed.norm() == pytest.approx(1.0)
+        if n_points == 16001:
+            # the quadrature's error is second order in alpha h: 0.0025 here,
+            # half of FINE_GRID's (at 0.01, on verify's grid, 1 - overlap is 2.4e-9)
             assert overlap_ratio(quad, closed) >= 1.0 - 1e-10
 
     def test_closed_form_residual(self):
