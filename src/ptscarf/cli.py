@@ -12,8 +12,9 @@ Exit codes are a stable contract:
 Common flags may appear before or after the subcommand.  An optional JSON
 config file (--config) may set any other flag, keyed by its dest ("A",
 "half_width", "fmt", ...), with a value of the flag's type (a JSON integer,
-number or string; never a boolean); other keys and values are refused and
-explicit flags win.
+number or string; never a boolean) and among its choices; other keys and
+values are refused.  Each setting is resolved in one merge: the flags given
+over the config file over the _DEFAULTS table.
 Log verbosity comes from the PTSCARF_LOG environment variable (error, warn,
 info, debug).
 
@@ -86,10 +87,11 @@ from .superpotential import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ALPHA = 1.0
-DEFAULT_CPT = 0.0
-DEFAULT_POINTS = 4001
-DEFAULT_ORDER = 4
+# The settings' constant defaults, under the config file and the flags;
+# build_config works out half_width = 20/alpha, fmt by command and a scan's B.
+_DEFAULTS = {
+    "alpha": 1.0, "cpt": 0.0, "points": 4001, "order": 4, "match_tol": solver.MATCH_TOL, "jobs": 1,
+}
 # Property thresholds used by the verify suite, relative to the potential's
 # size: max(1, max |V|) for the expansion, max(1, |s|, |t|, |c0|) for the
 # uniqueness; pt_symmetric_potential takes superpotential.PT_ROUNDING_TOL.
@@ -124,17 +126,9 @@ class RunConfig:
 
 
 def _setup_logging() -> None:
-    levels = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "warning": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }
+    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     name = os.environ.get("PTSCARF_LOG", "warn").strip().lower()
-    level = levels.get(name)
-    if level is None:
-        level = logging.WARNING
+    level = levels.get(name, logging.WARNING)
     logging.basicConfig(
         stream=sys.stderr,
         level=level,
@@ -227,103 +221,82 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
-    kinds = {a.dest: a.type or str for a in build_parser()._actions}
-    keys = set(kinds) - {"help", "command", "config"}
+    actions = {a.dest: a for a in build_parser()._actions}
+    keys = set(actions) - {"help", "command", "config"}
     if set(data) - keys:
         unknown, accepted = ", ".join(sorted(set(data) - keys)), ", ".join(sorted(keys))
         raise ValidationError(f"config file {path}: unknown keys {unknown}; accepted: {accepted}")
     for key, value in data.items():
-        kind, types = _CONFIG_TYPES[kinds[key]]
+        action = actions[key]
+        kind, types = _CONFIG_TYPES[action.type or str]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValidationError(
                 f"config file {path}: {key} must be {kind}, got {json.dumps(value)}"
             )
-        if kinds[key] is float:
+        if action.type is float:
             try:
                 data[key] = float(value)
             except OverflowError as exc:  # an integer beyond the float range
                 raise ValidationError(f"config file {path}: {key}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            choices = " or ".join(map(str, action.choices))
+            raise ValidationError(f"{action.option_strings[0]} must be {choices}, got {value}")
     return data
 
 
 def build_config(ns: argparse.Namespace) -> RunConfig:
-    """Resolve the run configuration; raises ValidationError on bad input."""
-    file_cfg = _load_config_file(getattr(ns, "config", None))
+    """Resolve the run configuration; raises ValidationError on bad input.
 
-    def pick(name: str, default=None):
-        value = getattr(ns, name, None)
-        if value is not None:
-            return value
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
-
-    command = ns.command
-    raw_a = pick("A")
-    raw_b = pick("B")
-    alpha = float(pick("alpha", DEFAULT_ALPHA))
-    c_pt = float(pick("cpt", DEFAULT_CPT))
+    One merge: the flags given (vars(ns), as every flag defaults to SUPPRESS)
+    over the config file over _DEFAULTS."""
+    given = vars(ns)
+    settings = {**_DEFAULTS, **_load_config_file(given.get("config")), **given}
+    command, alpha = settings["command"], settings["alpha"]
     if alpha <= 0.0 or not np.isfinite(alpha):
         raise ValidationError(f"--alpha must be positive and finite, got {alpha}")
 
     scan = None
     if command == "scan":
-        scan_min = pick("scan_min")
-        scan_max = pick("scan_max")
-        steps = pick("scan_steps")
-        if scan_min is None or scan_max is None or steps is None:
+        if not {"scan_min", "scan_max", "scan_steps"} <= settings.keys():
             raise ValidationError("scan requires --scan-min, --scan-max, --scan-steps")
-        if steps < 2:
-            raise ValidationError(f"--scan-steps must be >= 2, got {steps}")
-        scan = (float(scan_min), float(scan_max), steps)
+        scan = (settings["scan_min"], settings["scan_max"], settings["scan_steps"])
+        if scan[2] < 2:
+            raise ValidationError(f"--scan-steps must be >= 2, got {scan[2]}")
         for flag, value in zip(("--scan-min", "--scan-max"), scan):
             if not math.isfinite(value):
                 raise ValidationError(f"{flag} must be finite, got {value}")
-        if raw_a is None:
+        if "A" not in settings:
             raise ValidationError("scan requires --A")
-        if raw_b is None:
-            raw_b = float(raw_a) + alpha / 2.0
-    elif raw_a is None or raw_b is None:
+        settings.setdefault("B", settings["A"] + alpha / 2.0)
+    elif "A" not in settings or "B" not in settings:
         raise ValidationError(f"{command} requires --A and --B")
 
     try:
-        params = Params(float(raw_a), float(raw_b), alpha, c_pt)
-    except DomainError as exc:
+        params = Params(settings["A"], settings["B"], alpha, settings["cpt"])
+        half_width = settings.get("half_width", 20.0 / alpha)
+        grid = Grid(half_width=half_width, n_points=settings["points"])
+    except (DomainError, GridError) as exc:
         raise ValidationError(str(exc)) from exc
 
-    half_width = float(pick("half_width", 20.0 / alpha))
-    points = pick("points", DEFAULT_POINTS)
-    try:
-        grid = Grid(half_width=half_width, n_points=points)
-    except GridError as exc:
-        raise ValidationError(str(exc)) from exc
-
-    order = pick("order", DEFAULT_ORDER)
-    if order not in (2, 4):
-        raise ValidationError(f"--order must be 2 or 4, got {order}")
-    match_tol = float(pick("match_tol", solver.MATCH_TOL))
+    match_tol = settings["match_tol"]
     # a NaN tolerance would make every "error > tol" test false: all matched
     if not math.isfinite(match_tol):
         raise ValidationError(f"match_tol must be finite, got {match_tol}")
     if match_tol <= 0.0:
         raise ValidationError(f"match_tol must be > 0, got {match_tol}")
 
-    fmt = pick("fmt", "csv" if command == "scan" else "json")
-    if fmt not in ("json", "csv"):
-        raise ValidationError(f"--format must be json or csv, got {fmt}")
+    fmt = settings.get("fmt", "csv" if command == "scan" else "json")
     if fmt == "csv" and command != "scan":
         raise ValidationError(f"--format csv is for scan only; {command} writes json")
-    out = pick("out")
-    jobs = pick("jobs", 1)  # checked but unused: scan points run in one loop
-    if jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {jobs}")
+    if settings["jobs"] < 1:  # checked but unused: scan points run in one loop
+        raise ValidationError(f"--jobs must be >= 1, got {settings['jobs']}")
 
     return RunConfig(
         params=params,
         grid=grid,
-        order=order,
+        order=settings["order"],
         match_tol=match_tol,
-        out=Path(out) if out is not None else None,
+        out=Path(settings["out"]) if "out" in settings else None,
         fmt=fmt,
         scan=scan,
     )
@@ -408,12 +381,8 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
 def run_scan(cfg: RunConfig) -> tuple[int, str]:
     """Sweep c_pt along the broken constraint and tabulate both branches."""
     lo, hi, steps = cfg.scan
-    values = list(np.linspace(lo, hi, steps))
-    # collapse exact duplicates (e.g. a [0, 0] sweep) to a single point
-    c_values = []
-    for c in values:
-        if not c_values or c != c_values[-1]:
-            c_values.append(float(c))
+    # exact duplicates (e.g. a [0, 0] sweep) collapse to a single point
+    c_values = list(dict.fromkeys(float(c) for c in np.linspace(lo, hi, steps)))
     logger.debug("scan: points=%d", len(c_values))
     rows: list[ScanRow] = []
     for i, c in enumerate(c_values):
@@ -566,13 +535,6 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     return (0 if not failed else 1), canonical_dumps(payload)
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
 _HANDLERS = {
     "potential": run_potential,
     "spectrum": run_spectrum,
@@ -604,10 +566,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = parser.parse_args(_attach_negative_values(argv))
+        ns = build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the validation code
         code = exc.code if exc.code is not None else 0
@@ -616,7 +577,10 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(ns)
         code, text = _HANDLERS[ns.command](cfg)
-        _emit(text, cfg.out)
+        if cfg.out is None:
+            sys.stdout.write(text)
+        else:
+            cfg.out.write_text(text, encoding="utf-8")
         return code
     except ValidationError as exc:
         print(f"ptscarf: invalid configuration: {exc}", file=sys.stderr)

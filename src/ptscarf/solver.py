@@ -21,23 +21,18 @@ Notes on the numerics:
     two nonzeros per column, so M is built in O(n) straight into band
     storage with twice H's half-bandwidth, bit for bit the product.
   * The imaginary part of Q^H H Q is exactly the anti-PT part of H.  A
-    PT-symmetric potential leaves at most a few ulps of max |H_ij| there
-    (rounding in the coefficients and near the centre node); anything
+    PT-symmetric potential leaves at most a few ulps there, of max |H_ij| or
+    of the coefficients' size max(1, |s|, |t|, |c0|), whichever is larger
+    (rounding near the centre node and in the coefficients); anything
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
   * One backend, region.solve_window, returns the levels with Re E below
-    the energy margin and their vectors.  From order region.REGION_MIN_DIM
-    on it solves only the bound-state window: a rectangle from the field of
-    values of H, whose eigenvalues are counted by the winding of det(H - z)
-    from banded LUs (about 53 per count over 1,048 inputs) and found by
-    shift-invert Arnoldi on M, values only.  That result is admitted only
-    when the count is integral, its sampling never hit the refinement floor,
-    and Arnoldi finds exactly as many eigenvalues inside.  Otherwise, and
-    below the crossover, the dense solve runs instead: M filled into a dense
-    float64 array (O(n^2)) and all its eigenvalues from LAPACK dgeev
-    (balancing + Hessenberg + shifted QR), O(n^3), about a third of the time
-    of zgeev on the complex H.  At order 1499 the window solve takes about
-    0.02 s against about 2 s for the dense one (2-vCPU VM, OpenBLAS 0.3.31).
+    the energy margin and their vectors; its docstring describes the
+    bound-state window it solves from order region.REGION_MIN_DIM on, and
+    when it falls back.  The dense solve, below that order or on a
+    fallback, fills M into a dense float64 array (O(n^2)) and takes all its
+    eigenvalues from LAPACK dgeev (balancing + Hessenberg + shifted QR),
+    O(n^3), in eig_complex_dense.
   * The BLAS thread count changes the last digits of the eigenvalues, so
     every solve runs its eigen stage (the PT-basis form, the window solve or
     dgeev, the polish) on one BLAS thread, and its bytes do not
@@ -87,6 +82,7 @@ from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
     PotentialCoeffs,
     check_pt_symmetric_on,
+    coefficient_scale,
     ground_state_pt,
     # not called here, nor is overlap_ratio: re-exported for perfbench's tracer
     ground_state_wavefunction,  # noqa: F401
@@ -109,9 +105,12 @@ MATCH_TOL = 5e-3
 # |Im(E)| below this (scaled) threshold counts as a real eigenvalue.
 REAL_IM_TOL = 1e-6
 MAX_DENSE_DIM = 6000
-# Largest imaginary part of the PT-basis form, in ulps of max |H_ij|, that
-# still counts as rounding: a PT-symmetric potential leaves at most a few
-# (cancellations near the centre node), far below dgeev's own backward error.
+# Largest imaginary part of the PT-basis form, in ulps of max(max |H_ij|,
+# coefficient_scale(v)), that still counts as rounding: a PT-symmetric
+# potential leaves at most a few, far below dgeev's own backward error.  They
+# come from cancellations near the centre node, which scale with H, and from
+# the coefficients (Im s of b^2 - a^2 - a alpha), which scale with them: on a
+# coarse grid max |H_ij| is the smaller of the two.
 ANTI_PT_ULPS = 4
 
 
@@ -185,11 +184,8 @@ def _pt_real_band(ab: np.ndarray) -> tuple[np.ndarray, float]:
     as the product (Q^H H) Q forms it, r (r h1 + r h2) + r (r h3 + r h4)
     with r = 1/sqrt(2) up to factors of +-i, so it is the same to the bit.
     H's off-diagonals are real, so M's half-bandwidth is twice H's hw; the
-    imaginary part reaches 2 hw + 1.
-
-    Raises:
-      RegimeError: if that entry exceeds ANTI_PT_ULPS ulps of max |H_ij|,
-        i.e. the potential is not PT-symmetric on the grid.
+    imaginary part reaches 2 hw + 1.  The defect is its largest entry;
+    solve_bound_states judges it.
     """
     hw, dim = ab.shape[0] // 2, ab.shape[1]
     c, w = dim // 2, 2 * hw + 1
@@ -223,14 +219,7 @@ def _pt_real_band(ab: np.ndarray) -> tuple[np.ndarray, float]:
         qhq[w - 2 * e - 1, odd_cols] = even_l * ir + even_r * -ir
         qhq[w - 2 * e + 1, even_cols] = odd_l * r + odd_r * r
         qhq[w - 2 * e, odd_cols] = odd_l * ir + odd_r * -ir
-    defect = float(np.max(np.abs(qhq.imag)))
-    scale = float(np.max(np.abs(ab)))
-    if defect > ANTI_PT_ULPS * np.finfo(float).eps * scale:
-        raise RegimeError(
-            f"the discretized Hamiltonian is not PT-symmetric: anti-PT part "
-            f"{defect:.3e} against max |H_ij| = {scale:.3e}"
-        )
-    return np.ascontiguousarray(qhq.real[1:-1]), defect
+    return np.ascontiguousarray(qhq.real[1:-1]), float(np.max(np.abs(qhq.imag)))
 
 
 def eig_complex_dense(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -371,6 +360,12 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
     with blas_threads(1):
         threads = blas_thread_count()
         m, anti_pt = _pt_real_band(bands)
+        scale = max(float(np.max(np.abs(bands))), coefficient_scale(v))
+        if anti_pt > ANTI_PT_ULPS * np.finfo(float).eps * scale:
+            raise RegimeError(
+                f"the discretized Hamiltonian is not PT-symmetric: anti-PT part "
+                f"{anti_pt:.3e} against max(max |H_ij|, |s|, |t|, |c0|, 1) = {scale:.3e}"
+            )
         logger.debug("anti-PT defect of H: %.3e", anti_pt)
         solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
     levels = sorted(
@@ -446,19 +441,17 @@ class PairingReport:
     max_defect: float
 
 
-def conjugate_pairing_check(
-    eigs: Sequence[complex], tol: float = REAL_IM_TOL
-) -> PairingReport:
+def conjugate_pairing_check(eigs: Sequence[complex]) -> PairingReport:
     """Greedily pair complex eigenvalues with their nearest conjugates.
 
-    tol is the (scale-aware) imaginary-part threshold below which an
-    eigenvalue counts as real and pairs with itself.
+    An eigenvalue with |Im E| <= REAL_IM_TOL * max(1, |E|) counts as real
+    and pairs with itself.
     """
     eigs = [complex(e) for e in eigs]
     self_paired = []
     complex_idx = []
     for i, e in enumerate(eigs):
-        if abs(e.imag) <= tol * max(1.0, abs(e)):
+        if abs(e.imag) <= REAL_IM_TOL * max(1.0, abs(e)):
             self_paired.append(i)
         else:
             complex_idx.append(i)

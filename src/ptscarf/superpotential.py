@@ -211,10 +211,7 @@ def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
-    if w.a.real <= 0.0:
-        raise NonNormalizableError(
-            f"ground state requires Re(a) > 0, got Re(a) = {w.a.real!r}"
-        )
+    ground_state_energy(w)  # refuses Re(a) <= 0
     x = g.x()
     h = g.h
     mid = (g.n_points - 1) // 2
@@ -235,10 +232,7 @@ def _capped_exp(exponent: np.ndarray) -> np.ndarray:
 def ground_state_closed_form(w: Superpotential, g: Grid) -> Wavefunction:
     """Closed-form psi_0 = cosh(alpha x)^(-a/alpha) exp(-(b/alpha) gd(alpha x)),
     unit norm; cross-check for the quadrature path."""
-    if w.a.real <= 0.0:
-        raise NonNormalizableError(
-            f"ground state requires Re(a) > 0, got Re(a) = {w.a.real!r}"
-        )
+    ground_state_energy(w)  # refuses Re(a) <= 0
     z = g.x() * w.alpha
     log_psi = -(w.a / w.alpha) * log_cosh(z) - (w.b / w.alpha) * gudermannian(z)
     return Wavefunction(g, _capped_exp(log_psi)).normalized()

@@ -530,6 +530,36 @@ class TestConfigFile:
             f"got {json.dumps(value)}\n"
         )
 
+    @pytest.mark.parametrize(
+        "action",
+        [a for a in build_parser()._actions if a.choices is not None and a.dest != "command"],
+        ids=lambda a: a.dest,
+    )
+    def test_a_value_outside_the_flags_choices_is_refused(self, tmp_path, capsys, action):
+        value = max(action.choices) + 1 if action.type is int else "x" + "".join(action.choices)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({action.dest: value}))
+        code, text = run_cli(tmp_path, ["spectrum", "--A", "1", "--B", "2", "--config", str(cfg)])
+        assert (code, text) == (3, "")
+        choices = " or ".join(map(str, action.choices))
+        assert capsys.readouterr().err == (
+            f"ptscarf: invalid configuration: {action.option_strings[0]} must be {choices}, "
+            f"got {value}\n"
+        )
+
+    def test_a_bad_order_is_reported_before_a_bad_point_count(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 8, "order": 3}))
+        code, _ = run_cli(tmp_path, ["spectrum", "--A", "1", "--B", "2", "--config", str(cfg)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "ptscarf: invalid configuration: --order must be 2 or 4, got 3\n"
+        )
+
+    def test_every_default_is_a_parser_dest(self):
+        dests = {a.dest for a in build_parser()._actions}
+        assert set(cli._DEFAULTS) <= dests
+
     def test_an_integer_beyond_the_float_range_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"A": 1' + "0" * 400 + "}")

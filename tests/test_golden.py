@@ -182,6 +182,13 @@ CASES = [
         _case("verify", "--A", "1", "--B", "1.005", "--cpt", cpt, "--alpha", "0.01")
         for cpt in ("4", "10")
     ),
+    # coefficient rounding (Im s = 6.7e-16 against |t| = 9.27) that a coarse
+    # grid's small max |H_ij| once refused as not PT-symmetric (exit 2): the
+    # solve runs, and its n = 0 pair at Re E = +1.109 stays unmatched
+    _case(
+        "spectrum", "--A", "0.9851445223609117", "--B", "1.5990377531846378",
+        "--alpha", "1.2277864616474525", "--cpt", "1.442211599403716", "--points", "7",
+    ),
     # broken levels with Re E > 0 lie right of the window: plus and minus
     # n = 1 at 0.39 -+ 0.8i stay unmatched (exit 4), as do 4 of the scan's 12 rows
     _case("spectrum", "--A", "1.5", "--B", "2", "--cpt", "0.8", "--points", "601"),

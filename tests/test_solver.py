@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack, region, solver
+from ptscarf.superpotential import coefficient_scale, pt_superpotentials
 from ptscarf.solver import (
     _band_matvec,
     _band_to_dense,
@@ -444,8 +444,8 @@ class TestPTRealForm:
     def test_band_built_form_is_the_real_part_of_q_h_h_q(
         self, s, t_im, alpha, half_width, dim, order, anti_pt, node
     ):
-        # odd orders 5..61, both stencils; anti_pt breaks PT at one node, and
-        # the refusal is switched off so that its defect can be compared
+        # odd orders 5..61, both stencils; anti_pt breaks PT at one node
+        # (_pt_real_band measures the defect, solve_bound_states refuses it)
         ab = _bands(PotentialCoeffs(s, 1j * t_im, 0.0, alpha), Grid(half_width, dim + 2), order)
         hw = ab.shape[0] // 2
         ab[hw, node % dim] += anti_pt * (1.0 + 1.0j)
@@ -454,8 +454,7 @@ class TestPTRealForm:
         )
         q = self._dense_pt_basis(dim)
         exact = q.conj().T @ h @ q
-        with mock.patch.object(solver, "ANTI_PT_ULPS", math.inf):
-            m, defect = _pt_real_band(ab)
+        m, defect = _pt_real_band(ab)
         ulp = np.spacing(np.max(np.abs(h)))
         real = _band_to_dense(m)
         assert np.max(np.abs(real - exact.real)) <= ulp
@@ -486,6 +485,31 @@ class TestPTRealForm:
         for order in (2, 4):
             with pytest.raises(RegimeError):
                 solve_bound_states(v, g, order=order)
+
+    # a broken point whose Im s rounds to 6.7e-16 against |t| = 9.27: on a
+    # coarse grid max |H_ij| (0.49 at 7 points) is far below the coefficients
+    COARSE = Params(0.9851445223609117, 1.5990377531846378, 1.2277864616474525, 1.442211599403716)
+
+    @pytest.mark.parametrize("n_points", [7, 11])
+    def test_coefficient_rounding_on_a_coarse_grid_is_not_refused(self, n_points):
+        _, v = pt_superpotentials(self.COARSE)
+        assert v.s.imag != 0.0
+        solve_bound_states(v, Grid(20.0 / self.COARSE.alpha, n_points))
+
+    @pytest.mark.parametrize("n_points", [7, 11])
+    def test_a_break_of_1e_12_of_the_coefficient_scale_is_refused(self, n_points):
+        _, coeffs = pt_superpotentials(self.COARSE)
+        size = 1e-12 * coefficient_scale(coeffs)
+
+        class Perturbed(PotentialCoeffs):
+            def evaluate(self, x):
+                vx = super().evaluate(x)
+                vx[2] += size  # an interior node off the centre
+                return vx
+
+        v = Perturbed(coeffs.s, coeffs.t, coeffs.c0, coeffs.alpha)
+        with pytest.raises(RegimeError, match="not PT-symmetric"):
+            solve_bound_states(v, Grid(20.0 / self.COARSE.alpha, n_points))
 
     def test_debug_log_names_driver_order_time_and_defect(self, caplog):
         caplog.set_level(logging.DEBUG, logger="ptscarf.solver")
