@@ -196,6 +196,19 @@ CASES = [
         "scan", "--A", "1.5", "--points", "601",
         "--scan-min", "0.25", "--scan-max", "1.0", "--scan-steps", "3",
     ),
+    # points like the benchmark's analytic suite, each on its default 20/alpha
+    # grid: a broken one with c_pt < 0, unbroken ones at alpha = 0.6 and 1.9,
+    # and a broken one at alpha = 0.7
+    *(
+        _case(command, *point)
+        for point in (
+            ("--A", "0.8", "--B", "1.55", "--alpha", "1.5", "--cpt=-0.9"),
+            ("--A", "1.7", "--B=-1.3", "--alpha", "0.6"),
+            ("--A", "0.45", "--B", "2.2", "--alpha", "1.9"),
+            ("--A", "2.1", "--B", "2.45", "--alpha", "0.7", "--cpt", "1.3"),
+        )
+        for command in ("verify", "potential")
+    ),
 ]
 
 
