@@ -71,6 +71,7 @@ from .reporting import (
 )
 from .spectrum import bifurcated_spectrum
 from .superpotential import (
+    Samples,
     Superpotential,
     check_pt_symmetric_on,
     check_pt_symmetric_potential,
@@ -393,6 +394,24 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
     return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})
 
 
+@functools.cache
+def _unit_uniforms() -> np.ndarray:
+    """The verify suite's seeded draw on [0, 1), made once per process.
+
+    numpy.random loads here, at the first verify, not with the module.
+    """
+    u = np.random.default_rng(_VERIFY_SEED).random(_VERIFY_SAMPLES)
+    u.flags.writeable = False
+    return u
+
+
+def _verify_points(alpha: float) -> np.ndarray:
+    """The sample points of verify at alpha: the unit draw scaled as
+    Generator.uniform(low, high) scales it, low + (high - low) * u."""
+    low, high = -10.0 / alpha, 10.0 / alpha
+    return low + (high - low) * _unit_uniforms()
+
+
 def _pt_condition(p: Params, ws, x, g):
     return check_pt_condition(p), abs(p.c_pt * (2.0 * (p.A - p.B) + p.alpha)), ""
 
@@ -400,8 +419,9 @@ def _pt_condition(p: Params, ws, x, g):
 def _potential_expansion(p: Params, ws, x, g):
     """The closed-form coefficients reproduce W^2 - W' - a^2 pointwise.
 
-    The bound is relative to max(1, max |V|) on the samples: a deep well
-    (|V| ~ 1e4) leaves a few 1e-12 of rounding between the two forms.
+    W, W' and V_- all read the one Samples x.  The bound is relative to
+    max(1, max |V|) on the samples: a deep well (|V| ~ 1e4) leaves a few
+    1e-12 of rounding between the two forms.
     """
     defect, scale = 0.0, 1.0
     for _, w in ws:
@@ -482,8 +502,9 @@ def _ground_state_pt(p: Params, ws, x, g):
 _PT_REGIMES = frozenset({Regime.UNBROKEN, Regime.BROKEN})
 _BROKEN_ONLY = frozenset({Regime.BROKEN})
 # The verify suite: (name, the regimes it applies to, check), skipped in the
-# others.  A check takes (p, superpotentials(p), sample points x, grid) and
-# returns (passed, defect, detail).
+# others.  A check takes (p, superpotentials(p), x, grid), x being the Samples
+# of the sample points (None where there is no superpotential), and returns
+# (passed, defect, detail).
 _PROPERTIES = (
     ("pt_condition", frozenset(Regime), _pt_condition),
     ("potential_expansion", _PT_REGIMES, _potential_expansion),
@@ -500,8 +521,8 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     p = cfg.params
     regime = classify_regime(p)
     ws = superpotentials(p)
-    rng = np.random.default_rng(_VERIFY_SEED)
-    x = rng.uniform(-10.0 / p.alpha, 10.0 / p.alpha, size=_VERIFY_SAMPLES)
+    # sech and tanh once for every check; none reads them at a non-PT point
+    x = Samples.at(_verify_points(p.alpha), p.alpha) if ws else None
     props: list[dict] = []
     for name, regimes, check in _PROPERTIES:
         defect = None
@@ -591,9 +612,6 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"ptscarf: {exc}", file=sys.stderr)
         return 2
-    except MatchError as exc:
-        print(f"ptscarf: {exc}", file=sys.stderr)
-        return 4
     except ConvergenceError as exc:
         print(f"ptscarf: eigensolver did not converge: {exc}", file=sys.stderr)
         return 5

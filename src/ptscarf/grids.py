@@ -55,7 +55,7 @@ class Wavefunction:
                 f"wavefunction has {values.shape} samples for a "
                 f"{self.grid.n_points}-point grid"
             )
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+        if not np.all(np.isfinite(values)):
             raise GridError("wavefunction samples must be finite")
 
     def norm(self) -> float:

@@ -32,6 +32,13 @@ pt_defect() samples V(-x)* - V(x), check_pt_symmetric_on() judges a
 potential's coefficients and that defect to rounding (PT_ROUNDING_TOL), and
 ground_state_pt() gives the PT overlaps of their ground states and the one
 verdict on them (GS_PT_TOL; a broken pair also needs a non-real energy).
+
+Every evaluator of the {tanh, sech} basis (Superpotential.evaluate and
+.derivative, PotentialCoeffs.evaluate, pt_defect, ground_state_wavefunction)
+takes either the points x or Samples of them: sech(alpha*x) and
+tanh(alpha*x) computed once, which the callers that evaluate several
+functions at one set of points share.  The arithmetic is the same either
+way, so are the bits.
 """
 
 from __future__ import annotations
@@ -77,6 +84,36 @@ def gudermannian(z):
     return 2.0 * np.arctan(np.tanh(z / 2.0))
 
 
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """sech(alpha*x) and tanh(alpha*x) at points x, computed once.
+
+    An evaluator at this alpha reads them in place of x; -samples holds the
+    same at -x (sech is even, tanh odd bit for bit, as the tests check).
+    """
+
+    alpha: float
+    sech: np.ndarray
+    tanh: np.ndarray
+
+    @classmethod
+    def at(cls, x, alpha: float) -> "Samples":
+        return cls(alpha, *_sech_tanh(x, alpha))
+
+    def __neg__(self) -> "Samples":
+        return Samples(self.alpha, self.sech, -self.tanh)
+
+
+def _sech_tanh(x, alpha: float):
+    """sech(alpha*x) and tanh(alpha*x), read from x if it is Samples."""
+    if isinstance(x, Samples):
+        if x.alpha != alpha:
+            raise DomainError(f"samples taken at alpha = {x.alpha!r}, read at {alpha!r}")
+        return x.sech, x.tanh
+    z = np.asarray(x, dtype=float) * alpha
+    return sech(z), np.tanh(z)
+
+
 @dataclass(frozen=True)
 class Superpotential:
     """W(x) = a*tanh(alpha*x) + b*sech(alpha*x) with complex a, b.
@@ -96,16 +133,15 @@ class Superpotential:
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
 
     def evaluate(self, x):
-        """Pointwise W(x); |W| <= |a| + |b| everywhere."""
-        z = np.asarray(x, dtype=float) * self.alpha
-        return self.a * np.tanh(z) + self.b * sech(z)
+        """Pointwise W(x) at points x or Samples; |W| <= |a| + |b| everywhere."""
+        s, th = _sech_tanh(x, self.alpha)
+        return self.a * th + self.b * s
 
     def derivative(self, x):
         """Analytic W'(x) = alpha*(a*sech^2 - b*sech*tanh); kept exact so the
         expansion identity holds to machine precision."""
-        z = np.asarray(x, dtype=float) * self.alpha
-        s = sech(z)
-        return self.alpha * (self.a * s * s - self.b * s * np.tanh(z))
+        s, th = _sech_tanh(x, self.alpha)
+        return self.alpha * (self.a * s * s - self.b * s * th)
 
 
 @dataclass(frozen=True)
@@ -129,9 +165,9 @@ class PotentialCoeffs:
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
 
     def evaluate(self, x):
-        z = np.asarray(x, dtype=float) * self.alpha
-        sch = sech(z)
-        return self.s * sch * sch + self.t * sch * np.tanh(z) + self.c0
+        """Pointwise V(x) at points x or Samples."""
+        sch, th = _sech_tanh(x, self.alpha)
+        return self.s * sch * sch + self.t * sch * th + self.c0
 
 
 def build_unbroken(p: Params) -> Superpotential:
@@ -200,22 +236,24 @@ def ground_state_energy(w: Superpotential) -> complex:
     return -w.a * w.a
 
 
-def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
+def ground_state_wavefunction(
+    w: Superpotential, g: Grid, samples: Optional[Samples] = None
+) -> Wavefunction:
     """Ground state psi_0 = exp(-int_0^x W), unit discrete L2 norm.
 
     The integral is accumulated by trapezoidal quadrature outward from
     x = 0.  Quadrature (rather than the closed form) is the primary path
     because it works for any W sampled on the grid; the closed form is kept
-    in ground_state_closed_form as an independent check.
+    in ground_state_closed_form as an independent check.  samples, if given,
+    are Samples of g.x() that the caller shares between states.
 
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
     ground_state_energy(w)  # refuses Re(a) <= 0
-    x = g.x()
     h = g.h
     mid = (g.n_points - 1) // 2
-    values = w.evaluate(x)
+    values = w.evaluate(g.x() if samples is None else samples)
     integral = np.zeros(g.n_points, dtype=complex)
     # trapezoid steps, accumulated to the right and to the left of x = 0
     steps = 0.5 * h * (values[:-1] + values[1:])
@@ -226,7 +264,8 @@ def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
 
 def _capped_exp(exponent: np.ndarray) -> np.ndarray:
     """exp(exponent), shifted so its real part peaks at most at PSI_EXPONENT_CAP."""
-    return np.exp(exponent - max(0.0, float(np.max(exponent.real)) - PSI_EXPONENT_CAP))
+    shift = float(np.max(exponent.real)) - PSI_EXPONENT_CAP
+    return np.exp(exponent - shift if shift > 0.0 else exponent)
 
 
 def ground_state_closed_form(w: Superpotential, g: Grid) -> Wavefunction:
@@ -300,9 +339,9 @@ def pt_superpotentials(
 
 
 def pt_defect(v: PotentialCoeffs, x) -> float:
-    """max |conj V(-x) - V(x)| over the sample points x; 0 for a PT-symmetric V."""
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(np.conj(v.evaluate(-x)) - v.evaluate(x))))
+    """max |conj V(-x) - V(x)| over the points x (or their Samples); 0 for a PT-symmetric V."""
+    samples = x if isinstance(x, Samples) else Samples.at(x, v.alpha)
+    return float(np.max(np.abs(np.conj(v.evaluate(-samples)) - v.evaluate(samples))))
 
 
 def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
@@ -334,10 +373,12 @@ def ground_state_pt(
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
     """
-    psi = [ground_state_wavefunction(w, g) for _, w in ws]
-    self_overlap = overlap_ratio(pt_apply(psi[0]), psi[0])
+    samples = Samples.at(g.x(), ws[0][1].alpha)
+    psi = [ground_state_wavefunction(w, g, samples) for _, w in ws]
+    image = pt_apply(psi[0])
+    self_overlap = overlap_ratio(image, psi[0])
     if len(psi) == 1:
         return self_overlap, None, self_overlap >= 1.0 - GS_PT_TOL
-    swap = overlap_ratio(pt_apply(psi[0]), psi[1])
+    swap = overlap_ratio(image, psi[1])
     passed = swap >= 1.0 - GS_PT_TOL and ground_state_energy(ws[0][1]).imag != 0.0
     return self_overlap, swap, passed

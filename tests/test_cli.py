@@ -10,6 +10,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptscarf
@@ -464,6 +465,13 @@ class TestVerifyCommand:
         assert prop["status"] == "pass"
         assert prop["defect"] == pytest.approx(defect, rel=0.01)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.7, 1.0, 1.2277864616474525, 1.9])
+    def test_the_sample_points_are_the_seeded_uniforms(self, alpha):
+        # one unit draw per process, scaled as Generator.uniform scales it
+        expected = np.random.default_rng(1234).uniform(-10.0 / alpha, 10.0 / alpha, size=1000)
+        assert np.array_equal(cli._verify_points(alpha), expected)
+        assert cli._unit_uniforms() is cli._unit_uniforms()
+
     def test_not_pt_symmetric_fails_condition(self, tmp_path):
         code, text = run_cli(tmp_path, ["verify", "--A", "1", "--B", "1", "--cpt", "0.5"])
         assert code == 1
@@ -659,23 +667,28 @@ def watched_modules():
         if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures"
     )
 
-loaded = {}
+loaded, random = {}, {}
+import numpy
+random["import numpy"] = "numpy.random" in sys.modules
 import ptscarf
 loaded["import ptscarf"] = watched_modules()
 import ptscarf.cli
 loaded["import ptscarf.cli"] = watched_modules()
+random["import ptscarf.cli"] = "numpy.random" in sys.modules
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(ptscarf.cli.main(argv))
     loaded[" ".join(argv)] = watched_modules()
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    random[" ".join(argv)] = "numpy.random" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded, "random": random}))
 """
 
 
 def _run_child(argvs):
-    """Run the CLI calls in a fresh interpreter; report exit codes and the
-    scipy and concurrent.futures modules loaded after each step."""
+    """Run the CLI calls in a fresh interpreter; report exit codes, the
+    scipy and concurrent.futures modules loaded after each step and whether
+    numpy.random is."""
     env = dict(os.environ)
     src = str(Path(ptscarf.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -708,6 +721,21 @@ class TestImportPath:
         assert len(result["loaded"]) == 6
         assert "concurrent.futures" not in result["loaded"]["import ptscarf.cli"]
         assert all(mods == [] for mods in result["loaded"].values()), result["loaded"]
+
+    def test_import_and_potential_leave_numpy_random_unloaded(self):
+        # verify draws its samples at its first call, so the import that the
+        # benchmark's setup_s times and a potential call never load numpy.random
+        result = _run_child(
+            [
+                ["potential", "--A=2.5", "--B=1"],
+                ["potential", "--A=1.5", "--B=2", "--cpt=0.5"],
+                ["verify", "--A=2.5", "--B=1", "--points=201"],
+            ]
+        )
+        if result["random"]["import numpy"]:
+            pytest.skip("this numpy loads numpy.random with itself")
+        assert result["codes"] == [0, 0, 0]
+        assert list(result["random"].values()) == [False, False, False, False, True]
 
     def test_arpack_loads_only_for_a_solve_above_the_crossover(self):
         # scipy.sparse.linalg (ARPACK) serves the region solve alone: the

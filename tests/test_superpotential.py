@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptscarf import (
+    DomainError,
     Grid,
     NonNormalizableError,
     Params,
@@ -24,14 +27,17 @@ from ptscarf import (
     partner_potential_plus,
     pt_apply,
 )
+from ptscarf import cli
 from ptscarf.superpotential import (
     GS_PT_TOL,
+    Samples,
     check_pt_symmetric_on,
     ground_state_pt,
     gudermannian,
     log_cosh,
     pt_defect,
     pt_superpotentials,
+    sech,
     superpotentials,
 )
 from conftest import random_broken, random_unbroken
@@ -326,12 +332,20 @@ class TestPtVerdict:
         unbroken = superpotentials(Params(2.5, 1.0))
         self_overlap, swap, passed = ground_state_pt(unbroken, FINE_GRID)
         assert swap is None and self_overlap >= 1.0 - GS_PT_TOL and passed
-        broken = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
-        self_overlap, swap, passed = ground_state_pt(broken, FINE_GRID)
-        psi_p, psi_m = (ground_state_wavefunction(w, FINE_GRID) for _, w in broken)
-        assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
-        assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
-        assert passed
+        # the states ground_state_pt builds from shared samples are the ones
+        # built one by one, bit for bit: also where the exponent is capped
+        # (c_pt / alpha = 400 on verify's default grid) and where c_pt < 0
+        for p, g in (
+            (Params(1.5, 2.0, 1.0, 0.5), FINE_GRID),
+            (Params(1.0, 1.005, 0.01, 4.0), Grid(2000.0, 4001)),
+            (Params(0.8, 1.55, 1.5, -0.9), FINE_GRID),
+        ):
+            broken = superpotentials(p)
+            self_overlap, swap, passed = ground_state_pt(broken, g)
+            psi_p, psi_m = (ground_state_wavefunction(w, g) for _, w in broken)
+            assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
+            assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
+            assert passed
         # near the exceptional point the self overlap alone cannot tell a
         # broken state from an invariant one; its non-real energy -a^2 does
         near_ep = [Params(1.5, 2.0, 1.0, c) for c in (0.01, 1e-3, 1e-4, -1e-3)]
@@ -364,3 +378,57 @@ class TestPtVerdict:
     def test_ground_state_pt_refuses_a_non_normalizable_state(self):
         with pytest.raises(NonNormalizableError):
             ground_state_pt(superpotentials(Params(-1.0, -0.5, 1.0, 0.5)), FINE_GRID)
+
+
+# The per-call forms of W, W', V_- and their defects, in the evaluators' own
+# operation order: what the shared Samples must reproduce bit for bit.
+def _w(a, b, alpha, x):
+    z = x * alpha
+    return a * np.tanh(z) + b * sech(z)
+
+
+def _w_prime(a, b, alpha, x):
+    z = x * alpha
+    s = sech(z)
+    return alpha * (a * s * s - b * s * np.tanh(z))
+
+
+def _v(v, x):
+    z = x * v.alpha
+    s = sech(z)
+    return v.s * s * s + v.t * s * np.tanh(z) + v.c0
+
+
+class TestSharedSamples:
+    """Evaluators that read Samples give the bits they give from the points."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.complex_numbers(max_magnitude=60.0, allow_nan=False, allow_infinity=False),
+        b=st.complex_numbers(max_magnitude=60.0, allow_nan=False, allow_infinity=False),
+        alpha=st.floats(0.3, 2.0),
+        x=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=64)
+        .map(np.array)
+        .filter(lambda x: x.min() < 0.0 < x.max()),
+    )
+    def test_shared_samples_are_bit_identical(self, a, b, alpha, x):
+        w = Superpotential(a, b, alpha)
+        v = partner_potential_minus(w)
+        samples = Samples.at(x, alpha)
+        # -samples negates tanh: pt_defect reads V(-x) through that identity
+        assert np.array_equal(np.tanh(-x * alpha), -np.tanh(x * alpha))
+        for got in (w.evaluate(samples), w.evaluate(x)):
+            assert np.array_equal(got, _w(a, b, alpha, x))
+        for got in (w.derivative(samples), w.derivative(x)):
+            assert np.array_equal(got, _w_prime(a, b, alpha, x))
+        for got in (v.evaluate(samples), v.evaluate(x)):
+            assert np.array_equal(got, _v(v, x))
+        direct = _w(a, b, alpha, x) ** 2 - _w_prime(a, b, alpha, x) - w.a * w.a
+        expansion = float(np.max(np.abs(_v(v, x) - direct)))
+        assert cli._potential_expansion(None, (("w", w),), samples, None)[1] == expansion
+        defect = float(np.max(np.abs(np.conj(_v(v, -x)) - _v(v, x))))
+        assert pt_defect(v, samples) == pt_defect(v, x) == defect
+
+    def test_samples_at_another_alpha_are_refused(self):
+        with pytest.raises(DomainError):
+            Superpotential(1.0, 2.0j, 1.5).evaluate(Samples.at(np.zeros(3), 1.0))
