@@ -38,7 +38,7 @@ Every evaluator of the {tanh, sech} basis (Superpotential.evaluate and
 takes either the points x or Samples of them: sech(alpha*x) and
 tanh(alpha*x) computed once, which the callers that evaluate several
 functions at one set of points share.  The arithmetic is the same either
-way, so are the bits.
+way, and so are the bits.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def pt_superpotentials(
 
 def pt_defect(v: PotentialCoeffs, x) -> float:
     """max |conj V(-x) - V(x)| over the points x (or their Samples); 0 for a PT-symmetric V."""
-    samples = x if isinstance(x, Samples) else Samples.at(x, v.alpha)
+    samples = Samples.at(x, v.alpha)
     return float(np.max(np.abs(np.conj(v.evaluate(-samples)) - v.evaluate(samples))))
 
 
