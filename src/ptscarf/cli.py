@@ -361,7 +361,8 @@ def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
     try:
         if abs(c_pt) > TAU_PARAM:
             p = broken_constraint_params(p.A, p.alpha, c_pt)
-        report, _ = _solve(cfg, p)
+        # the levels alone: no row reads verify_spectrum's PT checks
+        report = solver.match_spectrum(p, cfg.grid, order=cfg.order, match_tol=cfg.match_tol)
     except PtScarfError as exc:
         return [ScanRow(run_id, c_pt, "", None, None, None, None, None, None, str(exc))]
     by_analytic = {m.analytic_index: m for m in report.matches}

@@ -5,9 +5,11 @@ finite symmetric grid with Dirichlet walls (3- or 5-point Laplacian
 stencil), the eigenvalues of a matrix similar to it in the bound-state
 window are computed, bound states are separated from discretized-continuum
 artifacts, and the survivors are matched one-to-one against the analytic
-families.  The report's PT verdict (the potential's PT defect on the grid,
-the ground-state PT overlaps) comes from superpotential.pt_superpotentials,
-check_pt_symmetric_on and ground_state_pt, which the CLI also uses.
+families (match_spectrum, all that a scan point runs).  The report's PT
+verdict (the potential's PT defect on the grid, the ground-state PT
+overlaps) comes from superpotential.pt_superpotentials,
+check_pt_symmetric_on and ground_state_pt, which the CLI also uses; they
+read the Samples of the grid that the solve read.
 
 Notes on the numerics:
   * H is built as its band (half-bandwidth <= 2) in O(n); only discretize()
@@ -81,6 +83,8 @@ from .params import Params, Regime, classify_regime
 from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
     PotentialCoeffs,
+    Samples,
+    Superpotential,
     check_pt_symmetric_on,
     coefficient_scale,
     ground_state_pt,
@@ -132,14 +136,19 @@ def _kinetic_band(dim: int, h: float, order: int) -> np.ndarray:
     return ab
 
 
-def _bands(v: PotentialCoeffs, g: Grid, order: int) -> np.ndarray:
-    """-d^2/dx^2 + V on the grid's interior nodes, in _kinetic_band layout."""
+def _bands(
+    v: PotentialCoeffs, g: Grid, order: int, samples: Optional[Samples] = None
+) -> np.ndarray:
+    """-d^2/dx^2 + V on the grid's interior nodes, in _kinetic_band layout.
+
+    samples, if given, are Samples of g.x() that the caller shares.
+    """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
     if g.n_points < 5 and order == 4:
         raise GridError("the 5-point stencil needs at least 5 grid points")
     ab = _kinetic_band(g.n_points - 2, g.h, order).astype(complex)
-    ab[ab.shape[0] // 2] += v.evaluate(g.x())[1:-1]
+    ab[ab.shape[0] // 2] += v.evaluate(g.x() if samples is None else samples)[1:-1]
     return ab
 
 
@@ -338,12 +347,15 @@ class BoundStates:
     vectors: tuple[Wavefunction, ...]
 
 
-def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStates:
+def solve_bound_states(
+    v: PotentialCoeffs, g: Grid, order: int = 4, samples: Optional[Samples] = None
+) -> BoundStates:
     """Full pipeline: discretize, eigensolve with vectors, filter.
 
     The levels with Re E below ENERGY_MARGIN and their vectors come from
     region.solve_window, on the real PT-basis form of H, so v must be
     PT-symmetric on the grid.  The whole eigen stage runs on one BLAS thread.
+    samples, if given, are Samples of g.x() that the caller shares.
     Returns bound states sorted by (Re, Im) for deterministic reporting.
 
     Raises:
@@ -356,7 +368,7 @@ def solve_bound_states(v: PotentialCoeffs, g: Grid, order: int = 4) -> BoundStat
     dim = g.n_points - 2
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"matrix dimension {dim} exceeds configured max {MAX_DENSE_DIM}")
-    bands = _bands(v, g, order)
+    bands = _bands(v, g, order, samples)
     with blas_threads(1):
         threads = blas_thread_count()
         m, anti_pt = _pt_real_band(bands)
@@ -556,6 +568,56 @@ class LabeledLevel:
 
 
 @dataclass(frozen=True)
+class LevelMatch:
+    """A point's analytic levels matched one-to-one against the solver's.
+
+    superpotentials and potential are the point's pt_superpotentials, and
+    samples the Samples of the grid's points that the solve read; the PT
+    checks of verify_spectrum take them up.
+    """
+
+    regime: Regime
+    superpotentials: tuple[tuple[str, Superpotential], ...]
+    potential: PotentialCoeffs
+    samples: Samples
+    families: tuple[EnergyFamily, ...]
+    analytic: tuple[LabeledLevel, ...]
+    numerical: tuple[complex, ...]
+    matches: tuple[Match, ...]
+    unmatched_analytic: tuple[int, ...]
+    unmatched_numerical: tuple[int, ...]
+
+
+def match_spectrum(
+    p: Params, g: Grid, order: int = 4, match_tol: float = MATCH_TOL
+) -> LevelMatch:
+    """verify_spectrum's matching step, without its PT checks.
+
+    Assembles the analytic families (union over sectors and exchanged
+    families), solves the discretized problem and matches levels
+    one-to-one; a level without a partner is only listed as unmatched.
+    This is all a scan row reads.
+
+    Raises:
+      RegimeError: for parameters that are not PT-symmetric.
+    """
+    regime = classify_regime(p)
+    ws, v = pt_superpotentials(p)
+    families = analytic_families(p)
+    labeled = tuple(
+        LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels
+    )
+    samples = Samples.at(g.x(), p.alpha)
+    numerical = solve_bound_states(v, g, order=order, samples=samples).eigenvalues
+    matches, unmatched_a, unmatched_n = match_levels(
+        [l.energy for l in labeled], numerical, match_tol
+    )
+    return LevelMatch(
+        regime, ws, v, samples, families, labeled, numerical, matches, unmatched_a, unmatched_n
+    )
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     """Verification verdict: analytic vs numerical spectra plus PT diagnostics."""
 
@@ -588,41 +650,33 @@ def verify_spectrum(
 ) -> SpectrumReport:
     """Check every analytic level against the numerical eigensolver.
 
-    Assembles the analytic families (union over sectors and exchanged
-    families), solves the discretized problem, matches levels one-to-one,
-    runs the conjugate-pairing check, and evaluates the PT diagnostics:
-    the potential must be PT-symmetric on the grid, while the ground state
-    is PT-invariant iff the regime is unbroken.
+    Matches the levels (match_spectrum), then runs the conjugate-pairing
+    check and evaluates the PT diagnostics on the solve's own samples: the
+    potential must be PT-symmetric on the grid, while the ground state is
+    PT-invariant iff the regime is unbroken.
 
     Raises:
       RegimeError: for parameters that are not PT-symmetric.
       MatchError: if any analytic level has no numerical partner within
         tolerance (the assembled report rides on the exception).
     """
-    regime = classify_regime(p)
-    ws, v = pt_superpotentials(p)
-    families = analytic_families(p)
-    labeled = tuple(
-        LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels
+    levels = match_spectrum(p, g, order, match_tol)
+    labeled = levels.analytic
+    pairing = conjugate_pairing_check(levels.numerical)
+    pt_symmetric, defect = check_pt_symmetric_on(levels.potential, levels.samples)
+    gs_overlap, swap_overlap, gs_passed = ground_state_pt(
+        levels.superpotentials, g, levels.samples
     )
-
-    numerical = solve_bound_states(v, g, order=order).eigenvalues
-    matches, unmatched_a, unmatched_n = match_levels(
-        [l.energy for l in labeled], numerical, match_tol
-    )
-    pairing = conjugate_pairing_check(numerical)
-    pt_symmetric, defect = check_pt_symmetric_on(v, g.x())
-    gs_overlap, swap_overlap, gs_passed = ground_state_pt(ws, g)
 
     report = SpectrumReport(
         params=p,
-        regime=regime,
-        families=families,
+        regime=levels.regime,
+        families=levels.families,
         analytic=labeled,
-        numerical=numerical,
-        matches=matches,
-        unmatched_analytic=unmatched_a,
-        unmatched_numerical=unmatched_n,
+        numerical=levels.numerical,
+        matches=levels.matches,
+        unmatched_analytic=levels.unmatched_analytic,
+        unmatched_numerical=levels.unmatched_numerical,
         match_tol=match_tol,
         pairing=pairing,
         pt_potential_defect=defect,
@@ -631,10 +685,10 @@ def verify_spectrum(
         sector_swap_overlap=swap_overlap,
         ground_state_pt_invariant=gs_passed and swap_overlap is None,
     )
-    if unmatched_a:
+    if levels.unmatched_analytic:
         missing = ", ".join(
             f"{labeled[i].family}[n={labeled[i].n}] E={labeled[i].energy:.6g}"
-            for i in unmatched_a
+            for i in levels.unmatched_analytic
         )
         raise MatchError(
             f"analytic levels without numerical partner: {missing}", report=report

@@ -356,7 +356,7 @@ def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
 
 
 def ground_state_pt(
-    ws: Sequence[tuple[str, Superpotential]], g: Grid
+    ws: Sequence[tuple[str, Superpotential]], g: Grid, samples: Optional[Samples] = None
 ) -> tuple[float, Optional[float], bool]:
     """PT overlaps of the ground states of superpotentials(p) on g, and their verdict.
 
@@ -368,12 +368,14 @@ def ground_state_pt(
     passes iff its swap overlap is, and the energy -a^2 of psi_+ is not
     real: H PT psi = E* PT psi, so a state with non-real E is never
     PT-invariant, however close to 1 its self overlap reads near the
-    exceptional point.
+    exceptional point.  samples, if given, are Samples of g.x() that the
+    caller shares.
 
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
     """
-    samples = Samples.at(g.x(), ws[0][1].alpha)
+    if samples is None:
+        samples = Samples.at(g.x(), ws[0][1].alpha)
     psi = [ground_state_wavefunction(w, g, samples) for _, w in ws]
     image = pt_apply(psi[0])
     self_overlap = overlap_ratio(image, psi[0])

@@ -24,6 +24,7 @@ than the energy it belongs to.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from ptscarf import cli
+from ptscarf import Grid, Params, cli, solver
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -284,6 +285,45 @@ def test_describe_change_tells_numbers_from_text():
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<none>")
 def test_output_is_byte_identical(case, tmp_path, cli_env):
     assert run_case(case, tmp_path) == _recorded()[_key(case)]
+
+
+SCAN_CASES = [c for c in CASES if c["argv"][:1] == ["scan"]]
+PT_CHECKS = ("ground_state_pt", "check_pt_symmetric_on", "conjugate_pairing_check")
+
+
+def _recording(calls: list, name: str, fn):
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+def test_scan_points_run_no_pt_check(tmp_path, cli_env, monkeypatch):
+    # a scan row reads the matched levels only, never verify_spectrum's PT checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan point ran a PT check")
+
+    assert len(SCAN_CASES) >= 10
+    with monkeypatch.context() as checks:
+        for name in PT_CHECKS:
+            checks.setattr(solver, name, refuse)
+        for i, case in enumerate(SCAN_CASES):
+            workdir = tmp_path / str(i)
+            workdir.mkdir()
+            assert run_case(case, workdir) == _recorded()[_key(case)], case["argv"]
+    # verify_spectrum still runs each once and fills every field of its report
+    ran: list[str] = []
+    for name in PT_CHECKS:
+        monkeypatch.setattr(solver, name, _recording(ran, name, getattr(solver, name)))
+    for p in (Params(2.5, 1.0, 1.0, 0.0), Params(1.5, 2.0, 1.0, 0.5)):
+        ran.clear()
+        report = solver.verify_spectrum(p, Grid(20.0, 601))
+        assert sorted(ran) == sorted(PT_CHECKS)
+        for field in dataclasses.fields(report):
+            unbroken_swap = field.name == "sector_swap_overlap" and p.c_pt == 0.0
+            assert (getattr(report, field.name) is None) == unbroken_swap, field.name
+        assert report.numerical and report.matches and report.pt_potential_symmetric
 
 
 if __name__ == "__main__":

@@ -284,9 +284,10 @@ class TestSyntheticCount:
         bottom, top = complex(w.re_hi, -w.im_hi), complex(w.re_hi, w.im_hi)
         raw = region._Phase(bands, np.empty(0))
         divided = region._Phase(bands, kinetic)
-        raw_change = region._phase_change(raw, bottom, top, (raw(bottom), raw(top)))
+        eighths = np.linspace(0.0, 1.0, 9)
+        raw_change = region._phase_change(raw, bottom, top, (raw(bottom), raw(top)), eighths)
         divided_change = region._phase_change(
-            divided, bottom, top, (divided(bottom), divided(top))
+            divided, bottom, top, (divided(bottom), divided(top)), eighths
         )
         assert raw_change / (2 * math.pi) < -10.0
         assert abs(divided_change) / (2 * math.pi) < 5.0
@@ -337,7 +338,7 @@ class TestPhase:
 
     @pytest.mark.parametrize(
         "p, lu_edges",
-        list(zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), ((37, 8, 6), (61, 8, 4), (71, 12, 6)))),
+        list(zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), ((39, 8, 6), (53, 8, 4), (69, 12, 6)))),
         ids=str,
     )
     def test_count_and_its_lus_per_edge_are_the_formulas(self, p, lu_edges, monkeypatch):
@@ -455,21 +456,32 @@ class TestWindowBracket:
             assert window_factorizations == factorizations
 
 
+UNIFORM_EIGHTHS = tuple(np.linspace(0.0, 1.0, 9))  # the right edge's start before grading
+
+
+def _count_with(p, g, monkeypatch, **starts):
+    """count_eigenvalues at p on g, with region's edge starts patched to starts."""
+    bands = _bands(_potential(p), g, 4)
+    kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
+    window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+    with monkeypatch.context() as patched:
+        for name, value in starts.items():
+            patched.setattr(region, name, value)
+        return region.count_eigenvalues(bands, kinetic, window)
+
+
 class TestEdgeSampling:
     def test_padded_edges_start_coarse(self, monkeypatch):
-        # Started from EDGE_SEGMENTS pieces on every edge, the count took
+        # Started from 8 equal pieces on every edge, the count took
         # 69/93/103 LUs at the reference points; the padded top and left
         # edges need far fewer, and the right edge exactly as many.
         fewer = []
         for p, lus_from_eight in zip(ACCEPTANCE_POINTS + (SHALLOW_POINT,), (69, 93, 103)):
             g = Grid(20.0, 1501)
-            bands = _bands(_potential(p), g, 4)
-            kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-            window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
-            count, lu_edges = region.count_eigenvalues(bands, kinetic, window)
-            with monkeypatch.context() as every_edge_fine:
-                every_edge_fine.setattr(region, "PADDED_EDGE_SEGMENTS", region.EDGE_SEGMENTS)
-                fine_count, fine_edges = region.count_eigenvalues(bands, kinetic, window)
+            count, lu_edges = _count_with(p, g, monkeypatch, RIGHT_EDGE_START=UNIFORM_EIGHTHS)
+            fine_count, fine_edges = _count_with(
+                p, g, monkeypatch, RIGHT_EDGE_START=UNIFORM_EIGHTHS, PADDED_EDGE_SEGMENTS=8
+            )
             assert sum(fine_edges) == lus_from_eight, p
             assert count == pytest.approx(round(fine_count), abs=region.COUNT_TOL), p
             right, top, left = lu_edges
@@ -477,6 +489,66 @@ class TestEdgeSampling:
             assert sum(lu_edges) <= 0.9 * lus_from_eight, p
             fewer.append(sum(lu_edges))
         assert sum(fewer) <= 0.85 * (69 + 93 + 103)
+
+    def test_right_edge_starts_graded_toward_its_foot(self, rng, monkeypatch):
+        # Against 8 equal pieces, the graded start gives the same rounded
+        # count, integral and clear of the floor, from fewer LUs in all: at
+        # the reference points and at conftest draws on 601 and 1501 points.
+        cases = [(p, Grid(20.0, 1501)) for p in ACCEPTANCE_POINTS + (SHALLOW_POINT,)]
+        for p in random_unbroken(rng, 10) + random_broken(rng, 10):
+            cases += [(p, Grid(20.0 / p.alpha, 601)), (p, Grid(20.0, 1501))]
+        graded_lus = uniform_lus = 0
+        for p, g in cases:
+            graded, graded_edges = _count_with(p, g, monkeypatch)
+            uniform, uniform_edges = _count_with(
+                p, g, monkeypatch, RIGHT_EDGE_START=UNIFORM_EIGHTHS
+            )
+            assert graded is not None and uniform is not None, (p, g)
+            assert abs(graded - round(graded)) <= region.COUNT_TOL, (p, g, graded)
+            assert round(graded) == round(uniform), (p, g)
+            assert graded_edges[1:] == uniform_edges[1:], (p, g)
+            graded_lus += sum(graded_edges)
+            uniform_lus += sum(uniform_edges)
+        assert graded_lus < uniform_lus, (graded_lus, uniform_lus)
+
+
+class TestOrderCaches:
+    """Arrays that depend only on the order, spacing and stencil: computed once, read-only."""
+
+    def test_each_is_read_only_and_a_fresh_computation(self):
+        dim, h = 599, 40.0 / 600
+        theta = np.arange(1, dim + 1) * (np.pi / (dim + 1))
+        c = np.cos(theta)
+        fresh = {
+            (region._kinetic_eigenvalues, (dim, h, 2)): (2.0 - 2.0 * c) / h**2,
+            (region._kinetic_eigenvalues, (dim, h, 4)): (28.0 - 32.0 * c + 4.0 * c * c)
+            / (12.0 * h**2),
+            (region._unit_sine, (dim,)): np.sin(theta) * math.sqrt(2.0 / (dim + 1)),
+            (region._arnoldi_start, (dim,)): np.random.default_rng(0xA2A0).standard_normal(dim),
+        }
+        for (cached, args), expected in fresh.items():
+            first = cached(*args)
+            assert cached(*args) is first and not first.flags.writeable, cached
+            np.testing.assert_array_equal(first, expected)
+        with pytest.raises(ValueError):
+            region._arnoldi_start(dim)[0] = 1.0
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_POINTS, ids=str)
+    def test_a_solve_gives_the_same_bits_cold_and_warm(self, p):
+        caches = (
+            region._kinetic_eigenvalues, region._unit_sine, region._arnoldi_start,
+            solver._start_vector,
+        )
+        v, g = _potential(p), Grid(20.0, 1501)
+        for cache in caches:
+            cache.cache_clear()
+        cold = solve_bound_states(v, g)
+        assert all(cache.cache_info().currsize == 1 for cache in caches)
+        warm = solve_bound_states(v, g)
+        assert all(cache.cache_info().hits >= 1 for cache in caches)
+        assert cold.eigenvalues == warm.eigenvalues and len(cold.eigenvalues) == 4
+        for x, y in zip(cold.vectors, warm.vectors):
+            np.testing.assert_array_equal(x.values, y.values)
 
 
 class TestFallback:

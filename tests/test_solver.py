@@ -34,7 +34,13 @@ from ptscarf import (
     verify_spectrum,
 )
 from ptscarf import lapack, region, solver
-from ptscarf.superpotential import coefficient_scale, pt_superpotentials
+from ptscarf.superpotential import (
+    Samples,
+    check_pt_symmetric_on,
+    coefficient_scale,
+    ground_state_pt,
+    pt_superpotentials,
+)
 from ptscarf.solver import (
     _band_matvec,
     _band_to_dense,
@@ -723,6 +729,21 @@ class TestVerifySpectrum:
         assert math.isfinite(report.ground_state_pt_overlap)
         assert report.sector_swap_overlap == pytest.approx(1.0, abs=1e-6)
         assert not report.ground_state_pt_invariant
+
+    @pytest.mark.parametrize("p", [Params(2.5, 1.0, 1.0, 0.0), Params(1.5, 2.0, 1.0, 0.5)], ids=str)
+    def test_one_set_of_samples_gives_each_checks_own_bits(self, p):
+        # the solve, the sampled PT defect and the ground states read one
+        # Samples of g.x(); each gives what it gives from the points alone
+        g = Grid(20.0, 601)
+        ws, v = pt_superpotentials(p)
+        report = verify_spectrum(p, g)
+        np.testing.assert_array_equal(_bands(v, g, 4, Samples.at(g.x(), p.alpha)), _bands(v, g, 4))
+        assert report.numerical == solve_bound_states(v, g).eigenvalues
+        assert (report.pt_potential_symmetric, report.pt_potential_defect) == (
+            check_pt_symmetric_on(v, g.x())
+        )
+        overlaps = ground_state_pt(ws, g)
+        assert (report.ground_state_pt_overlap, report.sector_swap_overlap) == overlaps[:2]
 
     def test_not_pt_symmetric_rejected(self):
         with pytest.raises(RegimeError):
