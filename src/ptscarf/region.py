@@ -26,18 +26,22 @@ independent methods agree on how many there are:
     det(H - z) is the determinant of the real PT-basis form M - z, so the
     phase on the lower half of the contour mirrors the upper half: only the
     upper half is sampled, and its phase change must be a whole multiple of
-    pi.  Sampling is adaptive: a segment is accepted when both of its halves
-    turn the phase by at most pi/8; otherwise it is bisected, down to a
-    floor.  The window's pad keeps every eigenvalue of H and every mu_j at
-    least pad from its left and top edges, so the phase turns slowly there
-    and those edges start from 2 segments.  The right edge, the energy
-    margin just short of the continuum, has no such clearance: the phase
-    turns fastest near its foot (hi, 0), where the continuum begins, so it
-    starts from pieces graded toward that corner, at 4^-5, 4^-4, ..., 4^-1
-    of the edge (RIGHT_EDGE_START).  The reference points at n = 1501 take
-    53/65/87 LUs so, against 51/73/89 from 8 equal pieces on the right edge
-    and 69/93/103 from 8 on every edge; over many inputs the graded start
-    saves about an eighth of them.
+    pi.  On the real axis det(H - x) = det(M - x) is real, so the phase at
+    the two real corners is snapped to the nearest multiple of pi, which
+    the complex LU misses by its rounding alone.  Sampling is adaptive: a
+    segment is accepted when both of its halves turn the phase by at most
+    pi/4, 4x inside the pi that unwrapping needs, and by amounts within
+    pi/8 of each other, which refines where the phase curves; otherwise it
+    is bisected, down to a floor.  The window's pad keeps every eigenvalue
+    of H and every mu_j at least pad from its left and top edges, so the
+    phase turns slowly there and each of those edges starts as one segment.
+    The right edge, the energy margin just short of the continuum, has no
+    such clearance: the phase turns fastest near its foot (hi, 0), where the
+    continuum begins, so it starts from pieces graded toward that corner, at
+    4^-5, 4^-4, ..., 4^-1 of the edge (RIGHT_EDGE_START).  The reference
+    points at n = 1501 take 31/43/51 LUs so, against 37/55/55 from 8 equal
+    pieces on the right edge and 61/83/75 from 8 on every edge; over many
+    inputs a count takes about 30.
   * The eigenvalues come from shift-invert Arnoldi (ARPACK through
     scipy.sparse.linalg.eigs) on the real banded M, with a real shift sigma
     at the centre of the window, so complex eigenvalues come in exact
@@ -79,15 +83,22 @@ REGION_MIN_DIM = 200
 # larger side (at least 1), so the contour stays clear of eigenvalues that
 # sit on a bound (all of them, for a real potential: Im E = 0 = max |Im V|).
 WINDOW_PAD = 0.1
-# Largest phase turn accepted on each half of a sampled segment.
-PHASE_STEP = math.pi / 8
+# Largest phase turn accepted on each half of a sampled segment, 4x inside
+# the pi that unwrapping needs; the two halves must also agree to within
+# half of it, which refines where the phase curves.
+PHASE_STEP = math.pi / 4
 # Where sampling starts on the right edge, as fractions of it from its foot
 # (hi, 0): it is the energy margin, with eigenvalues and the continuum's mu_j
 # just past it, and they crowd its foot most.
 RIGHT_EDGE_START = (0.0, 4.0**-5, 4.0**-4, 4.0**-3, 4.0**-2, 4.0**-1, 1.0)
 # Segments the top and left edges start with: every eigenvalue and mu_j
 # lies at least the window's pad from them (bound_window).
-PADDED_EDGE_SEGMENTS = 2
+PADDED_EDGE_SEGMENTS = 1
+# det(H - x) = det(M - x) is real on the real axis, so the phase at the
+# contour's real corners is snapped to the nearest multiple of pi when it
+# lies within this many pi of one; rounding leaves far less, and a larger
+# deviation is kept, so that the count is non-integral and falls back.
+REAL_AXIS_SLACK = 1e-3
 # Bisection stops, and the count is refused, below this fraction of an
 # edge: an eigenvalue that close to the contour cannot be placed.
 REFINEMENT_FLOOR = 1e-10
@@ -290,6 +301,12 @@ def _wrap(phi: float) -> float:
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _snap_to_real(phi: float) -> float:
+    """phi at the nearest multiple of pi, if within REAL_AXIS_SLACK pi of it (NaN stays)."""
+    off = math.remainder(phi, math.pi)
+    return phi - off if abs(off) <= REAL_AXIS_SLACK * math.pi else phi
+
+
 def _phase_change(
     phase: _Phase,
     start: complex,
@@ -315,7 +332,7 @@ def _phase_change(
         zm = 0.5 * (za + zb)
         pm = phase(zm)
         d1, d2 = _wrap(pm - pa), _wrap(pb - pm)
-        if abs(d1) <= PHASE_STEP and abs(d2) <= PHASE_STEP:
+        if abs(d1) <= PHASE_STEP and abs(d2) <= PHASE_STEP and abs(d1 - d2) <= PHASE_STEP / 2:
             total += d1 + d2
         elif abs(zb - za) <= floor:
             return None
@@ -343,6 +360,7 @@ def count_eigenvalues(
     lo, hi, top = window.re_lo, window.re_hi, window.im_hi
     upper = [complex(hi, 0.0), complex(hi, top), complex(lo, top), complex(lo, 0.0)]
     corners = [phase(z) for z in upper]
+    corners[0], corners[3] = _snap_to_real(corners[0]), _snap_to_real(corners[3])
     padded = np.linspace(0.0, 1.0, PADDED_EDGE_SEGMENTS + 1)
     tally = [2, 1, 1]  # the corners
     half = 0.0
