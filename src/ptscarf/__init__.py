@@ -33,7 +33,6 @@ from .params import (
     sl2_exchange,
 )
 from .solver import (
-    BoundStates,
     Match,
     PairingReport,
     SpectrumReport,
@@ -70,7 +69,6 @@ from .superpotential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundStates",
     "ConvergenceError",
     "DomainError",
     "EnergyFamily",

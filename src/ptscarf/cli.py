@@ -32,7 +32,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -337,21 +337,15 @@ def run_potential(cfg: RunConfig) -> tuple[int, str]:
     return 0, canonical_dumps(payload)
 
 
-def _solve(cfg: RunConfig, p: Params) -> tuple[solver.SpectrumReport, Optional[MatchError]]:
-    """solver.verify_spectrum on the run's grid; a MatchError is returned, not raised."""
-    try:
-        return solver.verify_spectrum(p, cfg.grid, order=cfg.order, match_tol=cfg.match_tol), None
-    except MatchError as exc:
-        return exc.report, exc
-
-
 def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     """Verify the analytic spectrum numerically; exit 0 iff fully matched."""
-    report, unmatched = _solve(cfg, cfg.params)
-    if unmatched is not None:
-        print(f"ptscarf spectrum: {unmatched}", file=sys.stderr)
+    try:
+        report, code = solver.verify_spectrum(cfg.params, cfg.grid, cfg.order, cfg.match_tol), 0
+    except MatchError as exc:
+        print(f"ptscarf spectrum: {exc}", file=sys.stderr)
+        report, code = exc.report, 4
     payload = {**spectrum_report_to_dict(report), "grid": grid_to_dict(cfg.grid)}
-    return (0 if unmatched is None else 4), canonical_dumps(payload)
+    return code, canonical_dumps(payload)
 
 
 def _scan_point_rows(cfg: RunConfig, run_id: str, c_pt: float) -> list[ScanRow]:
@@ -392,7 +386,7 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
         logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
     if cfg.fmt == "csv":
         return 0, scan_rows_to_csv(rows)
-    return 0, canonical_dumps({"rows": [r.as_dict() for r in rows]})
+    return 0, canonical_dumps({"rows": [asdict(r) for r in rows]})
 
 
 @functools.cache

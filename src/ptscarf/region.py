@@ -91,9 +91,10 @@ PHASE_STEP = math.pi / 4
 # (hi, 0): it is the energy margin, with eigenvalues and the continuum's mu_j
 # just past it, and they crowd its foot most.
 RIGHT_EDGE_START = (0.0, 4.0**-5, 4.0**-4, 4.0**-3, 4.0**-2, 4.0**-1, 1.0)
-# Segments the top and left edges start with: every eigenvalue and mu_j
-# lies at least the window's pad from them (bound_window).
-PADDED_EDGE_SEGMENTS = 1
+# Where sampling starts on the top and left edges, as fractions of each: one
+# segment, as every eigenvalue and mu_j lies at least the window's pad from
+# them (bound_window).
+PADDED_EDGE_START = (0.0, 1.0)
 # det(H - x) = det(M - x) is real on the real axis, so the phase at the
 # contour's real corners is snapped to the nearest multiple of pi when it
 # lies within this many pi of one; rounding leaves far less, and a larger
@@ -157,6 +158,7 @@ class RegionSolve:
     attempt's k, and arnoldi_solves, all their applications of
     (M - sigma)^-1.  The _s fields are the seconds each stage took,
     dense_s those of dgeev and vectors_s those of polish.
+    solver.solve_bound_states returns it narrowed to the bound states.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -361,10 +363,9 @@ def count_eigenvalues(
     upper = [complex(hi, 0.0), complex(hi, top), complex(lo, top), complex(lo, 0.0)]
     corners = [phase(z) for z in upper]
     corners[0], corners[3] = _snap_to_real(corners[0]), _snap_to_real(corners[3])
-    padded = np.linspace(0.0, 1.0, PADDED_EDGE_SEGMENTS + 1)
     tally = [2, 1, 1]  # the corners
     half = 0.0
-    for i, fractions in enumerate((RIGHT_EDGE_START, padded, padded)):
+    for i, fractions in enumerate((RIGHT_EDGE_START, PADDED_EDGE_START, PADDED_EDGE_START)):
         before = phase.evaluations
         change = _phase_change(
             phase, upper[i], upper[i + 1], (corners[i], corners[i + 1]), fractions

@@ -12,26 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 from .grids import Grid
 from .params import Params
 from .solver import PairingReport, SpectrumReport
 from .spectrum import EnergyFamily
-
-SCAN_COLUMNS = [
-    "run_id",
-    "c_pt",
-    "sector",
-    "n",
-    "re_E_analytic",
-    "im_E_analytic",
-    "re_E_numeric",
-    "im_E_numeric",
-    "abs_err",
-    "error",
-]
 
 
 def complex_to_json(z: complex) -> dict:
@@ -113,19 +100,16 @@ def spectrum_report_to_dict(report: SpectrumReport) -> dict:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One (scan point, level) record of a bifurcation sweep.
-
-    The fields are the SCAN_COLUMNS, in that order.
-    """
+    """One (scan point, level) record of a bifurcation sweep; its fields are the CSV columns."""
 
     run_id: str
     c_pt: float
     sector: str
     n: Optional[int]
-    re_e_analytic: Optional[float]
-    im_e_analytic: Optional[float]
-    re_e_numeric: Optional[float]
-    im_e_numeric: Optional[float]
+    re_E_analytic: Optional[float]
+    im_E_analytic: Optional[float]
+    re_E_numeric: Optional[float]
+    im_E_numeric: Optional[float]
     abs_err: Optional[float]
     error: str = ""
 
@@ -136,8 +120,8 @@ class ScanRow:
             for v in astuple(self)
         ]
 
-    def as_dict(self) -> dict:
-        return dict(zip(SCAN_COLUMNS, astuple(self)))
+
+SCAN_COLUMNS = [f.name for f in fields(ScanRow)]
 
 
 def scan_rows_to_csv(rows: list[ScanRow]) -> str:

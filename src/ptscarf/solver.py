@@ -29,11 +29,14 @@ Notes on the numerics:
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
   * One backend, region.solve_window, returns the levels with Re E below
-    the energy margin and their vectors; its docstring describes the
-    bound-state window it solves from order region.REGION_MIN_DIM on, and
-    when it falls back.  The dense solve, below that order or on a
-    fallback, fills M into a dense float64 array (O(n^2)) and takes all its
-    eigenvalues from LAPACK dgeev (balancing + Hessenberg + shifted QR),
+    the energy margin and their vectors as a region.RegionSolve; its
+    docstring describes the bound-state window it solves from order
+    region.REGION_MIN_DIM on, and when it falls back.  solve_bound_states
+    returns that same RegionSolve narrowed to the bound states, sorted,
+    with each vector on the interior nodes (the walls carry psi = 0); no
+    other type wraps the kept levels.  The dense solve, below that order or
+    on a fallback, fills M into a dense float64 array (O(n^2)) and takes all
+    its eigenvalues from LAPACK dgeev (balancing + Hessenberg + shifted QR),
     O(n^3), in eig_complex_dense.
   * The BLAS thread count changes the last digits of the eigenvalues, so
     every solve runs its eigen stage (the PT-basis form, the window solve or
@@ -67,7 +70,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -78,7 +81,7 @@ if TYPE_CHECKING:
     from .region import RegionSolve
 
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
-from .grids import Grid, Wavefunction, overlap_ratio  # noqa: F401  (a re-export, see below)
+from .grids import Grid, overlap_ratio  # noqa: F401  (a re-export, see below)
 from .params import Params, Regime, classify_regime
 from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
@@ -318,48 +321,41 @@ def _inverse_iteration(bands: np.ndarray, eigenvalue: complex) -> np.ndarray:
     )
 
 
-def _embed_interior(vec: np.ndarray, g: Grid) -> Wavefunction:
-    values = np.zeros(g.n_points, dtype=complex)
-    values[1:-1] = vec
-    return Wavefunction(g, values)
+def _boundary_ratio(x: np.ndarray) -> float:
+    """max(|psi(+-(L-5h))|) relative to the peak amplitude, x on the interior nodes.
 
-
-def _boundary_ratio(psi: Wavefunction) -> float:
-    """max(|psi(+-L)|, |psi(+-(L-5h))|) relative to the peak amplitude."""
-    v = np.abs(psi.values)
-    n = psi.grid.n_points
-    k = min(5, n - 1)
-    edge = max(v[0], v[-1], v[k], v[n - 1 - k])
+    The walls psi(+-L) = 0 are not in x; with fewer than 5 interior nodes
+    only they lie that far out, and the ratio is 0.
+    """
+    v = np.abs(x)
+    edge = max(v[4], v[-5]) if v.size >= 5 else 0.0
     return float(edge / v.max())
 
 
-def _is_bound_state(e: complex, psi: Wavefunction) -> bool:
+def _is_bound_state(e: complex, x: np.ndarray) -> bool:
     """Kept iff Re(E) < ENERGY_MARGIN (the asymptotic potential is 0) and
-    the wall amplitude ratio is at most BOUNDARY_TOL."""
-    return e.real < ENERGY_MARGIN and _boundary_ratio(psi) <= BOUNDARY_TOL
-
-
-@dataclass(frozen=True)
-class BoundStates:
-    """Bound-state eigenvalues with their eigenvectors."""
-
-    eigenvalues: tuple[complex, ...]
-    vectors: tuple[Wavefunction, ...]
+    the wall amplitude ratio of its interior vector x is at most BOUNDARY_TOL."""
+    if not np.all(np.isfinite(x)):
+        raise GridError("wavefunction samples must be finite")
+    return e.real < ENERGY_MARGIN and _boundary_ratio(x) <= BOUNDARY_TOL
 
 
 def solve_bound_states(
     v: PotentialCoeffs, g: Grid, order: int = 4, samples: Optional[Samples] = None
-) -> BoundStates:
+) -> RegionSolve:
     """Full pipeline: discretize, eigensolve with vectors, filter.
 
     The levels with Re E below ENERGY_MARGIN and their vectors come from
     region.solve_window, on the real PT-basis form of H, so v must be
     PT-symmetric on the grid.  The whole eigen stage runs on one BLAS thread.
     samples, if given, are Samples of g.x() that the caller shares.
-    Returns bound states sorted by (Re, Im) for deterministic reporting.
+    Returns that RegionSolve narrowed to the bound states: its eigenvalues,
+    vectors (on the interior nodes) and ritz sorted together by (Re, Im) of
+    the eigenvalue, for deterministic reporting.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
+      GridError: if a candidate's vector is not finite.
       ValueError: if the order of H exceeds MAX_DENSE_DIM, before H is built.
     """
     from .lapack import blas_thread_count, blas_threads
@@ -381,33 +377,25 @@ def solve_bound_states(
         logger.debug("anti-PT defect of H: %.3e", anti_pt)
         solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
     levels = sorted(
-        zip(solved.eigenvalues, solved.vectors), key=lambda level: (level[0].real, level[0].imag)
+        zip(solved.eigenvalues, solved.vectors, solved.ritz),
+        key=lambda level: (level[0].real, level[0].imag),
     )
-    kept_e, kept_v = [], []
-    for e, x in levels:
-        psi = _embed_interior(x, g)
-        if _is_bound_state(e, psi):
-            kept_e.append(e)
-            kept_v.append(psi)
-    logger.info("bound states: %d of %d candidates kept (dim %d)", len(kept_e), len(levels), dim)
+    kept = [level for level in levels if _is_bound_state(level[0], level[1])]
+    eigenvalues, vectors, ritz = tuple(zip(*kept)) or ((), (), ())
+    bound = replace(solved, eigenvalues=eigenvalues, vectors=vectors, ritz=ritz)
+    logger.info("bound states: %d of %d candidates kept (dim %d)", len(kept), len(levels), dim)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("%s", _solve_line(solved, threads, bands, kept_e, kept_v))
-    return BoundStates(tuple(kept_e), tuple(kept_v))
+        logger.debug("%s", _solve_line(bound, threads, bands))
+    return bound
 
 
-def _solve_line(
-    solved: RegionSolve,
-    threads: Optional[int],
-    bands: np.ndarray,
-    energies: Sequence[complex],
-    vectors: Sequence[Wavefunction],
-) -> str:
+def _solve_line(solved: RegionSolve, threads: Optional[int], bands: np.ndarray) -> str:
     """The debug line of one solve: the path taken and each kept level.
 
-    threads is the BLAS thread count the solve ran on (None if scipy's
-    OpenBLAS was not found).  Each level carries its residual
-    ||(H - E)x|| / ||x|| and its eigenvalue condition number
-    kappa = ||x||^2 / |x^T x|, both from its vector x on the interior
+    solved is the solve narrowed to its kept levels, threads the BLAS thread
+    count it ran on (None if scipy's OpenBLAS was not found).  Each level
+    carries its residual ||(H - E)x|| / ||x|| and its eigenvalue condition
+    number kappa = ||x||^2 / |x^T x|, both from its vector x on the interior
     nodes: H is complex symmetric, so conj(x) is the left eigenvector.
     """
     if solved.window is None:
@@ -425,8 +413,7 @@ def _solve_line(
         )
     stages = (solved.window_s, solved.count_s, solved.arnoldi_s, solved.dense_s, solved.vectors_s)
     levels = []
-    for e, psi in zip(energies, vectors):
-        x = psi.values[1:-1]
+    for e, x in zip(solved.eigenvalues, solved.vectors):
         norm2 = float(np.vdot(x, x).real)
         residual = np.linalg.norm(_band_matvec(bands, x) - e * x) / math.sqrt(norm2)
         kappa = norm2 / abs(x @ x)
@@ -573,19 +560,29 @@ class LevelMatch:
 
     superpotentials and potential are the point's pt_superpotentials, and
     samples the Samples of the grid's points that the solve read; the PT
-    checks of verify_spectrum take them up.
+    checks of verify_spectrum take them up.  Samples compare by identity,
+    so equality leaves them out: two checks of one point compare equal.
     """
 
+    params: Params
     regime: Regime
     superpotentials: tuple[tuple[str, Superpotential], ...]
     potential: PotentialCoeffs
-    samples: Samples
+    samples: Samples = field(compare=False)
     families: tuple[EnergyFamily, ...]
     analytic: tuple[LabeledLevel, ...]
     numerical: tuple[complex, ...]
     matches: tuple[Match, ...]
     unmatched_analytic: tuple[int, ...]
     unmatched_numerical: tuple[int, ...]
+    match_tol: float
+
+    @property
+    def all_matched(self) -> bool:
+        return not self.unmatched_analytic
+
+    def max_match_error(self) -> float:
+        return max((m.abs_error for m in self.matches), default=0.0)
 
 
 def match_spectrum(
@@ -613,36 +610,21 @@ def match_spectrum(
         [l.energy for l in labeled], numerical, match_tol
     )
     return LevelMatch(
-        regime, ws, v, samples, families, labeled, numerical, matches, unmatched_a, unmatched_n
+        p, regime, ws, v, samples, families, labeled, numerical, matches, unmatched_a,
+        unmatched_n, match_tol,
     )
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
-    """Verification verdict: analytic vs numerical spectra plus PT diagnostics."""
+class SpectrumReport(LevelMatch):
+    """Verification verdict: the level match plus the PT diagnostics."""
 
-    params: Params
-    regime: Regime
-    families: tuple[EnergyFamily, ...]
-    analytic: tuple[LabeledLevel, ...]
-    numerical: tuple[complex, ...]
-    matches: tuple[Match, ...]
-    unmatched_analytic: tuple[int, ...]
-    unmatched_numerical: tuple[int, ...]
-    match_tol: float
     pairing: PairingReport
     pt_potential_defect: float
     pt_potential_symmetric: bool
     ground_state_pt_overlap: float
     sector_swap_overlap: Optional[float]
     ground_state_pt_invariant: bool
-
-    @property
-    def all_matched(self) -> bool:
-        return not self.unmatched_analytic
-
-    def max_match_error(self) -> float:
-        return max((m.abs_error for m in self.matches), default=0.0)
 
 
 def verify_spectrum(
@@ -661,24 +643,13 @@ def verify_spectrum(
         tolerance (the assembled report rides on the exception).
     """
     levels = match_spectrum(p, g, order, match_tol)
-    labeled = levels.analytic
-    pairing = conjugate_pairing_check(levels.numerical)
     pt_symmetric, defect = check_pt_symmetric_on(levels.potential, levels.samples)
     gs_overlap, swap_overlap, gs_passed = ground_state_pt(
         levels.superpotentials, g, levels.samples
     )
-
     report = SpectrumReport(
-        params=p,
-        regime=levels.regime,
-        families=levels.families,
-        analytic=labeled,
-        numerical=levels.numerical,
-        matches=levels.matches,
-        unmatched_analytic=levels.unmatched_analytic,
-        unmatched_numerical=levels.unmatched_numerical,
-        match_tol=match_tol,
-        pairing=pairing,
+        **vars(levels),
+        pairing=conjugate_pairing_check(levels.numerical),
         pt_potential_defect=defect,
         pt_potential_symmetric=pt_symmetric,
         ground_state_pt_overlap=gs_overlap,
@@ -686,6 +657,7 @@ def verify_spectrum(
         ground_state_pt_invariant=gs_passed and swap_overlap is None,
     )
     if levels.unmatched_analytic:
+        labeled = levels.analytic
         missing = ", ".join(
             f"{labeled[i].family}[n={labeled[i].n}] E={labeled[i].energy:.6g}"
             for i in levels.unmatched_analytic

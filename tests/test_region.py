@@ -236,8 +236,8 @@ class TestVectors:
         lower = [e for e in vectors if e.imag < 0.0]
         assert len(lower) == 2
         for e in lower:
-            upper = vectors[e.conjugate()].values
-            np.testing.assert_array_equal(vectors[e].values, upper[::-1].conj())
+            upper = vectors[e.conjugate()]
+            np.testing.assert_array_equal(vectors[e], upper[::-1].conj())
         assert verify_spectrum(p, g).pairing.max_defect == 0.0
 
 
@@ -518,7 +518,8 @@ class TestEdgeSampling:
             g = Grid(20.0, 1501)
             count, lu_edges = _count_with(p, g, monkeypatch, RIGHT_EDGE_START=UNIFORM_EIGHTHS)
             fine_count, fine_edges = _count_with(
-                p, g, monkeypatch, RIGHT_EDGE_START=UNIFORM_EIGHTHS, PADDED_EDGE_SEGMENTS=8
+                p, g, monkeypatch,
+                RIGHT_EDGE_START=UNIFORM_EIGHTHS, PADDED_EDGE_START=UNIFORM_EIGHTHS,
             )
             assert sum(fine_edges) == lus_from_eight, p
             assert count == pytest.approx(round(fine_count), abs=region.COUNT_TOL), p
@@ -586,7 +587,7 @@ class TestOrderCaches:
         assert all(cache.cache_info().hits >= 1 for cache in caches)
         assert cold.eigenvalues == warm.eigenvalues and len(cold.eigenvalues) == 4
         for x, y in zip(cold.vectors, warm.vectors):
-            np.testing.assert_array_equal(x.values, y.values)
+            np.testing.assert_array_equal(x, y)
 
 
 class TestFallback:
@@ -617,7 +618,7 @@ class TestFallback:
         fallback = self._solve()
         assert fallback.eigenvalues == dense.eigenvalues
         for a, b in zip(fallback.vectors, dense.vectors):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
         lines = [r.getMessage() for r in caplog.records]
         assert any(f"path=dense (fallback: {reason}" in m for m in lines), lines
         assert any(m.startswith("dgeev order 599 took ") for m in lines)
@@ -690,7 +691,7 @@ class TestFallback:
         fallback = self._solve()
         assert fallback.eigenvalues == dense.eigenvalues
         for a, b in zip(fallback.vectors, dense.vectors):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
         lines = [r.getMessage() for r in caplog.records]
         reason = f"path=dense (fallback: {region.MISMATCH} (4 counted, 0 found, covered=False))"
         assert any(reason in m and "arnoldi_solves=0 " in m for m in lines), lines

@@ -45,8 +45,8 @@ class TestScanCsv:
     def test_header_and_layout(self):
         row = ScanRow(
             run_id="000", c_pt=0.25, sector="plus", n=0,
-            re_e_analytic=-2.1875, im_e_analytic=-0.75,
-            re_e_numeric=-2.18750001, im_e_numeric=-0.7500002,
+            re_E_analytic=-2.1875, im_E_analytic=-0.75,
+            re_E_numeric=-2.18750001, im_E_numeric=-0.7500002,
             abs_err=2.1e-7, error="",
         )
         text = scan_rows_to_csv([row])
@@ -60,8 +60,8 @@ class TestScanCsv:
         value = -2.0000000915695733
         row = ScanRow(
             run_id="001", c_pt=0.5, sector="minus", n=1,
-            re_e_analytic=value, im_e_analytic=0.0,
-            re_e_numeric=None, im_e_numeric=None, abs_err=None, error="unmatched",
+            re_E_analytic=value, im_E_analytic=0.0,
+            re_E_numeric=None, im_E_numeric=None, abs_err=None, error="unmatched",
         )
         fields = scan_rows_to_csv([row]).strip().split("\n")[1].split(",")
         assert float(fields[4]) == value

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -42,11 +43,14 @@ from ptscarf.superpotential import (
     pt_superpotentials,
 )
 from ptscarf.solver import (
+    LevelMatch,
+    SpectrumReport,
     _band_matvec,
     _band_to_dense,
     _bands,
     _is_bound_state,
     _pt_real_band,
+    match_spectrum,
 )
 from conftest import assert_multiset_close
 
@@ -307,6 +311,43 @@ class TestLapack:
         assert lapack.blas_thread_count() == before
         assert any("BLAS thread count unchanged" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "p, shift",
+        [(Params(2.5, 1.0, 1.0, 0.0), -2.25), (Params(1.5, 2.0, 1.0, 0.5), -2.0 + 1.5j)],
+        ids=str,
+    )
+    def test_band_lu_overwrites_the_fill_in_rows(self, p, shift):
+        # _inverse_iteration allocates its band storage with np.empty: what
+        # the top kl rows hold before zgbtrf (on H's shifted band) or dgbtrf
+        # (on M's) must not reach the factor, its pivots, its info or a solve
+        # against it.  The corner entries that map to no matrix element are
+        # never referenced, and keep what they held.
+        from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
+
+        bands = _bands(pt_superpotentials(p)[1], Grid(20.0, 601), 4)
+        shift += 1e-10 * abs(shift) * (1.0 + 1.0j)  # as _inverse_iteration offsets it
+        real = _pt_real_band(bands)[0]
+        for band, z, factor, solve in (
+            (bands, shift, zgbtrf, zgbtrs), (real, shift.real, dgbtrf, dgbtrs)
+        ):
+            kl, dim = band.shape[0] // 2, band.shape[1]
+            rows, cols = np.indices((3 * kl + 1, dim))
+            element = (0 <= rows - 2 * kl + cols) & (rows - 2 * kl + cols < dim)  # row i of A
+            rhs = np.linspace(1.0, 2.0, dim).astype(band.dtype)
+            factored = []
+            for fill in (np.nan, 0.0):
+                ab = np.full((3 * kl + 1, dim), fill, dtype=band.dtype, order="F")
+                ab[kl:] = band
+                ab[2 * kl] -= z
+                lu, ipiv, info = factor(ab, kl, kl, overwrite_ab=1)
+                factored.append((lu[element], ipiv, info, solve(lu, kl, kl, rhs, ipiv)[0]))
+            (lu, ipiv, info, x), (lu_zeros, ipiv_zeros, info_zeros, x_zeros) = factored
+            assert np.all(np.isfinite(lu)) and np.all(np.isfinite(x)), factor
+            np.testing.assert_array_equal(lu, lu_zeros)
+            np.testing.assert_array_equal(ipiv, ipiv_zeros)
+            np.testing.assert_array_equal(x, x_zeros)
+            assert info == info_zeros == 0
+
 
 def _inverse_iteration_by_solve_banded(bands, halfwidth, eigenvalue, iterations=3):
     """The inverse iteration that factored H - shift anew for every solve."""
@@ -362,7 +403,7 @@ class TestInverseIteration:
             np.testing.assert_array_equal(solver._inverse_iteration(bands, shift), reference)
             if mirrored:
                 reference = reference[::-1].conj()
-            np.testing.assert_array_equal(psi.values[1:-1], reference)
+            np.testing.assert_array_equal(psi, reference)
 
     def test_start_vector_is_drawn_once_per_order_and_read_only(self):
         first = solver._start_vector(599)
@@ -550,15 +591,14 @@ class TestBoundStateFilter:
 
     def test_synthetic_vectors(self):
         g = Grid(20.0, 201)
-        x = g.x()
-        decaying = Wavefunction(g, np.exp(-np.abs(x)))
-        flat = Wavefunction(g, np.ones(g.n_points))
+        decaying = np.exp(-np.abs(g.x()))[1:-1]  # interior nodes, as the solve's vectors
+        flat = np.ones(g.n_points - 2)
         assert _is_bound_state(-1.0, decaying)
         assert not _is_bound_state(-1.0, flat)
 
     def test_energy_margin(self):
         g = Grid(20.0, 201)
-        decaying = Wavefunction(g, np.exp(-np.abs(g.x())))
+        decaying = np.exp(-np.abs(g.x()))[1:-1]
         assert not _is_bound_state(0.5, decaying)
         # a state essentially on the continuum edge survives the margin
         assert _is_bound_state(1e-7 - 0.5j, decaying)
@@ -568,7 +608,43 @@ class TestBoundStateFilter:
         g = Grid(20.0, 201)
         values = np.exp(-np.abs(g.x()))  # peak 1 at the centre, ~6e-9 at the walls
         values[5] = scale * solver.BOUNDARY_TOL  # five nodes in from the left wall
-        assert _is_bound_state(-1.0, Wavefunction(g, values)) is kept
+        assert _is_bound_state(-1.0, values[1:-1]) is kept
+
+    def test_a_vector_that_is_not_finite_is_refused(self):
+        x = np.exp(-np.abs(Grid(20.0, 201).x()))[1:-1].astype(complex)
+        x[100] = complex(np.inf, 0.0)
+        with pytest.raises(GridError, match="wavefunction samples must be finite"):
+            _is_bound_state(-1.0, x)
+
+    @staticmethod
+    def _full_grid_ratio(x):
+        """The wall ratio read off [0, *x, 0], walls included: k = min(5, n - 1)."""
+        v = np.abs(np.concatenate(([0.0], x, [0.0])))
+        n = v.size
+        k = min(5, n - 1)
+        edge = max(v[0], v[-1], v[k], v[n - 1 - k])
+        return float(edge / v.max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.lists(
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+                min_size=2 * m - 1, max_size=2 * m - 1,
+            )
+        )
+    )
+    @example([1.0 + 0.0j])  # n = 3: only the walls lie 5 nodes out
+    @example([1e-5, 1.0, 2e-5])  # n = 5
+    @example([3e-5, 0.5j, 1.0, -0.25, 4e-5])  # n = 7: x[4] is the wall's neighbour
+    @example([0.0] * 9)  # no peak: 0 / 0 either way
+    def test_boundary_ratio_on_interior_vectors_is_the_full_grid_ratio(self, values):
+        # the walls of the full grid are 0, so reading the interior alone
+        # gives the same bits, at every odd n >= 3
+        x = np.array(values, dtype=complex)
+        with np.errstate(all="ignore"):
+            got, expected = solver._boundary_ratio(x), self._full_grid_ratio(x)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
 
 class TestConjugatePairing:
@@ -744,6 +820,29 @@ class TestVerifySpectrum:
         )
         overlaps = ground_state_pt(ws, g)
         assert (report.ground_state_pt_overlap, report.sector_swap_overlap) == overlaps[:2]
+
+    def test_the_report_adds_only_the_pt_fields_to_the_level_match(self):
+        assert issubclass(SpectrumReport, LevelMatch)
+        added = {f.name for f in fields(SpectrumReport)} - {f.name for f in fields(LevelMatch)}
+        assert added == {
+            "pairing", "pt_potential_defect", "pt_potential_symmetric",
+            "ground_state_pt_overlap", "sector_swap_overlap", "ground_state_pt_invariant",
+        }
+
+    @pytest.mark.parametrize("p", [Params(2.5, 1.0, 1.0, 0.0), Params(1.5, 2.0, 1.0, 0.5)], ids=str)
+    def test_the_report_carries_the_level_match_field_for_field(self, p):
+        g = Grid(20.0, 601)
+        report, levels = verify_spectrum(p, g, match_tol=4e-3), match_spectrum(p, g, match_tol=4e-3)
+        for f in fields(LevelMatch):
+            mine, theirs = getattr(report, f.name), getattr(levels, f.name)
+            if f.name == "samples":
+                assert mine.alpha == theirs.alpha
+                np.testing.assert_array_equal(mine.sech, theirs.sech)
+                np.testing.assert_array_equal(mine.tanh, theirs.tanh)
+            else:
+                assert mine == theirs, f.name
+        assert (report.params, report.match_tol) == (p, 4e-3)
+        assert report == verify_spectrum(p, g, match_tol=4e-3)  # each has its own Samples
 
     def test_not_pt_symmetric_rejected(self):
         with pytest.raises(RegimeError):
