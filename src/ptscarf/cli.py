@@ -32,7 +32,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -386,7 +386,7 @@ def run_scan(cfg: RunConfig) -> tuple[int, str]:
         logger.info("scan point %d/%d done (c_pt=%g)", i + 1, len(c_values), c)
     if cfg.fmt == "csv":
         return 0, scan_rows_to_csv(rows)
-    return 0, canonical_dumps({"rows": [asdict(r) for r in rows]})
+    return 0, canonical_dumps({"rows": [vars(r) for r in rows]})
 
 
 @functools.cache

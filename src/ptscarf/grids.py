@@ -62,13 +62,23 @@ class Wavefunction:
         """Discrete L2 norm, sqrt(sum |psi|^2 h)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.h))
 
+    @classmethod
+    def _derived(cls, grid: Grid, values: np.ndarray) -> "Wavefunction":
+        """values computed from a checked state's by a map that keeps them finite
+        and of its shape, wrapped without the constructor's second pass."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "grid", grid)
+        object.__setattr__(psi, "values", values)
+        return psi
+
     def normalized(self) -> "Wavefunction":
         n = self.norm()
         if n == 0.0:
             raise GridError("cannot normalize the zero wavefunction")
         if not np.isfinite(n):
             raise GridError(f"cannot normalize a wavefunction of norm {n}")
-        return Wavefunction(self.grid, self.values / n)
+        # finite samples over a finite positive norm stay finite
+        return Wavefunction._derived(self.grid, self.values / n)
 
     def overlap(self, other: "Wavefunction") -> complex:
         """Discrete inner product <self, other> = sum conj(self)*other*h."""
@@ -83,7 +93,7 @@ def pt_apply(psi: Wavefunction) -> Wavefunction:
     The grid is symmetric by construction, so the parity flip is an exact
     index reversal.
     """
-    return Wavefunction(psi.grid, np.conj(psi.values[::-1]))
+    return Wavefunction._derived(psi.grid, np.conj(psi.values[::-1]))
 
 
 def overlap_ratio(u: Wavefunction, v: Wavefunction) -> float:

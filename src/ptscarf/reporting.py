@@ -3,6 +3,9 @@
 Complex numbers are emitted as {"re": x, "im": y} objects (never strings),
 and JSON is always produced by canonical_dumps so that parse + re-serialize
 round-trips byte-identically: sorted keys, two-space indent, no NaN/Inf.
+canonical_dumps writes that text with its own encoder, in one pass; the
+tests check it byte for byte against json.dumps(data, sort_keys=True,
+indent=2, allow_nan=False), whose indenting encoder is pure Python.
 CSV columns carry re/im parts separately, formatted with repr so the floats
 survive a round trip through text.
 """
@@ -11,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import astuple, dataclass, fields
+import math
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .grids import Grid
@@ -30,8 +34,60 @@ def complex_from_json(d: dict) -> complex:
 
 
 def canonical_dumps(data) -> str:
-    """Canonical JSON text: sorted keys, indent 2, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, indent 2, trailing newline.
+
+    The bytes of json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+    and a newline: a NaN or infinite float raises json's ValueError, and any
+    other type, or a dict key that is not a str, raises TypeError.
+    """
+    out: list[str] = []
+    _encode(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o, out: list[str], newline: str) -> None:
+    """Append the canonical text of o to out; newline is a line break and o's indent."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(o[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def params_to_dict(p: Params) -> dict:
@@ -117,7 +173,7 @@ class ScanRow:
         """The CSV cells in SCAN_COLUMNS order: floats by repr, None empty."""
         return [
             "" if v is None else repr(v) if isinstance(v, float) else str(v)
-            for v in astuple(self)
+            for v in (getattr(self, name) for name in SCAN_COLUMNS)
         ]
 
 

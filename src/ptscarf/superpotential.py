@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NonNormalizableError, RegimeError
-from .grids import Grid, Wavefunction, overlap_ratio, pt_apply
+from .grids import Grid, Wavefunction, pt_apply
 from .params import Params, Regime, classify_regime
 
 # A ground state counts as PT-invariant when its PT self overlap is within
@@ -254,12 +254,15 @@ def ground_state_wavefunction(
     h = g.h
     mid = (g.n_points - 1) // 2
     values = w.evaluate(g.x() if samples is None else samples)
-    integral = np.zeros(g.n_points, dtype=complex)
-    # trapezoid steps, accumulated to the right and to the left of x = 0
-    steps = 0.5 * h * (values[:-1] + values[1:])
-    integral[mid + 1 :] = np.cumsum(steps[mid:])
-    integral[mid - 1 :: -1] = -np.cumsum(steps[mid - 1 :: -1])
-    return Wavefunction(g, _capped_exp(-integral)).normalized()
+    # trapezoid steps, accumulated to the right and to the left of x = 0; the
+    # left sums are -int_0^x W already, the right ones and x = 0 are negated
+    steps = values[:-1] + values[1:]
+    steps *= 0.5 * h
+    exponent = np.zeros(g.n_points, dtype=complex)
+    np.cumsum(steps[mid:], out=exponent[mid + 1 :])
+    np.cumsum(steps[mid - 1 :: -1], out=exponent[mid - 1 :: -1])
+    np.negative(exponent[mid:], out=exponent[mid:])
+    return Wavefunction(g, _capped_exp(exponent)).normalized()
 
 
 def _capped_exp(exponent: np.ndarray) -> np.ndarray:
@@ -378,9 +381,12 @@ def ground_state_pt(
         samples = Samples.at(g.x(), ws[0][1].alpha)
     psi = [ground_state_wavefunction(w, g, samples) for _, w in ws]
     image = pt_apply(psi[0])
-    self_overlap = overlap_ratio(image, psi[0])
+    image_norm = image.norm()
+    # overlap_ratio(image, psi_k), with the image's norm taken once for both
+    overlaps = [abs(image.overlap(s)) / (image_norm * s.norm()) for s in psi]
+    self_overlap = overlaps[0]
     if len(psi) == 1:
         return self_overlap, None, self_overlap >= 1.0 - GS_PT_TOL
-    swap = overlap_ratio(image, psi[1])
+    swap = overlaps[1]
     passed = swap >= 1.0 - GS_PT_TOL and ground_state_energy(ws[0][1]).imag != 0.0
     return self_overlap, swap, passed

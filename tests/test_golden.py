@@ -287,6 +287,14 @@ def test_output_is_byte_identical(case, tmp_path, cli_env):
     assert run_case(case, tmp_path) == _recorded()[_key(case)]
 
 
+def test_every_json_stdout_is_what_json_dumps_writes():
+    # canonical_dumps has its own encoder; json.dumps is the reference for its bytes
+    docs = [r["stdout"] for r in _recorded().values() if r["stdout"].startswith("{")]
+    assert len(docs) >= 40
+    for out in docs:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 SCAN_CASES = [c for c in CASES if c["argv"][:1] == ["scan"]]
 PT_CHECKS = ("ground_state_pt", "check_pt_symmetric_on", "conjugate_pairing_check")
 

@@ -1,4 +1,9 @@
 import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptscarf import Grid, Params, verify_spectrum
 from ptscarf.reporting import (
@@ -21,7 +26,53 @@ class TestComplexEncoding:
         assert complex_to_json(-2.0 - 1.5j) == {"re": -2.0, "im": -1.5}
 
 
+def _reference(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 1e-05, 5e-324, 1e16, 1.7976931348623157e308)
+TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é ü", "\u2028", "😀"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS)
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(DOCUMENTS)
+    @example({"b": [], "a": {}, "": [(), {"x": None}], "é": [True, False, 0, -1]})
+    @example([*EDGE_FLOATS, -(2**200), 2**200])
+    def test_bytes_are_json_dumps(self, doc):
+        # perfbench's check re-encodes with canonical_dumps itself, so only
+        # json.dumps can tell that the encoder writes the canonical bytes
+        assert canonical_dumps(doc) == _reference(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise_jsons_error(self, bad):
+        for doc in (bad, [1.0, bad], {"a": {"b": bad}}):
+            with pytest.raises(ValueError) as expected:
+                _reference(doc)
+            with pytest.raises(ValueError) as got:
+                canonical_dumps(doc)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("doc", [object(), {1.5j}, [b"x"], {"a": 1j}, {1: "a"}, {"a": {None: 1}}])
+    def test_other_types_and_keys_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            canonical_dumps(doc)
+
     def test_parse_and_reserialize_is_identity(self):
         payload = {
             "b": [1, 2.5, {"im": -0.5, "re": 0.0}],

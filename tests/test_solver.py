@@ -82,6 +82,28 @@ class TestWavefunction:
     def test_length_checked(self):
         with pytest.raises(GridError):
             Wavefunction(Grid(5.0, 11), np.zeros(10))
+        with pytest.raises(GridError):
+            Wavefunction(Grid(5.0, 11), np.zeros((11, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+    def test_a_non_finite_sample_is_refused(self, bad):
+        values = np.ones(11, dtype=complex)
+        values[3] = bad
+        with pytest.raises(GridError, match="finite"):
+            Wavefunction(Grid(5.0, 11), values)
+
+    def test_normalized_and_pt_image_are_the_checked_constructions(self):
+        # both skip the constructor's second pass over the samples, and must
+        # give what the checked constructor gives, bit for bit
+        g = Grid(5.0, 101)
+        rng = np.random.default_rng(5)
+        psi = Wavefunction(g, rng.standard_normal(101) + 1j * rng.standard_normal(101))
+        for derived, checked in (
+            (psi.normalized(), Wavefunction(g, psi.values / psi.norm())),
+            (pt_apply(psi), Wavefunction(g, np.conj(psi.values[::-1]))),
+        ):
+            assert derived.grid == g and derived.values.dtype == complex
+            assert np.array_equal(derived.values, checked.values)
 
     def test_norm_and_overlap(self):
         g = Grid(5.0, 11)

@@ -31,6 +31,7 @@ from ptscarf import cli
 from ptscarf.superpotential import (
     GS_PT_TOL,
     Samples,
+    _capped_exp,
     check_pt_symmetric_on,
     ground_state_pt,
     gudermannian,
@@ -207,6 +208,26 @@ class TestGroundStateWavefunction:
             closed = ground_state_closed_form(w, FINE_GRID)
             assert overlap_ratio(quad, closed) >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize(
+        "w, g",
+        [
+            (Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0), FINE_GRID),
+            (Superpotential(2.5, 1.0j, 1.0), Grid(20.0, 4001)),
+            (build_broken_pair(Params(1.0, 1.005, 0.01, 4.0))[0], Grid(2000.0, 4001)),
+        ],
+    )
+    def test_quadrature_is_the_trapezoid_written_out(self, w, g):
+        # the exponent is built in place; these are its operations, out of
+        # place, in the same order, so the state keeps its bits (also capped)
+        mid = (g.n_points - 1) // 2
+        values = w.evaluate(g.x())
+        integral = np.zeros(g.n_points, dtype=complex)
+        steps = 0.5 * g.h * (values[:-1] + values[1:])
+        integral[mid + 1 :] = np.cumsum(steps[mid:])
+        integral[mid - 1 :: -1] = -np.cumsum(steps[mid - 1 :: -1])
+        written_out = Wavefunction(g, _capped_exp(-integral)).normalized()
+        np.testing.assert_array_equal(ground_state_wavefunction(w, g).values, written_out.values)
+
     def test_closed_form_below_the_cap_is_the_plain_exponential(self):
         w = Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0)
         z = FINE_GRID.x() * w.alpha
@@ -329,20 +350,32 @@ class TestPtVerdict:
         assert pt_defect(v, x) == pytest.approx(0.5, rel=1e-5)
 
     def test_ground_state_pt_overlaps(self):
-        unbroken = superpotentials(Params(2.5, 1.0))
-        self_overlap, swap, passed = ground_state_pt(unbroken, FINE_GRID)
-        assert swap is None and self_overlap >= 1.0 - GS_PT_TOL and passed
         # the states ground_state_pt builds from shared samples are the ones
-        # built one by one, bit for bit: also where the exponent is capped
-        # (c_pt / alpha = 400 on verify's default grid) and where c_pt < 0
+        # built one by one, and its overlaps, which take the PT image's norm
+        # once, are overlap_ratio's, bit for bit: also where the exponent is
+        # capped (c_pt / alpha = 400 on verify's default grid), where c_pt < 0,
+        # and at the first unbroken and broken analytic-suite draws of seed 99
+        # on verify's default grid
+        unbroken_draw = Params(1.0030028240335696, 0.3270687194933797, 1.2012852883263538)
+        broken_draw = Params(
+            2.9221218419813964, 3.6332991984582392, 1.4223547129536858, 0.8955968970524063
+        )
         for p, g in (
+            (Params(2.5, 1.0), FINE_GRID),
+            (unbroken_draw, Grid(20.0 / unbroken_draw.alpha, 4001)),
             (Params(1.5, 2.0, 1.0, 0.5), FINE_GRID),
             (Params(1.0, 1.005, 0.01, 4.0), Grid(2000.0, 4001)),
             (Params(0.8, 1.55, 1.5, -0.9), FINE_GRID),
+            (broken_draw, Grid(20.0 / broken_draw.alpha, 4001)),
         ):
-            broken = superpotentials(p)
-            self_overlap, swap, passed = ground_state_pt(broken, g)
-            psi_p, psi_m = (ground_state_wavefunction(w, g) for _, w in broken)
+            ws = superpotentials(p)
+            self_overlap, swap, passed = ground_state_pt(ws, g)
+            if len(ws) == 1:
+                psi = ground_state_wavefunction(ws[0][1], g)
+                assert self_overlap == overlap_ratio(pt_apply(psi), psi) >= 1.0 - GS_PT_TOL
+                assert swap is None and passed
+                continue
+            psi_p, psi_m = (ground_state_wavefunction(w, g) for _, w in ws)
             assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
             assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
             assert passed
