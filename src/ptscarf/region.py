@@ -56,24 +56,40 @@ floor, the Arnoldi eigenvalues reach past the window's corners and as many
 of them lie inside as the count says.  Otherwise, and below REGION_MIN_DIM,
 the values are dgeev's on the dense M (solver.eig_complex_dense) with Re E
 below the margin.  Either way they are closed under conjugation, as M is
-real, and polish gives each conjugate pair one inverse iteration on H.
-scipy.sparse.linalg (ARPACK) loads only when Arnoldi first runs.
+real, polish gives each conjugate pair one inverse iteration on H, and
+solve_window returns the polished levels with Re E < ENERGY_MARGIN, sorted
+by (Re E, Im E).  scipy.sparse.linalg (ARPACK) loads only when Arnoldi
+first runs.  blas_threads sets the thread count of scipy's OpenBLAS for a
+block: it is process-wide and moves the last digits of the eigenvalues, so
+solver.solve_bound_states runs its eigen stage on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import logging
 import math
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, zgbtrf
 
 from . import solver
 
+logger = logging.getLogger(__name__)
+
+# Candidate energies must satisfy Re(E) < ENERGY_MARGIN.  A strict Re < 0
+# cutoff would be wrong: broken-regime levels can have Re(E) = 0 exactly,
+# and the discretized value lands on either side of 0.
+ENERGY_MARGIN = 1e-3
 # From this order on, solve_window solves the bound-state window instead of
 # the whole dense form: on a 2-vCPU VM (OpenBLAS 0.3.31, one BLAS thread)
 # dense took 12 ms against 16 ms at order 149 and 22 ms against 20 ms at 199;
@@ -147,11 +163,12 @@ class Window:
 
 @dataclass(frozen=True)
 class RegionSolve:
-    """Outcome of one eigen solve: what polish returns, and the path it took.
+    """Outcome of one eigen solve: the polished levels, and the path it took.
 
-    eigenvalues, vectors and ritz are polish's, from Arnoldi's Ritz values
-    when reason is None and from dgeev's values otherwise, reason then saying
-    why the dense solve ran.  window is None below REGION_MIN_DIM; count is
+    eigenvalues, vectors and ritz are polish's with Re E < ENERGY_MARGIN,
+    sorted by (Re E, Im E), from Arnoldi's Ritz values when reason is None
+    and from dgeev's values otherwise, reason then saying why the dense
+    solve ran.  window is None below REGION_MIN_DIM; count is
     the winding count before rounding, and lu_edges the banded LUs it took
     on the right, top and left edges; bisection, the window's Cholesky
     factorizations, one per bisection step; arnoldi_k, each Arnoldi
@@ -254,9 +271,7 @@ def _lowest_eigenvalue_bound(bands: np.ndarray, kinetic: np.ndarray) -> tuple[fl
     return lo, factorizations
 
 
-def bound_window(
-    bands: np.ndarray, kinetic: np.ndarray, energy_margin: float
-) -> tuple[Window, int]:
+def bound_window(bands: np.ndarray, kinetic: np.ndarray) -> tuple[Window, int]:
     """The window of H's bound-state eigenvalues, and its Cholesky factorizations.
 
     bands is H in the layout of solver._bands; its real part is K + Re V
@@ -265,10 +280,10 @@ def bound_window(
     """
     halfwidth = bands.shape[0] // 2
     bound, factorizations = _lowest_eigenvalue_bound(bands, kinetic)
-    lam_min = min(bound, energy_margin)
+    lam_min = min(bound, ENERGY_MARGIN)
     im_max = float(np.max(np.abs(bands.imag[halfwidth])))
-    pad = WINDOW_PAD * max(1.0, energy_margin - lam_min, im_max)
-    return Window(lam_min - pad, energy_margin, im_max + pad), factorizations
+    pad = WINDOW_PAD * max(1.0, ENERGY_MARGIN - lam_min, im_max)
+    return Window(lam_min - pad, ENERGY_MARGIN, im_max + pad), factorizations
 
 
 class _Phase:
@@ -468,49 +483,54 @@ def polish(bands: np.ndarray, ritz: np.ndarray) -> tuple[tuple, tuple, tuple]:
 
 
 def _polished(bands: np.ndarray, values: np.ndarray, **stages) -> RegionSolve:
+    """polish at values, keeping the levels with Re E < ENERGY_MARGIN, by (Re E, Im E)."""
     t0 = time.perf_counter()
-    eigenvalues, vectors, ritz = polish(bands, values)
+    levels = sorted(
+        (level for level in zip(*polish(bands, values)) if level[0].real < ENERGY_MARGIN),
+        key=lambda level: (level[0].real, level[0].imag),
+    )
     stages["vectors_s"] = time.perf_counter() - t0
+    eigenvalues, vectors, ritz = tuple(zip(*levels)) or ((), (), ())
     return RegionSolve(eigenvalues, vectors, ritz, **stages)
 
 
-def _dense(bands: np.ndarray, m: np.ndarray, energy_margin: float, **stages) -> RegionSolve:
-    """polish at dgeev's eigenvalues of M with Re E < energy_margin."""
+def _dense(bands: np.ndarray, m: np.ndarray, **stages) -> RegionSolve:
+    """_polished at dgeev's eigenvalues of M with Re E < ENERGY_MARGIN."""
     t0 = time.perf_counter()
     eigs = solver.eig_complex_dense(solver._band_to_dense(m), overwrite=True)
     stages["dense_s"] = time.perf_counter() - t0
-    return _polished(bands, eigs[eigs.real < energy_margin], **stages)
+    return _polished(bands, eigs[eigs.real < ENERGY_MARGIN], **stages)
 
 
-def solve_window(
-    bands: np.ndarray, m: np.ndarray, h: float, order: int, energy_margin: float
-) -> RegionSolve:
-    """Eigenvalues and vectors of H with Re E < energy_margin, and how they were found.
+def solve_window(bands: np.ndarray, m: np.ndarray, h: float, order: int) -> RegionSolve:
+    """Eigenvalues and vectors of H with Re E < ENERGY_MARGIN, and how they were found.
 
     bands is H in solver._bands layout, m the real form of H in the same
     layout (solver._pt_real_band), h the grid spacing and order the
     stencil's, from which the zeros of the free phase that the count divides
     out come (_kinetic_eigenvalues).  Below REGION_MIN_DIM, or when the
     window's count is not admitted, the values come from the dense solve.
+    Either way the polished levels are cut at ENERGY_MARGIN and sorted by
+    (Re E, Im E), each with its vector and the value it was polished from.
     """
     dim = bands.shape[1]
     if dim < REGION_MIN_DIM:
         reason = f"order {dim} below the region crossover {REGION_MIN_DIM}"
-        return _dense(bands, m, energy_margin, reason=reason)
+        return _dense(bands, m, reason=reason)
     t0 = time.perf_counter()
     kinetic = _kinetic_eigenvalues(dim, h, order)
-    window, bisection = bound_window(bands, kinetic, energy_margin)
+    window, bisection = bound_window(bands, kinetic)
     t1 = time.perf_counter()
     count, lu_edges = count_eigenvalues(bands, kinetic, window)
     t2 = time.perf_counter()
     stages = dict(window=window, bisection=bisection, lu_edges=lu_edges)
     stages.update(window_s=t1 - t0, count_s=t2 - t1)
     if count is None:
-        return _dense(bands, m, energy_margin, reason=FLOOR, **stages)
+        return _dense(bands, m, reason=FLOOR, **stages)
     stages["count"] = count
     rounded = round(count)
     if rounded < 0 or abs(count - rounded) > COUNT_TOL:  # < 0 counts nothing
-        return _dense(bands, m, energy_margin, reason=NON_INTEGRAL, **stages)
+        return _dense(bands, m, reason=NON_INTEGRAL, **stages)
     continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
     ks, solves = [], 0
     for spare in ARNOLDI_SPARES:
@@ -523,5 +543,54 @@ def solve_window(
     inside = arnoldi.eigenvalues
     if not arnoldi.covered or inside.size != rounded:
         reason = f"{MISMATCH} ({rounded} counted, {inside.size} found, covered={arnoldi.covered})"
-        return _dense(bands, m, energy_margin, reason=reason, **stages)
+        return _dense(bands, m, reason=reason, **stages)
     return _polished(bands, inside, **stages)
+
+
+# Held for a whole pinned block: blocks on different threads run one after
+# another, so each restores the count it found; the same thread may nest.
+_PIN = threading.RLock()
+
+
+@functools.cache
+def _openblas() -> Optional[ctypes.CDLL]:
+    """scipy's bundled OpenBLAS (the wheel's scipy.libs/), or None."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            return lib
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """Threads scipy's OpenBLAS uses now, or None if it cannot be found."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads()
+
+
+@contextlib.contextmanager
+def blas_threads(count: int) -> Iterator[None]:
+    """Run the block with scipy's OpenBLAS on count threads, then restore.
+
+    If the library cannot be found the count is left unchanged.  The
+    setting is process-wide, so a block on another thread waits until this
+    one has restored the count.  Nothing is lost by waiting: scipy's LAPACK
+    wrappers hold the interpreter lock anyway.
+    """
+    with _PIN:
+        lib = _openblas()
+        if lib is None:
+            logger.debug("scipy's OpenBLAS not found; BLAS thread count unchanged")
+            yield
+            return
+        before = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(count)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads(before)

@@ -29,20 +29,20 @@ Notes on the numerics:
     larger means V is not PT-symmetric and the solve is refused with
     RegimeError rather than symmetrized away.
   * One backend, region.solve_window, returns the levels with Re E below
-    the energy margin and their vectors as a region.RegionSolve; its
-    docstring describes the bound-state window it solves from order
-    region.REGION_MIN_DIM on, and when it falls back.  solve_bound_states
-    returns that same RegionSolve narrowed to the bound states, sorted,
-    with each vector on the interior nodes (the walls carry psi = 0); no
-    other type wraps the kept levels.  The dense solve, below that order or
-    on a fallback, fills M into a dense float64 array (O(n^2)) and takes all
+    its region.ENERGY_MARGIN, sorted by (Re E, Im E), and their vectors as
+    a region.RegionSolve; its docstring describes the bound-state window it
+    solves from order region.REGION_MIN_DIM on, and when it falls back.
+    solve_bound_states returns that same RegionSolve narrowed to the bound
+    states, with each vector on the interior nodes (the walls carry
+    psi = 0); no other type wraps the kept levels.  The dense solve, below
+    that order or on a fallback, fills M into a dense float64 array (O(n^2)) and takes all
     its eigenvalues from LAPACK dgeev (balancing + Hessenberg + shifted QR),
     O(n^3), in eig_complex_dense.
   * The BLAS thread count changes the last digits of the eigenvalues, so
     every solve runs its eigen stage (the PT-basis form, the window solve or
-    dgeev, the polish) on one BLAS thread, and its bytes do not
-    depend on the host.  On a 2-vCPU VM one thread is faster than two for
-    dgeev below the crossover (20 ms against 37 ms at order 199), the
+    dgeev, the polish) on one BLAS thread (region.blas_threads), and its
+    bytes do not depend on the host.  On a 2-vCPU VM one thread is faster
+    than two for dgeev below the crossover (20 ms against 37 ms at order 199), the
     window solve takes the same time on either, and only the rare dense
     fallback at order ~1500 is slower (1.8 s against 1.6 s).
   * The eigenvalue sum is checked against the trace on every dense solve;
@@ -52,9 +52,9 @@ Notes on the numerics:
     reuse the factor (zgbtrs).  region.polish runs it once per conjugate
     pair, at the Arnoldi or dgeev value, on either path.
   * Bound-state filtering uses the eigenvector amplitude near the walls
-    rather than an energy cutoff alone: continuum artifacts can acquire
-    small complex shifts with Re(E) near 0, while genuine bound states in
-    the broken regime can sit exactly at Re(E) = 0.
+    rather than the backend's energy cutoff alone: continuum artifacts can
+    acquire small complex shifts with Re(E) near 0, while genuine bound
+    states in the broken regime can sit exactly at Re(E) = 0.
   * At PTSCARF_LOG=debug each solve logs one line: the path taken (region,
     or dense with its reason), the window and its Cholesky factorizations
     (one per bisection step), the count, its LUs per edge, Arnoldi's k on
@@ -82,7 +82,7 @@ if TYPE_CHECKING:
 
 from .errors import ConvergenceError, GridError, MatchError, RegimeError
 from .grids import Grid, overlap_ratio  # noqa: F401  (a re-export, see below)
-from .params import Params, Regime, classify_regime
+from .params import Params, Regime, Sector, classify_regime, sl2_exchange
 from .spectrum import EnergyFamily, analytic_families
 from .superpotential import (
     PotentialCoeffs,
@@ -103,10 +103,6 @@ logger = logging.getLogger(__name__)
 # verification runs sit at ~3e-6 on the default grid, continuum artifacts
 # at ~1e-2, so 1e-4 separates them with two decades of margin either way.
 BOUNDARY_TOL = 1e-4
-# Candidate energies must satisfy Re(E) < ENERGY_MARGIN.  A strict Re < 0
-# cutoff would be wrong: broken-regime levels can have Re(E) = 0 exactly,
-# and the discretized value lands on either side of 0.
-ENERGY_MARGIN = 1e-3
 # Matching tolerance: absolute for |E| <= 1, relative beyond.
 MATCH_TOL = 5e-3
 # |Im(E)| below this (scaled) threshold counts as a real eigenvalue.
@@ -139,6 +135,14 @@ def _kinetic_band(dim: int, h: float, order: int) -> np.ndarray:
     return ab
 
 
+def _check_stencil(g: Grid, order: int) -> None:
+    """ValueError for a stencil order other than 2 or 4, GridError for too few points."""
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
+    if g.n_points < 5 and order == 4:
+        raise GridError("the 5-point stencil needs at least 5 grid points")
+
+
 def _bands(
     v: PotentialCoeffs, g: Grid, order: int, samples: Optional[Samples] = None
 ) -> np.ndarray:
@@ -146,10 +150,7 @@ def _bands(
 
     samples, if given, are Samples of g.x() that the caller shares.
     """
-    if order not in (2, 4):
-        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
-    if g.n_points < 5 and order == 4:
-        raise GridError("the 5-point stencil needs at least 5 grid points")
+    _check_stencil(g, order)
     ab = _kinetic_band(g.n_points - 2, g.h, order).astype(complex)
     ab[ab.shape[0] // 2] += v.evaluate(g.x() if samples is None else samples)[1:-1]
     return ab
@@ -332,12 +333,11 @@ def _boundary_ratio(x: np.ndarray) -> float:
     return float(edge / v.max())
 
 
-def _is_bound_state(e: complex, x: np.ndarray) -> bool:
-    """Kept iff Re(E) < ENERGY_MARGIN (the asymptotic potential is 0) and
-    the wall amplitude ratio of its interior vector x is at most BOUNDARY_TOL."""
+def _is_bound_state(x: np.ndarray) -> bool:
+    """Kept iff the wall amplitude ratio of the interior vector x is at most BOUNDARY_TOL."""
     if not np.all(np.isfinite(x)):
         raise GridError("wavefunction samples must be finite")
-    return e.real < ENERGY_MARGIN and _boundary_ratio(x) <= BOUNDARY_TOL
+    return _boundary_ratio(x) <= BOUNDARY_TOL
 
 
 def solve_bound_states(
@@ -345,21 +345,19 @@ def solve_bound_states(
 ) -> RegionSolve:
     """Full pipeline: discretize, eigensolve with vectors, filter.
 
-    The levels with Re E below ENERGY_MARGIN and their vectors come from
-    region.solve_window, on the real PT-basis form of H, so v must be
-    PT-symmetric on the grid.  The whole eigen stage runs on one BLAS thread.
-    samples, if given, are Samples of g.x() that the caller shares.
-    Returns that RegionSolve narrowed to the bound states: its eigenvalues,
-    vectors (on the interior nodes) and ritz sorted together by (Re, Im) of
-    the eigenvalue, for deterministic reporting.
+    The levels with Re E below region.ENERGY_MARGIN, sorted by (Re, Im),
+    and their vectors come from region.solve_window, on the real PT-basis
+    form of H, so v must be PT-symmetric on the grid.  The whole eigen stage
+    runs on one BLAS thread.  samples, if given, are Samples of g.x() that
+    the caller shares.  Returns that RegionSolve narrowed to the bound
+    states, its vectors on the interior nodes.
 
     Raises:
       RegimeError: if v is not PT-symmetric on the grid.
       GridError: if a candidate's vector is not finite.
       ValueError: if the order of H exceeds MAX_DENSE_DIM, before H is built.
     """
-    from .lapack import blas_thread_count, blas_threads
-    from .region import solve_window
+    from .region import blas_thread_count, blas_threads, solve_window
 
     dim = g.n_points - 2
     if dim > MAX_DENSE_DIM:
@@ -375,15 +373,15 @@ def solve_bound_states(
                 f"{anti_pt:.3e} against max(max |H_ij|, |s|, |t|, |c0|, 1) = {scale:.3e}"
             )
         logger.debug("anti-PT defect of H: %.3e", anti_pt)
-        solved = solve_window(bands, m, g.h, order, ENERGY_MARGIN)
-    levels = sorted(
-        zip(solved.eigenvalues, solved.vectors, solved.ritz),
-        key=lambda level: (level[0].real, level[0].imag),
-    )
-    kept = [level for level in levels if _is_bound_state(level[0], level[1])]
+        solved = solve_window(bands, m, g.h, order)
+    levels = zip(solved.eigenvalues, solved.vectors, solved.ritz)
+    kept = [level for level in levels if _is_bound_state(level[1])]
     eigenvalues, vectors, ritz = tuple(zip(*kept)) or ((), (), ())
     bound = replace(solved, eigenvalues=eigenvalues, vectors=vectors, ritz=ritz)
-    logger.info("bound states: %d of %d candidates kept (dim %d)", len(kept), len(levels), dim)
+    logger.info(
+        "bound states: %d of %d candidates kept (dim %d)",
+        len(kept), len(solved.eigenvalues), dim,
+    )
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s", _solve_line(bound, threads, bands))
     return bound
@@ -462,16 +460,13 @@ def conjugate_pairing_check(eigs: Sequence[complex]) -> PairingReport:
         if i not in free:
             continue
         free.discard(i)
-        best = None
-        for j in sorted(free):
-            defect = abs(eigs[i] - np.conj(eigs[j]))
-            if best is None or defect < best[1]:
-                best = (j, defect)
-        if best is None:
+        if not free:
             leftover.append(i)  # odd one out, no conjugate candidate left
             continue
-        free.discard(best[0])
-        pairs.append((i, best[0], float(best[1])))
+        # the nearest conjugate, the lowest index among equals
+        j = min(free, key=lambda j: (abs(eigs[i] - np.conj(eigs[j])), j))
+        free.discard(j)
+        pairs.append((i, j, float(abs(eigs[i] - np.conj(eigs[j])))))
     unpaired = tuple(sorted(leftover))
     max_defect = max((d for _, _, d in pairs), default=0.0)
     return PairingReport(tuple(pairs), tuple(self_paired), unpaired, max_defect)
@@ -585,6 +580,30 @@ class LevelMatch:
         return max((m.abs_error for m in self.matches), default=0.0)
 
 
+def _check_ladders_fit(
+    p: Params, regime: Regime, ws: Sequence[tuple[str, Superpotential]], g: Grid, order: int
+) -> None:
+    """GridError if a family has more rungs than H has eigenvalues, n_points - 2.
+
+    Re a - n alpha > 0 is spectrum.bound_state_count's own test for more than
+    n rungs, so no rung is built; unbroken, the exchanged family's depth is
+    its A.  A point that is not normalizable, or a grid too small for the
+    stencil, gets its own error first.
+    """
+    depths = [w.a.real for _, w in ws]
+    if min(depths) <= 0.0:
+        return
+    _check_stencil(g, order)
+    if regime is Regime.UNBROKEN:
+        depths.append(sl2_exchange(p, Sector.PLUS).A)
+    rungs, deepest = g.n_points - 2, max(depths)
+    if deepest - rungs * p.alpha > 0.0:
+        raise GridError(
+            f"a ladder of depth Re a = {deepest:.6g} at alpha = {p.alpha:.6g} has more "
+            f"than the {rungs} levels that H has on {g.n_points} grid points"
+        )
+
+
 def match_spectrum(
     p: Params, g: Grid, order: int = 4, match_tol: float = MATCH_TOL
 ) -> LevelMatch:
@@ -597,9 +616,12 @@ def match_spectrum(
 
     Raises:
       RegimeError: for parameters that are not PT-symmetric.
+      GridError: if a family has more levels than H has eigenvalues
+        (_check_ladders_fit), before any level is built.
     """
     regime = classify_regime(p)
     ws, v = pt_superpotentials(p)
+    _check_ladders_fit(p, regime, ws, g, order)
     families = analytic_families(p)
     labeled = tuple(
         LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels

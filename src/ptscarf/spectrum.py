@@ -7,8 +7,9 @@ V_- member with a -> a - alpha) generates the bound spectrum algebraically:
 
 Only the ground level is fixed by the factorization itself; the excited
 levels produced by the shape-invariance ladder are accepted because the
-dense non-Hermitian eigensolver (solver module) independently confirms
-every level used in the tests.  Threshold states with Re(a) - n*alpha = 0
+non-Hermitian eigen backend (region.solve_window, the counted window solve
+with dgeev below its crossover) independently confirms every level used in
+the tests.  Threshold states with Re(a) - n*alpha = 0
 are excluded as non-normalizable limits.
 
 In the broken regime a = A +- i*c_pt per sector, so the two families are

@@ -29,7 +29,7 @@ from ptscarf import (
     sl2_exchange,
     verify_spectrum,
 )
-from ptscarf import lapack
+from ptscarf import region
 from ptscarf.cli import main
 from conftest import assert_multiset_close, random_broken, random_unbroken
 
@@ -267,7 +267,7 @@ def test_criterion_9_convergence_order():
     for order, (lo, hi) in ((2, (3.5, 4.5)), (4, (12.0, 20.0))):
         errors = []
         for n in (377, 753):  # halves h exactly at fixed half-width
-            with lapack.blas_threads(1):  # as every production solve runs
+            with region.blas_threads(1):  # as every production solve runs
                 eigs = eig_complex_dense(discretize(v, Grid(15.0, n), order=order))
             e0 = eigs[np.argmin(np.abs(eigs - exact))]
             errors.append(abs(e0 - exact))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ptscarf
-from ptscarf import cli, lapack, solver
+from ptscarf import cli, region, solver
 from ptscarf.cli import build_config, build_parser, main
 
 
@@ -219,12 +219,12 @@ class TestSpectrumCommand:
         ids=["unbroken", "broken"],
     )
     def test_stdout_does_not_depend_on_the_blas_thread_count(self, point, capsys):
-        if lapack.blas_thread_count() is None:
+        if region.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
         # at 201 points the broken point leaves its threshold pair unmatched (exit 4)
         outputs = []
         for threads in (1, 2):
-            with lapack.blas_threads(threads):
+            with region.blas_threads(threads):
                 code = main(["spectrum", *point, "--points", "201"])
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0] == outputs[1]
@@ -279,39 +279,39 @@ class TestScanCommand:
     def test_scan_solves_on_one_blas_thread_and_restores_the_count(
         self, tmp_path, monkeypatch
     ):
-        if lapack.blas_thread_count() is None:
+        if region.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
         # the first and the last stage of each solve record the count they run on
         seen: dict[str, list] = {"_pt_real_band": [], "_inverse_iteration": []}
         for name, calls in seen.items():
             def recording(*args, _stage=getattr(solver, name), _calls=calls, **kwargs):
-                _calls.append(lapack.blas_thread_count())
+                _calls.append(region.blas_thread_count())
                 return _stage(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, recording)
         args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "2"]
-        with lapack.blas_threads(2):
+        with region.blas_threads(2):
             code, _ = run_cli(tmp_path, [*args, "--jobs", "2"], name="scan.csv")
-            assert lapack.blas_thread_count() == 2
+            assert region.blas_thread_count() == 2
         assert code == 0
         assert seen["_pt_real_band"] == [1, 1]
         assert seen["_inverse_iteration"] and set(seen["_inverse_iteration"]) == {1}
 
     def test_blas_thread_count_restored_when_a_point_raises(self, tmp_path, monkeypatch):
-        if lapack.blas_thread_count() is None:
+        if region.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
         seen = []
 
         def failing(*args, **kwargs):
-            seen.append(lapack.blas_thread_count())
+            seen.append(region.blas_thread_count())
             raise RuntimeError("solve failed")
 
         monkeypatch.setattr(solver, "_pt_real_band", failing)
         args = [*self.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "4"]
-        with lapack.blas_threads(2):
+        with region.blas_threads(2):
             with pytest.raises(RuntimeError, match="solve failed"):
                 main([*args, "--out", str(tmp_path / "scan.csv")])
-            assert lapack.blas_thread_count() == 2
+            assert region.blas_thread_count() == 2
         assert seen == [1]
 
     def test_a_scan_starts_no_thread(self, tmp_path, monkeypatch):
@@ -343,7 +343,7 @@ class TestScanCommand:
             r.getMessage() for r in caplog.records
             if r.name == "ptscarf.solver" and r.getMessage().startswith("solve order 599: ")
         ]
-        during = None if lapack.blas_thread_count() is None else 1
+        during = None if region.blas_thread_count() is None else 1
         assert len(solves) == 1
         assert f" blas_threads={during} took " in solves[0]
 

@@ -197,6 +197,15 @@ CASES = [
         "scan", "--A", "1.5", "--points", "601",
         "--scan-min", "0.25", "--scan-max", "1.0", "--scan-steps", "3",
     ),
+    # ladders deeper than the grid's interior nodes are refused before any
+    # rung is built: 200,000 and 300,000 rungs at alpha = 1e-5, 100,000 at
+    # A = 1e5, and a scan whose c_pt = 0 point has an exchanged depth of 99.5
+    _case("spectrum", "--A", "2", "--B", "3", "--alpha", "1e-5", "--points", "61"),
+    _case("spectrum", "--A", "1e5", "--B", "1", "--points", "61"),
+    _case(
+        "scan", "--A", "1.5", "--B", "100", "--points", "61",
+        "--scan-min", "0", "--scan-max", "0.5", "--scan-steps", "2",
+    ),
     # points like the benchmark's analytic suite, each on its default 20/alpha
     # grid: a broken one with c_pt < 0, unbroken ones at alpha = 0.6 and 1.9,
     # and a broken one at alpha = 0.7

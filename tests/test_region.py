@@ -27,9 +27,9 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
-from ptscarf import lapack, region, solver
-from ptscarf.region import REGION_MIN_DIM, _kinetic_eigenvalues
-from ptscarf.solver import ENERGY_MARGIN, _band_to_dense, _bands, _pt_real_band
+from ptscarf import region, solver
+from ptscarf.region import ENERGY_MARGIN, REGION_MIN_DIM, _kinetic_eigenvalues
+from ptscarf.solver import _band_to_dense, _bands, _pt_real_band
 from conftest import random_broken, random_unbroken
 
 ACCEPTANCE_POINTS = (Params(2.5, 1.0, 1.0, 0.0), Params(1.5, 2.0, 1.0, 0.5))
@@ -54,8 +54,8 @@ def _window_and_dense(p, n_points, half_width, threads=1):
     dim = bands.shape[1]
     assert dim >= REGION_MIN_DIM
     m, _ = _pt_real_band(bands)
-    with lapack.blas_threads(threads):
-        solved = region.solve_window(bands, m, g.h, 4, ENERGY_MARGIN)
+    with region.blas_threads(threads):
+        solved = region.solve_window(bands, m, g.h, 4)
         eigs = eig_complex_dense(_band_to_dense(m), overwrite=True)
     kinetic = _kinetic_eigenvalues(dim, g.h, 4)
     _assert_padded_edges_are_clear(bands, solved.window, np.concatenate([eigs, kinetic]))
@@ -155,7 +155,7 @@ class TestEquivalence:
         # Both dense references move with the BLAS thread count, so they are
         # pinned to two threads.
         p, g = Params(2.9, 2.9, 0.5, 0.0), Grid(40.0, 801)
-        with lapack.blas_threads(2):
+        with region.blas_threads(2):
             solved, dense = _window_and_dense(p, g.n_points, g.half_width, threads=2)
             assert solved.reason is None, solved.reason
             zgeev = eig_complex_dense(discretize(_potential(p), g, order=4))
@@ -241,6 +241,68 @@ class TestVectors:
         assert verify_spectrum(p, g).pairing.max_defect == 0.0
 
 
+def _solve_window(p, n_points):
+    """region.solve_window on one point's H, on one BLAS thread as in production."""
+    g = Grid(20.0, n_points)
+    bands = _bands(_potential(p), g, 4)
+    m, _ = _pt_real_band(bands)
+    with region.blas_threads(1):
+        return region.solve_window(bands, m, g.h, 4)
+
+
+def _assert_the_contract(solved):
+    """Levels below the margin, sorted by (Re, Im), closed under conjugation."""
+    keys = [(e.real, e.imag) for e in solved.eigenvalues]
+    assert keys and all(re < ENERGY_MARGIN for re, _ in keys)
+    assert keys == sorted(keys)
+    assert sorted((re, -im) for re, im in keys) == keys
+    assert len(solved.vectors) == len(solved.ritz) == len(keys)
+
+
+class TestContract:
+    """Every outcome of solve_window returns its levels cut at the margin and sorted."""
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_POINTS, ids=str)
+    def test_below_the_crossover(self, p):
+        solved = _solve_window(p, 201)
+        assert solved.window is None and solved.reason.startswith("order 199 below")
+        _assert_the_contract(solved)
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_POINTS, ids=str)
+    def test_on_the_window_path(self, p):
+        solved = _solve_window(p, 601)
+        assert solved.window is not None and solved.reason is None
+        _assert_the_contract(solved)
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_POINTS, ids=str)
+    def test_on_a_forced_fallback(self, p, monkeypatch):
+        count = region.count_eigenvalues
+        monkeypatch.setattr(region, "count_eigenvalues", lambda *a: (3.5, count(*a)[1]))
+        solved = _solve_window(p, 601)
+        assert solved.window is not None and solved.reason == region.NON_INTEGRAL
+        _assert_the_contract(solved)
+
+    @pytest.mark.parametrize("n_points", [201, 601], ids=["dense", "window"])
+    def test_a_polished_value_at_or_above_the_margin_is_cut(self, n_points, monkeypatch):
+        # the cut runs on polish's values, not on the ones it started from
+        expected = _solve_window(ACCEPTANCE_POINTS[1], n_points)
+        below = math.nextafter(ENERGY_MARGIN, -math.inf)
+        extra = (complex(ENERGY_MARGIN), 0.5 + 0.1j, 0.5 - 0.1j, complex(below))
+        polish = region.polish
+
+        def polish_and_add(bands, ritz):
+            eigenvalues, vectors, values = polish(bands, ritz)
+            return (
+                eigenvalues + extra, vectors + (vectors[0],) * len(extra), values + extra
+            )
+
+        monkeypatch.setattr(region, "polish", polish_and_add)
+        solved = _solve_window(ACCEPTANCE_POINTS[1], n_points)
+        assert solved.eigenvalues == expected.eigenvalues + (complex(below),)
+        assert solved.ritz == expected.ritz + (complex(below),)
+        _assert_the_contract(solved)
+
+
 def _block_band(blocks):
     """Block-diagonal real matrix in _bands layout (half-bandwidth 1).
 
@@ -318,7 +380,7 @@ class TestSyntheticCount:
         g = Grid(20.0, 1501)
         bands = _bands(_potential(ACCEPTANCE_POINTS[1]), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        w, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        w, _ = region.bound_window(bands, kinetic)
         bottom, top = complex(w.re_hi, -w.im_hi), complex(w.re_hi, w.im_hi)
         raw = region._Phase(bands, np.empty(0))
         divided = region._Phase(bands, kinetic)
@@ -362,7 +424,7 @@ class TestPhase:
     def test_buffered_samples_equal_the_formula_and_keep_their_start(self, rng):
         # H at the broken reference point, and a random band that pivots on many rows
         bands, kinetic = _reference_bands(ACCEPTANCE_POINTS[1])
-        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic)
         noise = rng.standard_normal((2, 5, 40))
         cases = [(bands, kinetic), (noise[0] + 1j * noise[1], np.sort(rng.uniform(-3.0, 3.0, 40)))]
         points = rng.uniform(window.re_lo, window.re_hi, 20) + 1j * rng.uniform(0.0, 1.0, 20)
@@ -381,7 +443,7 @@ class TestPhase:
     )
     def test_count_and_its_lus_per_edge_are_the_formulas(self, p, lu_edges, monkeypatch):
         bands, kinetic = _reference_bands(p)
-        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic)
         count, edges = region.count_eigenvalues(bands, kinetic, window)
         monkeypatch.setattr(region, "_Phase", _FormulaPhase)
         assert (count, edges) == region.count_eigenvalues(bands, kinetic, window)
@@ -437,7 +499,7 @@ class TestKineticEigenvalues:
         g = Grid(20.0, n_points)
         bands = _bands(_potential(p), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic)
         count, _ = region.count_eigenvalues(bands, kinetic, window)
         assert count == pytest.approx(levels, abs=region.COUNT_TOL)
 
@@ -490,7 +552,7 @@ class TestWindowBracket:
                 assert factors == (mid < lowest), (p, g)
                 lo, hi = (mid, hi) if factors else (lo, mid)
             assert (lo, len(verdicts)) == (bound, factorizations), (p, g)
-            _, window_factorizations = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+            _, window_factorizations = region.bound_window(bands, kinetic)
             assert window_factorizations == factorizations
 
 
@@ -501,7 +563,7 @@ def _count_with(p, g, monkeypatch, **starts):
     """count_eigenvalues at p on g, with region's edge starts patched to starts."""
     bands = _bands(_potential(p), g, 4)
     kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-    window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+    window, _ = region.bound_window(bands, kinetic)
     with monkeypatch.context() as patched:
         for name, value in starts.items():
             patched.setattr(region, name, value)
@@ -710,13 +772,13 @@ class TestFallback:
         bands = _bands(_potential(self.POINT), g, 4)
         m, _ = _pt_real_band(bands)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic)
         found = region.arnoldi_window(m, window, 2)
         assert len(found.eigenvalues) == 2 and not found.covered
         arnoldi = region.arnoldi_window
         monkeypatch.setattr(region, "count_eigenvalues", lambda *args: (2.0, (1, 0, 0)))
         monkeypatch.setattr(region, "arnoldi_window", lambda m, w, k: arnoldi(m, w, 2))
-        solved = region.solve_window(bands, m, g.h, 4, ENERGY_MARGIN)
+        solved = region.solve_window(bands, m, g.h, 4)
         assert solved.reason == f"{region.MISMATCH} (2 counted, 2 found, covered=False)"
         assert solved.dense_s > 0.0  # the levels are dgeev's
 
@@ -738,7 +800,7 @@ class TestFallback:
         g = self.GRID
         bands = _bands(_potential(self.POINT), g, 4)
         kinetic = _kinetic_eigenvalues(bands.shape[1], g.h, 4)
-        window, _ = region.bound_window(bands, kinetic, ENERGY_MARGIN)
+        window, _ = region.bound_window(bands, kinetic)
         continuum = int(np.count_nonzero(np.abs(kinetic - window.centre) <= window.radius))
         # k = 4 counted + continuum + spare: 2 on the first attempt, which
         # stops short of the corners (test_arnoldi_short_of_the_corners_is_refused)

@@ -18,11 +18,14 @@ from ptscarf import (
     Grid,
     GridError,
     MatchError,
+    NonNormalizableError,
     Params,
     PotentialCoeffs,
     RegimeError,
     Sector,
     Wavefunction,
+    bound_state_count,
+    broken_constraint_params,
     build_broken_pair,
     build_unbroken,
     conjugate_pairing_check,
@@ -34,7 +37,7 @@ from ptscarf import (
     solve_bound_states,
     verify_spectrum,
 )
-from ptscarf import lapack, region, solver
+from ptscarf import region, solver
 from ptscarf.superpotential import (
     Samples,
     check_pt_symmetric_on,
@@ -279,29 +282,29 @@ class TestEigComplexDense:
 
 class TestLapack:
     def test_blas_threads_sets_and_restores_the_count(self):
-        if lapack.blas_thread_count() is None:
+        if region.blas_thread_count() is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
-        with lapack.blas_threads(2):
+        with region.blas_threads(2):
             with pytest.raises(RuntimeError):
-                with lapack.blas_threads(1):
-                    assert lapack.blas_thread_count() == 1
+                with region.blas_threads(1):
+                    assert region.blas_thread_count() == 1
                     raise RuntimeError("inside the block")
-            assert lapack.blas_thread_count() == 2
+            assert region.blas_thread_count() == 2
 
     def test_concurrent_blocks_run_one_at_a_time_and_restore_the_count(self):
-        lib = lapack._openblas()
+        lib = region._openblas()
         if lib is None:
             pytest.skip("scipy's bundled OpenBLAS is not present")
         inside, overlaps, seen = [], [], []
         guard = threading.Lock()
 
         def pin():
-            with lapack.blas_threads(1):
+            with region.blas_threads(1):
                 with guard:
                     inside.append(None)
                     overlaps.append(len(inside))
                 time.sleep(0.02)  # long enough for the others to try to enter
-                seen.append(lapack.blas_thread_count())
+                seen.append(region.blas_thread_count())
                 with guard:
                     inside.pop()
 
@@ -316,7 +319,7 @@ class TestLapack:
             for worker in workers:
                 worker.join(timeout=10.0)
             assert not any(worker.is_alive() for worker in workers)
-            assert lapack.blas_thread_count() == 2
+            assert region.blas_thread_count() == 2
         finally:
             sys.setswitchinterval(interval)
             lib.scipy_openblas_set_num_threads(original)
@@ -324,13 +327,13 @@ class TestLapack:
         assert seen == [1, 1, 1, 1]
 
     def test_blas_threads_without_the_library_changes_nothing(self, monkeypatch, caplog):
-        caplog.set_level(logging.DEBUG, logger="ptscarf.lapack")
-        before = lapack.blas_thread_count()
-        monkeypatch.setattr(lapack, "_openblas", lambda: None)
-        with lapack.blas_threads(1):
-            assert lapack.blas_thread_count() is None
+        caplog.set_level(logging.DEBUG, logger="ptscarf.region")
+        before = region.blas_thread_count()
+        monkeypatch.setattr(region, "_openblas", lambda: None)
+        with region.blas_threads(1):
+            assert region.blas_thread_count() is None
         monkeypatch.undo()
-        assert lapack.blas_thread_count() == before
+        assert region.blas_thread_count() == before
         assert any("BLAS thread count unchanged" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize(
@@ -615,28 +618,34 @@ class TestBoundStateFilter:
         g = Grid(20.0, 201)
         decaying = np.exp(-np.abs(g.x()))[1:-1]  # interior nodes, as the solve's vectors
         flat = np.ones(g.n_points - 2)
-        assert _is_bound_state(-1.0, decaying)
-        assert not _is_bound_state(-1.0, flat)
+        assert _is_bound_state(decaying)
+        assert not _is_bound_state(flat)
 
-    def test_energy_margin(self):
+    def test_energy_margin(self, monkeypatch):
+        # region.solve_window cuts at the margin and sorts; solve_bound_states
+        # keeps its levels in that order, and a state essentially on the
+        # continuum edge survives
         g = Grid(20.0, 201)
         decaying = np.exp(-np.abs(g.x()))[1:-1]
-        assert not _is_bound_state(0.5, decaying)
-        # a state essentially on the continuum edge survives the margin
-        assert _is_bound_state(1e-7 - 0.5j, decaying)
+        values = (1e-7 + 0.5j, 0.5, -1.0, region.ENERGY_MARGIN, 1e-7 - 0.5j)
+        monkeypatch.setattr(
+            region, "polish", lambda bands, ritz: (values, (decaying,) * len(values), values)
+        )
+        bound = solve_bound_states(FREE, g, order=2)
+        assert bound.eigenvalues == bound.ritz == (-1.0, 1e-7 - 0.5j, 1e-7 + 0.5j)
 
     @pytest.mark.parametrize("scale, kept", [(0.5, True), (1.0, True), (2.0, False)])
     def test_wall_ratio_against_boundary_tol(self, scale, kept):
         g = Grid(20.0, 201)
         values = np.exp(-np.abs(g.x()))  # peak 1 at the centre, ~6e-9 at the walls
         values[5] = scale * solver.BOUNDARY_TOL  # five nodes in from the left wall
-        assert _is_bound_state(-1.0, values[1:-1]) is kept
+        assert _is_bound_state(values[1:-1]) is kept
 
     def test_a_vector_that_is_not_finite_is_refused(self):
         x = np.exp(-np.abs(Grid(20.0, 201).x()))[1:-1].astype(complex)
         x[100] = complex(np.inf, 0.0)
         with pytest.raises(GridError, match="wavefunction samples must be finite"):
-            _is_bound_state(-1.0, x)
+            _is_bound_state(x)
 
     @staticmethod
     def _full_grid_ratio(x):
@@ -688,6 +697,65 @@ class TestConjugatePairing:
     def test_defect_measured(self):
         report = conjugate_pairing_check([1.0 + 1.0j, 1.0 - 1.0j + 1e-5])
         assert report.max_defect == pytest.approx(1e-5, rel=1e-6)
+
+    @staticmethod
+    def _sorting_reference(eigs):
+        """conjugate_pairing_check as it was, sorting the free set for every level."""
+        eigs = [complex(e) for e in eigs]
+        self_paired = []
+        complex_idx = []
+        for i, e in enumerate(eigs):
+            if abs(e.imag) <= solver.REAL_IM_TOL * max(1.0, abs(e)):
+                self_paired.append(i)
+            else:
+                complex_idx.append(i)
+        complex_idx.sort(key=lambda i: (eigs[i].real, eigs[i].imag))
+        free = set(complex_idx)
+        pairs = []
+        leftover = []
+        for i in complex_idx:
+            if i not in free:
+                continue
+            free.discard(i)
+            best = None
+            for j in sorted(free):
+                defect = abs(eigs[i] - np.conj(eigs[j]))
+                if best is None or defect < best[1]:
+                    best = (j, defect)
+            if best is None:
+                leftover.append(i)  # odd one out, no conjugate candidate left
+                continue
+            free.discard(best[0])
+            pairs.append((i, best[0], float(best[1])))
+        unpaired = tuple(sorted(leftover))
+        max_defect = max((d for _, _, d in pairs), default=0.0)
+        return solver.PairingReport(tuple(pairs), tuple(self_paired), unpaired, max_defect)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                # |E| within the float range: abs(complex) raises beyond it
+                st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+                # small integer parts: exact conjugates, repeats and ties
+                st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+            ),
+            max_size=12,
+        ).flatmap(
+            lambda base: st.lists(
+                st.sampled_from(
+                    [lambda e: e, lambda e: e.conjugate(), lambda e: e.conjugate() + 1e-9j]
+                ),
+                min_size=len(base), max_size=len(base),
+            ).map(lambda images: base + [f(e) for f, e in zip(images, base)][: len(base) // 2 + 1])
+        )
+    )
+    @example([1.0 + 1.0j, 1.0 - 1.0j, 1.0 - 1.0j])  # two equal candidates: the lower index
+    @example([2.0 + 1.0j, 2.0 - 1.0j + 1e-12, 2.0 - 1.0j, -1.0 + 0.5j, -1.0 - 0.5j])
+    @example([0.5j, 1.0 + 1e-7j, -0.5j, 3.0 + 2.0j])  # a real one, and an odd count
+    @example([])
+    def test_same_report_as_sorting_the_free_set_per_level(self, eigs):
+        assert conjugate_pairing_check(eigs) == self._sorting_reference(eigs)
 
 
 class TestMatchLevels:
@@ -878,12 +946,64 @@ class TestVerifySpectrum:
         assert len(report.unmatched_analytic) > 0
 
 
+class TestLadderFit:
+    """A family with more rungs than H has eigenvalues is refused before it is built."""
+
+    GRID = Grid(20.0, 9)  # H has 7 eigenvalues
+    ALPHA = 1.0
+    # (family label, the point at a depth, the family's depth at that point)
+    FAMILIES = [
+        ("primary", lambda d: Params(d, 1.0, 1.0, 0.0), lambda p: p.A),
+        ("sl2_exchanged", lambda d: Params(1.0, d + 0.5, 1.0, 0.0), lambda p: p.B - 0.5),
+        ("plus", lambda d: broken_constraint_params(d, 1.0, 0.5), lambda p: p.A),
+    ]
+
+    @pytest.mark.parametrize("label, point, depth", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_n_points_minus_2_rungs_fit_and_one_more_is_refused(
+        self, label, point, depth, monkeypatch
+    ):
+        rungs = self.GRID.n_points - 2
+        fits = point(float(rungs))  # Re a - rungs * alpha = 0: exactly rungs levels
+        assert bound_state_count(depth(fits), self.ALPHA) == rungs
+        levels = match_spectrum(fits, self.GRID)
+        (family,) = [f for f in levels.families if f.label() == label]
+        assert len(family.levels) == rungs
+        deeper = point(math.nextafter(float(rungs), math.inf))
+        assert bound_state_count(depth(deeper), self.ALPHA) == rungs + 1
+
+        def no_ladder(p):
+            raise AssertionError("a rung was built")
+
+        monkeypatch.setattr(solver, "analytic_families", no_ladder)
+        with pytest.raises(GridError, match=r"has more than the 7 levels that H has on 9 grid"):
+            match_spectrum(deeper, self.GRID)
+        with pytest.raises(GridError):
+            verify_spectrum(deeper, self.GRID)
+
+    @pytest.mark.parametrize(
+        "p, g, error, message",
+        [
+            # the exchanged family (depth 99.5) is deep, the primary one not normalizable
+            (
+                Params(-1.0, 100.0, 1.0, 0.0), Grid(20.0, 61), NonNormalizableError,
+                "Re\\(a\\) > 0",
+            ),
+            (Params(100.0, 1.0, 1.0, 0.5), Grid(20.0, 61), RegimeError, "PT-symmetry condition"),
+            (Params(100.0, 1.0, 1.0, 0.0), Grid(20.0, 3), GridError, "5-point stencil"),
+        ],
+        ids=["non-normalizable", "not-pt", "stencil"],
+    )
+    def test_the_points_own_errors_come_first(self, p, g, error, message):
+        with pytest.raises(error, match=message):
+            match_spectrum(p, g)
+
+
 class TestConvergenceOrder:
     def test_second_order_stencil(self):
         v = PotentialCoeffs(-9.75, 6.0j, 0.0, 1.0)  # ground level -6.25
         errors = []
         for n in (301, 601):
-            with lapack.blas_threads(1):  # as every production solve runs
+            with region.blas_threads(1):  # as every production solve runs
                 eigs = eig_complex_dense(discretize(v, Grid(15.0, n), order=2))
             e0 = eigs[np.argmin(np.abs(eigs - (-6.25)))]
             errors.append(abs(e0 - (-6.25)))
