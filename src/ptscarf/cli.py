@@ -212,6 +212,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """build_parser()'s subcommand parsers, by name."""
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed once where that is the same.
+
+    The top-level parser classifies every token, then hands all those after
+    the subcommand to the subcommand's parser, which parses them again.
+    When argv starts with a subcommand and every token that starts with "-"
+    is an exact option string of its parser (or "--opt=value" with an exact
+    --opt), the first pass can only agree with the second: that parser
+    parses alone, and the top-level parser refuses its leftovers, as it does
+    after the full parse.  Any other argv takes the full parse: a flag
+    before the subcommand, an abbreviation, an ambiguous prefix (which the
+    top-level parser refuses with its own usage), "--" or a bare negative
+    number.
+    """
+    parser = build_parser()
+    sub = _subcommand_parsers().get(argv[0]) if argv else None
+    if sub is None or any(
+        token.startswith("-") and token.partition("=")[0] not in sub._option_string_actions
+        for token in argv[1:]
+    ):
+        return parser.parse_args(argv)
+    ns, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -584,7 +617,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = build_parser().parse_args(_attach_negative_values(argv))
+        ns = _parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the validation code
         code = exc.code if exc.code is not None else 0

@@ -77,8 +77,17 @@ class Wavefunction:
             raise GridError("cannot normalize the zero wavefunction")
         if not np.isfinite(n):
             raise GridError(f"cannot normalize a wavefunction of norm {n}")
+        # numpy divides by a real n as (re + im*0) * (1/n) and (im - re*0) *
+        # (1/n): values * (1/n - 0j) gives those bits, signed zeros included,
+        # at a third of the cost, unless a part underflows to a zero whose
+        # sign the two may set apart
+        try:
+            with np.errstate(under="raise"):
+                scaled = self.values * complex(1.0 / n, -0.0)
+        except FloatingPointError:
+            scaled = self.values / n
         # finite samples over a finite positive norm stay finite
-        return Wavefunction._derived(self.grid, self.values / n)
+        return Wavefunction._derived(self.grid, scaled)
 
     def overlap(self, other: "Wavefunction") -> complex:
         """Discrete inner product <self, other> = sum conj(self)*other*h."""

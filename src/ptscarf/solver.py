@@ -626,7 +626,7 @@ def match_spectrum(
     labeled = tuple(
         LabeledLevel(fam.label(), n, e) for fam in families for n, e in fam.levels
     )
-    samples = Samples.at(g.x(), p.alpha)
+    samples = Samples.on(g, p.alpha)
     numerical = solve_bound_states(v, g, order=order, samples=samples).eigenvalues
     matches, unmatched_a, unmatched_n = match_levels(
         [l.energy for l in labeled], numerical, match_tol

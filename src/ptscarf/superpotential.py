@@ -100,6 +100,14 @@ class Samples:
     def at(cls, x, alpha: float) -> "Samples":
         return cls(alpha, *_sech_tanh(x, alpha))
 
+    @classmethod
+    def on(cls, g: Grid, alpha: float) -> "Samples":
+        """Samples.at(g.x(), alpha) from the x >= 0 half, mirrored: g.x() is
+        symmetric bit for bit, as sech is even and tanh odd; x = 0 keeps +0."""
+        m = (g.n_points - 1) // 2
+        s, th = _sech_tanh(np.arange(m + 1, dtype=float) * g.h, alpha)
+        return cls(alpha, np.concatenate((s[:0:-1], s)), np.concatenate((-th[:0:-1], th)))
+
     def __neg__(self) -> "Samples":
         return Samples(self.alpha, self.sech, -self.tanh)
 
@@ -378,7 +386,7 @@ def ground_state_pt(
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
     """
     if samples is None:
-        samples = Samples.at(g.x(), ws[0][1].alpha)
+        samples = Samples.on(g, ws[0][1].alpha)
     psi = [ground_state_wavefunction(w, g, samples) for _, w in ws]
     image = pt_apply(psi[0])
     image_norm = image.norm()

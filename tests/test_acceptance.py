@@ -236,7 +236,8 @@ def test_criterion_8_eigensolver_unit_suite(rng):
     for _ in range(50):
         n = int(rng.integers(10, 201))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        eigs = eig_complex_dense(m)
+        with region.blas_threads(1):  # as every production solve runs
+            eigs = eig_complex_dense(m)
         rel = abs(np.sum(eigs) - np.trace(m)) / np.linalg.norm(m)
         worst = max(worst, rel)
         assert rel <= 1e-8

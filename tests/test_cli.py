@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ptscarf
 from ptscarf import cli, region, solver
@@ -623,6 +625,116 @@ def _help_text(parser, argv):
         parser.parse_args(argv)
     assert exc.value.code == 0
     return buf.getvalue()
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def _main_outcome(argv, parse=None):
+    """main(argv)'s exit code, stdout and stderr, and the namespace it built
+    its config from; parse, if given, replaces main's parse.  The scan and
+    spectrum handlers print the resolved config in place of a solve."""
+    seen = []
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        if parse is not None:
+            mp.setattr(cli, "_parse_args", parse)
+        config = cli.build_config
+        mp.setattr(cli, "build_config", lambda ns: seen.append(repr(vars(ns))) or config(ns))
+        for name in ("spectrum", "scan"):
+            mp.setitem(cli._HANDLERS, name, lambda cfg: (0, f"{cfg!r}\n"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), seen
+
+
+# Generated command lines: model flags with numbers (plain or exponent-form
+# negative), and exact flags, abbreviations, ambiguous prefixes (--c is --cpt
+# or --config, --h --help or --half-width, --o --order or --out), unknown
+# options and "--" with values malformed or empty; each flag and its value
+# as two tokens or joined with "=".  --out and --config are left out, so no
+# call writes or reads a file.
+_NUMBER = st.sampled_from(("1", "2.5", "0.5", "1.5", "-1", "-0.5", "-8e-05", "-5E-1"))
+_OPTION = st.sampled_from((
+    "--points", "--order", "--format", "--half-width", "--match-tol", "--scan-min",
+    "--scan-max", "--scan-steps", "--jobs", "-h", "--help", "--alph", "--cp", "--poi",
+    "--scan-ma", "--c", "--h", "--o", "--scan", "--bogus", "-x", "-", "--",
+))
+_VALUE = st.sampled_from(("101", "4", "json", "csv", "x", "nan", "", "-1"))
+
+
+def _chunk(flags, values):
+    """A flag and a value, as two tokens or joined with "="."""
+    return st.tuples(flags, values).flatmap(lambda fv: st.sampled_from((list(fv), ["=".join(fv)])))
+
+
+_CHUNK = st.one_of(
+    _chunk(st.sampled_from(("--alpha", "--cpt")), _NUMBER),
+    _chunk(_OPTION, _VALUE),
+    st.one_of(_OPTION, _VALUE).map(lambda t: [t]),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """--A and --B with numbers and up to three more chunks, in any order,
+    with a subcommand (or none) mostly first."""
+    chunks = [draw(_chunk(st.just(f), _NUMBER)) for f in ("--A", "--B")]
+    chunks = draw(st.permutations(chunks + draw(st.lists(_CHUNK, max_size=3))))
+    tokens = [t for chunk in chunks for t in chunk]
+    command = draw(st.sampled_from(("verify", "potential", "scan", "spectrum", "nonsense", None)))
+    if command is not None:
+        tokens.insert(draw(st.one_of(st.just(0), st.integers(0, len(tokens)))), command)
+    return tokens
+
+
+class TestOneParse:
+    """main parses an argv that starts with a subcommand, and names only its
+    exact flags, with that subcommand's parser alone, and gives what the
+    full two-level parse gives."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(argv=_command_lines())
+    @example(argv=["verify", "--A=1.5", "--B=2.0", "--alpha=1.0", "--cpt=0.5"])
+    @example(argv=["potential", "--A=2.5", "--B=-1.0", "--alpha=0.8", "--cpt=0.0"])
+    @example(argv=["verify", "--A", "2.5", "--B", "1", "--cpt", "-8e-05"])
+    @example(argv=["scan", "--A", "1.5", "--scan-min", "0", "--scan-max", "1", "--scan-steps", "2"])
+    @example(argv=["verify", "--A=1", "--B=1", "x", "--cpt"])
+    @example(argv=["verify", "--A", "1", "--B", "2", "3", "4"])
+    @example(argv=["verify", "--c", "1", "--A", "1", "--B", "1"])
+    @example(argv=["verify", "--A=1", "--B=1", "--", "--cpt", "1"])
+    @example(argv=["verify", "-1"])
+    def test_main_matches_the_full_parse(self, argv):
+        assert _main_outcome(argv) == _main_outcome(argv, _full_parse)
+
+    @pytest.mark.parametrize(
+        "argv, once",
+        [
+            (["verify", "--A=1.5", "--B=2", "--cpt=0.5"], True),
+            (["potential", "--A", "1", "--B", "2", "--cpt", "-5e-1"], True),  # joined with "="
+            (["verify", "-h"], True),
+            (["verify", "--A=1", "--B=1", "stray"], True),
+            (["verify", "--alph=1", "--A=2", "--B=1"], False),  # an abbreviation
+            (["verify", "--c", "1"], False),  # an ambiguous prefix
+            (["--A=2", "verify", "--B=1"], False),  # a flag before the subcommand
+            (["verify", "--A=1", "--", "--B", "1"], False),
+            (["verify", "-1"], False),  # a bare negative number
+            (["verif", "--A=1"], False),
+            ([], False),
+        ],
+    )
+    def test_which_argv_are_parsed_once(self, argv, once):
+        full = []
+        parser = build_parser()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parser, "parse_args", lambda a: full.append(a) or type(parser).parse_args(parser, a))
+            outcome = _main_outcome(argv)
+        assert (not full) == once
+        assert outcome == _main_outcome(argv, _full_parse)
+        if once and outcome[0] == 3:
+            assert "unrecognized arguments: stray" in outcome[2]
 
 
 class TestParserReuse:

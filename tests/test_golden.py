@@ -105,6 +105,19 @@ CASES = [
     _case("spectrum", *POINT, "--order", "3"),
     _case("potential", *POINT, "--format", "xml"),
     _case(*SCAN, "--scan-min", "0", "--scan-max", "1", "--scan-steps", "x"),
+    # argv outside the one-parser path: ambiguous prefixes (--c is --cpt or
+    # --config, --scan= three scan flags, --h --help or --half-width, --o
+    # --order or --out), which the top-level parser refuses with its usage; an
+    # abbreviation, a flag before the subcommand, and "--"
+    _case("verify", "--c", "1", "--A", "1", "--B", "1"),
+    _case("verify", "--scan=1", "--A=1", "--B=2"),
+    _case("verify", "--h"),
+    _case("verify", "--o", "2", "--A", "1", "--B", "2"),
+    _case("verify", "--alph=1", "--A=2", "--B=1"),
+    _case("--A=2", "verify", "--B=1"),
+    _case("verify", "--A=1", "--B=1", "--", "--cpt", "1"),
+    # on the one-parser path: the subcommand's help
+    _case("verify", "-h"),
     # validation errors
     _case("potential", "--A", "1"),
     _case("verify", "--B", "1"),

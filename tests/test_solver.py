@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptscarf import (
@@ -81,6 +81,20 @@ class TestGrid:
         assert g.h == pytest.approx(2 * 17.3 / 4000)
 
 
+# Parts of complex samples: signed zeros, subnormals, near-overflow and any
+# finite magnitudes; _NORMABLE_SAMPLES keeps |psi|^2 summable.
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310)
+_SAMPLES = st.builds(
+    complex,
+    *[st.one_of(st.sampled_from(_EDGE_PARTS + (1.7976931348623157e308, -1.5e308)),
+                st.floats(allow_nan=False, allow_infinity=False))] * 2,
+)
+_NORMABLE_SAMPLES = st.builds(
+    complex,
+    *[st.one_of(st.sampled_from(_EDGE_PARTS + (1e150, -1e150)), st.floats(-1e150, 1e150))] * 2,
+)
+
+
 class TestWavefunction:
     def test_length_checked(self):
         with pytest.raises(GridError):
@@ -107,6 +121,37 @@ class TestWavefunction:
         ):
             assert derived.grid == g and derived.values.dtype == complex
             assert np.array_equal(derived.values, checked.values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(_SAMPLES, min_size=1, max_size=16).map(np.array), n=st.floats(1e-160, 1e300))
+    @example(values=np.array([complex(-0.0, 1.0), complex(-1.0, -0.0), complex(-0.0, -0.0)]), n=3.7)
+    def test_times_the_inverse_norm_is_the_division_bit_for_bit(self, values, n):
+        # numpy divides a complex by a real n as (re + im*0) * (1/n) and
+        # (im - re*0) * (1/n); values * (1/n - 0j) gives the same bits, signed
+        # zeros included, except where a part that is not zero underflows to
+        # zero (there normalized divides).  values * (1/n), that is times
+        # 1/n + 0j, does not: -0 + 1j gives -0 where the division gives +0
+        with np.errstate(over="ignore", under="ignore"):
+            times, divided = (values * complex(1.0 / n, -0.0)).view(float), (values / n).view(float)
+        underflow = (values.view(float) != 0.0) & (times == 0.0)
+        assert times[~underflow].tobytes() == divided[~underflow].tobytes()
+        assert np.all(divided[underflow] == 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.integers(1, 8).flatmap(
+            lambda k: st.lists(_NORMABLE_SAMPLES, min_size=2 * k + 1, max_size=2 * k + 1)
+        ),
+        half_width=st.floats(1e-3, 1e3),
+    )
+    # -5e-324 / n underflows to -0 in the division and to +0 times 1/n - 0j
+    @example(values=[complex(-5e-324, 1.0), complex(1.0, -0.0), complex(-0.0, 1e10)], half_width=1.0)
+    def test_normalized_is_the_division_bit_for_bit(self, values, half_width):
+        psi = Wavefunction(Grid(half_width, len(values)), np.array(values))
+        n = psi.norm()
+        assume(n > 0.0)
+        with np.errstate(under="ignore"):
+            assert psi.normalized().values.tobytes() == (psi.values / n).tobytes()
 
     def test_norm_and_overlap(self):
         g = Grid(5.0, 11)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptscarf import (
@@ -461,6 +461,23 @@ class TestSharedSamples:
         assert cli._potential_expansion(None, (("w", w),), samples, None)[1] == expansion
         defect = float(np.max(np.abs(np.conj(_v(v, -x)) - _v(v, x))))
         assert pt_defect(v, samples) == pt_defect(v, x) == defect
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2000).map(lambda k: 2 * k + 1),
+        half_width=st.floats(0.5, 200.0),
+        alpha=st.floats(0.01, 5.0),
+    )
+    @example(n=3, half_width=20.0, alpha=1.0)
+    @example(n=4001, half_width=20.0, alpha=1.0)
+    def test_grid_samples_mirror_their_nonnegative_half(self, n, half_width, alpha):
+        # what ground_state_pt and match_spectrum read: the x >= 0 half
+        # computed, the rest mirrored, the bits of sampling every node
+        g = Grid(half_width, n)
+        mirrored, direct = Samples.on(g, alpha), Samples.at(g.x(), alpha)
+        assert mirrored.alpha == alpha
+        assert mirrored.sech.tobytes() == direct.sech.tobytes()
+        assert mirrored.tanh.tobytes() == direct.tanh.tobytes()
 
     def test_samples_at_another_alpha_are_refused(self):
         with pytest.raises(DomainError):
