@@ -128,14 +128,13 @@ class RunConfig:
 
 def _setup_logging() -> None:
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    name = os.environ.get("PTSCARF_LOG", "warn").strip().lower()
-    level = levels.get(name, logging.WARNING)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    logging.getLogger("ptscarf").setLevel(level)
+    level = levels.get(os.environ.get("PTSCARF_LOG", "warn").strip().lower(), logging.WARNING)
+    if not logging.root.handlers:  # logging's stderr handler reads sys.stderr at each record
+        fmt = "%(levelname)s %(name)s: %(message)s"
+        logging.basicConfig(handlers=[logging._StderrHandler()], level=level, format=fmt)
+    package = logging.getLogger("ptscarf")
+    if package.level != level:  # setLevel clears the cache of every logger
+        package.setLevel(level)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -219,25 +218,46 @@ def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsed once where that is the same.
+    """build_parser().parse_args(argv), read token by token where that is the same.
 
-    The top-level parser classifies every token, then hands all those after
-    the subcommand to the subcommand's parser, which parses them again.
-    When argv starts with a subcommand and every token that starts with "-"
-    is an exact option string of its parser (or "--opt=value" with an exact
-    --opt), the first pass can only agree with the second: that parser
-    parses alone, and the top-level parser refuses its leftovers, as it does
-    after the full parse.  Any other argv takes the full parse: a flag
-    before the subcommand, an abbreviation, an ambiguous prefix (which the
-    top-level parser refuses with its own usage), "--" or a bare negative
-    number.
+    The top-level parser hands every token after the subcommand to the
+    subcommand's parser, so when argv starts with a subcommand and names only
+    its exact flags, that parser's reading is the parse.  Each "--opt=value",
+    or "--opt" and a next token that does not start with "-", is stored here
+    as argparse stores it, through the flag's type and choices, in token
+    order; what this cannot read (-h, a stray token, a missing value, a failed
+    conversion or choice, a "--" value) that parser parses, and the top-level
+    parser refuses its leftovers.  Any other argv takes the full parse: a flag
+    before the subcommand, an abbreviation, an ambiguous prefix, "--" or a
+    bare negative number.
     """
     parser = build_parser()
     sub = _subcommand_parsers().get(argv[0]) if argv else None
-    if sub is None or any(
-        token.startswith("-") and token.partition("=")[0] not in sub._option_string_actions
-        for token in argv[1:]
-    ):
+    if sub is None:
+        return parser.parse_args(argv)
+    known, ns, action = sub._option_string_actions, argparse.Namespace(command=argv[0]), None
+    for token in argv[1:]:
+        if action is None:
+            flag, eq, token = token.partition("=")
+            action = known.get(flag)
+            if not isinstance(action, argparse._StoreAction) or token == "--":
+                break  # -h, a stray token, no exact flag, or a "--" that argparse drops
+            if not eq:
+                continue
+        elif token.startswith("-"):
+            break  # a flag where a value is due
+        try:
+            value = (action.type or str)(token)
+        except ValueError:
+            break
+        if action.choices is not None and value not in action.choices:
+            break
+        setattr(ns, action.dest, value)
+        action = None
+    else:
+        if action is None:
+            return ns
+    if any(token.startswith("-") and token.partition("=")[0] not in known for token in argv[1:]):
         return parser.parse_args(argv)
     ns, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
@@ -286,7 +306,7 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
     given = vars(ns)
     settings = {**_DEFAULTS, **_load_config_file(given.get("config")), **given}
     command, alpha = settings["command"], settings["alpha"]
-    if alpha <= 0.0 or not np.isfinite(alpha):
+    if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValidationError(f"--alpha must be positive and finite, got {alpha}")
 
     scan = None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not np.isfinite(self.half_width) or self.half_width <= 0.0:
+        if not math.isfinite(self.half_width) or self.half_width <= 0.0:
             raise GridError(f"half_width must be positive, got {self.half_width!r}")
         if self.n_points < 3:
             raise GridError(f"need at least 3 points, got {self.n_points}")
@@ -75,7 +76,7 @@ class Wavefunction:
         n = self.norm()
         if n == 0.0:
             raise GridError("cannot normalize the zero wavefunction")
-        if not np.isfinite(n):
+        if not math.isfinite(n):
             raise GridError(f"cannot normalize a wavefunction of norm {n}")
         # numpy divides by a real n as (re + im*0) * (1/n) and (im - re*0) *
         # (1/n): values * (1/n - 0j) gives those bits, signed zeros included,

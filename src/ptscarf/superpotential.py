@@ -43,6 +43,7 @@ way, and so are the bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -137,7 +138,7 @@ class Superpotential:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
+        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
 
     def evaluate(self, x):
@@ -169,7 +170,7 @@ class PotentialCoeffs:
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "c0", complex(self.c0))
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
+        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
 
     def evaluate(self, x):

@@ -618,6 +618,30 @@ class TestLogging:
         code, _ = run_cli(tmp_path, ["potential", "--A", "1.5", "--B", "2", "--cpt", "0.5"])
         assert code == 0
 
+    def test_each_call_logs_to_the_stderr_it_runs_under(self, tmp_path, monkeypatch):
+        """Two scans in one process, each under its own redirected stderr:
+        each stream gets its own call's lines, none the other's."""
+        monkeypatch.setenv("PTSCARF_LOG", "info")
+        # the root logger of a plain process: no handler yet (pytest's are set aside)
+        monkeypatch.setattr(logging.root, "handlers", [])
+        levels = logging.root.level, logging.getLogger("ptscarf").level
+        args = [*TestScanCommand.BASE, "--scan-min", "0.2", "--scan-max", "0.5", "--scan-steps", "2"]
+        streams = []
+        try:
+            for _ in range(2):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert run_cli(tmp_path, args, name="scan.csv")[0] == 0
+                streams.append(err.getvalue())
+        finally:
+            logging.root.setLevel(levels[0])
+            logging.getLogger("ptscarf").setLevel(levels[1])
+        expected = [
+            "INFO ptscarf.cli: scan point 1/2 done (c_pt=0.2)",
+            "INFO ptscarf.cli: scan point 2/2 done (c_pt=0.5)",
+        ]
+        for text in streams:
+            assert [line for line in text.splitlines() if "scan point" in line] == expected
+
 
 def _help_text(parser, argv):
     buf = io.StringIO()
@@ -629,6 +653,10 @@ def _help_text(parser, argv):
 
 def _full_parse(argv):
     return build_parser().parse_args(argv)
+
+
+def _refuse_to_parse(*args, **kwargs):
+    raise AssertionError("argparse parsed the call")
 
 
 def _main_outcome(argv, parse=None):
@@ -706,8 +734,32 @@ class TestOneParse:
     @example(argv=["verify", "--c", "1", "--A", "1", "--B", "1"])
     @example(argv=["verify", "--A=1", "--B=1", "--", "--cpt", "1"])
     @example(argv=["verify", "-1"])
+    @example(argv=["verify", "--A=1", "--A=2", "--B=1"])
+    @example(argv=["verify", "--A=", "--B=1"])
+    @example(argv=["verify", "--A=1", "--B=1", "--order=3"])
+    @example(argv=["potential", "--A=1", "--B=1", "--format=xml"])
+    @example(argv=["verify", "--A=1", "--B=1", "--points=1e3"])
+    @example(argv=["verify", "--A=1", "--B=1", "--jobs=0"])
+    @example(argv=["verify", "--help=x"])
+    @example(argv=["verify", "--A=2.5", "--B=1", "--points", "101"])
+    @example(argv=["verify", "--A=1", "--B=1", "--config", "--cpt=1"])  # --config lacks its value
     def test_main_matches_the_full_parse(self, argv):
         assert _main_outcome(argv) == _main_outcome(argv, _full_parse)
+
+    def test_the_benchmark_form_is_read_without_argparse(self):
+        """--A=<repr> --B=<repr> --alpha=<repr> --cpt=<repr> builds its
+        namespace, in argparse's order, without a parse_known_args call."""
+        for a, b, alpha, cpt in [(1.5, 2.0, 1.0, 0.5), (2.5, -8.02e-05, 0.8, -5e-05)]:
+            argv = ["verify", f"--A={a!r}", f"--B={b!r}", f"--alpha={alpha!r}", f"--cpt={cpt!r}"]
+            expected = repr(vars(_full_parse(argv)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(type(build_parser()), "parse_known_args", _refuse_to_parse)
+                assert repr(vars(cli._parse_args(argv))) == expected
+
+    @pytest.mark.parametrize("argv", [["verify", "--out=--"], ["verify", "--A=1", "--config=--"]])
+    def test_a_dash_dash_value_is_left_to_argparse(self, argv):
+        # argparse drops a "--" value, leaving an empty list where a string was due
+        assert repr(vars(cli._parse_args(argv))) == repr(vars(_full_parse(argv)))
 
     @pytest.mark.parametrize(
         "argv, once",
