@@ -184,6 +184,15 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "--flag -8e-05" as "--flag=-8e-05"
+    (_attach_negative_values); its subcommand parsers are of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(_attach_negative_values(args), namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ptscarf argument parser, built once per process and shared.
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged (every flag defaults to SUPPRESS,
     so each parse returns a fresh namespace); callers must not modify it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptscarf",
         description=(
             "Complex Scarf-II PT-symmetric spectra: analytic construction "
@@ -223,9 +232,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     The top-level parser hands every token after the subcommand to the
     subcommand's parser, so when argv starts with a subcommand and names only
     its exact flags, that parser's reading is the parse.  Each "--opt=value",
-    or "--opt" and a next token that does not start with "-", is stored here
-    as argparse stores it, through the flag's type and choices, in token
-    order; what this cannot read (-h, a stray token, a missing value, a failed
+    or "--opt" and a next token that does not start with "-" or is a number
+    (which _Parser joins with "="), is stored here as argparse stores it,
+    through the flag's type and choices, in token order: one pass over argv.
+    What this cannot read (-h, a stray token, a missing value, a failed
     conversion or choice, a "--" value) that parser parses, and the top-level
     parser refuses its leftovers.  Any other argv takes the full parse: a flag
     before the subcommand, an abbreviation, an ambiguous prefix, "--" or a
@@ -245,7 +255,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             if not eq:
                 continue
         elif token.startswith("-"):
-            break  # a flag where a value is due
+            try:
+                float(token)  # "--opt -8e-05" is "--opt=-8e-05", as _Parser reads it
+            except ValueError:
+                break  # a flag where a value is due
         try:
             value = (action.type or str)(token)
         except ValueError:
@@ -257,6 +270,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     else:
         if action is None:
             return ns
+    argv = _attach_negative_values(argv)
     if any(token.startswith("-") and token.partition("=")[0] not in known for token in argv[1:]):
         return parser.parse_args(argv)
     ns, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
@@ -268,6 +282,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
+    if not isinstance(path, str):  # "--config=--" leaves argparse's []
+        raise ValidationError(f"--config must be a file path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -344,13 +360,16 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"--format csv is for scan only; {command} writes json")
     if settings["jobs"] < 1:  # checked but unused: scan points run in one loop
         raise ValidationError(f"--jobs must be >= 1, got {settings['jobs']}")
+    out = settings.get("out")
+    if out is not None and not isinstance(out, str):  # "--out=--" leaves argparse's []
+        raise ValidationError(f"--out must be a file path, got {out!r}")
 
     return RunConfig(
         params=params,
         grid=grid,
         order=settings["order"],
         match_tol=match_tol,
-        out=Path(settings["out"]) if "out" in settings else None,
+        out=None if out is None else Path(out),
         fmt=fmt,
         scan=scan,
     )
@@ -509,9 +528,17 @@ def _exchange_swaps_sectors(p: Params, ws, x, g):
     be a rung on the threshold Re(a - n alpha) = 0 that rounding moved to
     the other side of it (the exchange moves A by an ulp or so): its
     defect is its distance from the threshold, Re sqrt(-E).
+
+    An exchange that keeps A and negates c_pt exactly gives each family's
+    swapped partner the same tanh coefficient A -+ i*c_pt and alpha, so the
+    same rungs bit for bit: that pair passes with defect 0 unbuilt, at any
+    depth A/alpha.  A <= 0 still goes to bifurcated_spectrum, which refuses it.
     """
+    q = sl2_exchange(p, Sector.PLUS)
+    if p.A > 0.0 and q.A == p.A and q.c_pt == -p.c_pt:
+        return True, 0.0, ""
     fam_plus, fam_minus = bifurcated_spectrum(p)
-    x_plus, x_minus = bifurcated_spectrum(sl2_exchange(p, Sector.PLUS))
+    x_plus, x_minus = bifurcated_spectrum(q)
     defect, details = 0.0, []
     for fam, swapped in ((fam_plus, x_minus), (fam_minus, x_plus)):
         mine, theirs = fam.energies, swapped.energies
@@ -637,7 +664,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _parse_args(_attach_negative_values(argv))
+        ns = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the validation code
         code = exc.code if exc.code is not None else 0

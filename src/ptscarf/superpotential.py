@@ -30,8 +30,9 @@ The PT verdict on a parameter point lives here too, for the verify suite
 regime's W's (pt_superpotentials() adds V_-, or refuses a non-PT point),
 pt_defect() samples V(-x)* - V(x), check_pt_symmetric_on() judges a
 potential's coefficients and that defect to rounding (PT_ROUNDING_TOL), and
-ground_state_pt() gives the PT overlaps of their ground states and the one
-verdict on them (GS_PT_TOL; a broken pair also needs a non-real energy).
+ground_state_pt() gives the PT overlaps of their ground states, taken from
+the unnormalized states, and the one verdict on them (GS_PT_TOL; a broken
+pair also needs a non-real energy).
 
 Every evaluator of the {tanh, sech} basis (Superpotential.evaluate and
 .derivative, PotentialCoeffs.evaluate, pt_defect, ground_state_wavefunction)
@@ -49,8 +50,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonNormalizableError, RegimeError
-from .grids import Grid, Wavefunction, pt_apply
+from .errors import DomainError, GridError, NonNormalizableError, RegimeError
+from .grids import Grid, Wavefunction
 from .params import Params, Regime, classify_regime
 
 # A ground state counts as PT-invariant when its PT self overlap is within
@@ -259,19 +260,29 @@ def ground_state_wavefunction(
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
+    values = _ground_state_values(w, g, g.x() if samples is None else samples)
+    return Wavefunction(g, values).normalized()
+
+
+def _ground_state_values(w: Superpotential, g: Grid, x) -> np.ndarray:
+    """exp(-int_0^x W) on g by the trapezoid rule, unnormalized: the capped
+    exponential of the exponent (_capped_exp).  x is g.x() or its Samples.
+
+    Raises:
+      NonNormalizableError: if Re(a) <= 0.
+    """
     ground_state_energy(w)  # refuses Re(a) <= 0
-    h = g.h
     mid = (g.n_points - 1) // 2
-    values = w.evaluate(g.x() if samples is None else samples)
+    values = w.evaluate(x)
     # trapezoid steps, accumulated to the right and to the left of x = 0; the
     # left sums are -int_0^x W already, the right ones and x = 0 are negated
     steps = values[:-1] + values[1:]
-    steps *= 0.5 * h
+    steps *= 0.5 * g.h
     exponent = np.zeros(g.n_points, dtype=complex)
     np.cumsum(steps[mid:], out=exponent[mid + 1 :])
     np.cumsum(steps[mid - 1 :: -1], out=exponent[mid - 1 :: -1])
     np.negative(exponent[mid:], out=exponent[mid:])
-    return Wavefunction(g, _capped_exp(exponent)).normalized()
+    return _capped_exp(exponent)
 
 
 def _capped_exp(exponent: np.ndarray) -> np.ndarray:
@@ -383,16 +394,33 @@ def ground_state_pt(
     exceptional point.  samples, if given, are Samples of g.x() that the
     caller shares.
 
+    The overlaps are overlap_ratio's, taken from the unnormalized states
+    that ground_state_wavefunction normalizes: PT psi_0 is conj(psi_0(-x)),
+    so |<PT psi_0, psi_k>| / (||psi_0|| ||psi_k||) is
+    |sum psi_0(-x) psi_k(x)| / sqrt(sum |psi_0|^2 * sum |psi_k|^2), with h
+    and each state's scale cancelled: one sum of |psi|^2 per state and one
+    sum of products per overlap, all of them numpy's pairwise sums.
+
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
+      GridError: if a ground state has a non-finite sample.
     """
     if samples is None:
         samples = Samples.on(g, ws[0][1].alpha)
-    psi = [ground_state_wavefunction(w, g, samples) for _, w in ws]
-    image = pt_apply(psi[0])
-    image_norm = image.norm()
-    # overlap_ratio(image, psi_k), with the image's norm taken once for both
-    overlaps = [abs(image.overlap(s)) / (image_norm * s.norm()) for s in psi]
+    psi = [_ground_state_values(w, g, samples) for _, w in ws]
+    # pairwise sums: a BLAS dot product rounded up to twice as far from
+    # overlap_ratio on the normalized states (7 against 3.5 ulps of 1)
+    norms = []
+    for s in psi:
+        parts = s.view(float)
+        # the cap bounds every finite |psi|^2 by e^600, so the sum of |psi|^2
+        # is finite iff every sample is
+        sum_sq = float(np.sum(parts * parts))
+        if not math.isfinite(sum_sq):
+            raise GridError("wavefunction samples must be finite")
+        norms.append(math.sqrt(sum_sq))
+    image = psi[0][::-1]  # PT psi_0, unconjugated: <PT psi_0, .> conjugates it back
+    overlaps = [abs(complex(np.sum(image * s))) / (norms[0] * n) for s, n in zip(psi, norms)]
     self_overlap = overlaps[0]
     if len(psi) == 1:
         return self_overlap, None, self_overlap >= 1.0 - GS_PT_TOL

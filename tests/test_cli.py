@@ -450,6 +450,35 @@ class TestVerifyCommand:
         )
 
     @pytest.mark.parametrize(
+        "point",
+        [
+            ("1.5", "2", "1", "0.5"),
+            ("1e6", "1000000.5", "1", "0.5"),
+            ("0.8", "1.55", "1.5", "-0.9"),
+        ],
+        ids=str,
+    )
+    def test_an_exact_exchange_builds_no_rung(self, tmp_path, monkeypatch, point):
+        # the exchange keeps A and negates c_pt bit for bit, so each family and
+        # its swapped partner share every rung: they are compared unbuilt, and
+        # a million rungs per family cost nothing
+        a, b, alpha, cpt = point
+        argv = ["verify", "--A", a, "--B", b, "--alpha", alpha, "--cpt", cpt, "--points=101"]
+        p = ptscarf.Params(*map(float, point))
+        q = ptscarf.sl2_exchange(p, ptscarf.Sector.PLUS)
+        assert (q.A, q.c_pt) == (p.A, -p.c_pt)
+        expected = run_cli(tmp_path, argv, "expected.json")
+
+        def refuse(p):
+            raise AssertionError(f"built the rungs of {p}")
+
+        monkeypatch.setattr(cli, "bifurcated_spectrum", refuse)
+        code, text = run_cli(tmp_path, argv)
+        assert (code, text) == expected and code == 0
+        prop = {q["name"]: q for q in json.loads(text)["properties"]}["exchange_swaps_sectors"]
+        assert (prop["status"], prop["defect"], prop["detail"]) == ("pass", 0.0, "")
+
+    @pytest.mark.parametrize(
         "point, name, defect",
         [
             (["--A", "1", "--alpha", "1.2", "--B", "1.6", "--cpt", "27.2"],
@@ -755,6 +784,22 @@ class TestOneParse:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(type(build_parser()), "parse_known_args", _refuse_to_parse)
                 assert repr(vars(cli._parse_args(argv))) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["potential", "--A", "1", "--B", "2", "--cpt", "-5e-1"],
+            ["verify", "--A", "-1e-3", "--B=2", "--points", "-7", "--cpt", "-0.5"],
+        ],
+    )
+    def test_a_negative_number_is_joined_in_the_one_pass(self, argv):
+        # "--cpt -5e-1" is read as "--cpt=-5e-1" by the token loop itself:
+        # neither argparse nor the joining pass runs
+        expected = repr(vars(_full_parse(argv)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(build_parser()), "parse_known_args", _refuse_to_parse)
+            mp.setattr(cli, "_attach_negative_values", _refuse_to_parse)
+            assert repr(vars(cli._parse_args(argv))) == expected
 
     @pytest.mark.parametrize("argv", [["verify", "--out=--"], ["verify", "--A=1", "--config=--"]])
     def test_a_dash_dash_value_is_left_to_argparse(self, argv):

@@ -142,6 +142,9 @@ CASES = [
     _case(*SCAN, "--scan-min", "0", "--scan-max", "nan", "--scan-steps", "2"),
     _case(*SCAN, "--scan-min", "-inf", "--scan-max", "0.5", "--scan-steps", "2"),
     _case("scan", "--A", "inf", "--scan-min", "0", "--scan-max", "0.5", "--scan-steps", "2"),
+    # a "--" value, which argparse stores as [] where a path is due
+    _case("verify", "--A=1", "--B=1", "--out=--"),
+    _case("verify", "--A=1", "--B=1", "--config=--"),
     # config files
     _case("potential", *POINT, "--config", "missing.json"),
     _case("potential", *POINT, "--config", "cfg.json", files={"cfg.json": "[1, 2]"}),
@@ -185,6 +188,9 @@ CASES = [
     _case("verify", "--A", "1", "--alpha", "1.2", "--B", "1.6", "--cpt", "27.2"),
     _case("verify", "--A=35.6", "--alpha=1.4", "--B=36.300000000000004", "--cpt=28.9"),
     _case("verify", "--A=1.3", "--alpha=1.3", "--B=1.9500000000000002", "--cpt=22.8"),
+    # a million rungs per family, which the exchange maps onto each other
+    # exactly (same A, negated c_pt): compared without building a rung
+    _case("verify", "--A", "1e6", "--B", "1000000.5", "--cpt", "0.5", "--points", "101"),
     # broken points near the exceptional point, whose ground state's PT self
     # overlap reads above 0.999: non-real energies, so not PT-invariant
     _case("verify", "--A", "1.5", "--B", "2", "--cpt", "0.01"),

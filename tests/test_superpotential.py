@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ptscarf import (
     DomainError,
     Grid,
+    GridError,
     NonNormalizableError,
     Params,
     PotentialCoeffs,
@@ -30,8 +31,10 @@ from ptscarf import (
 from ptscarf import cli
 from ptscarf.superpotential import (
     GS_PT_TOL,
+    PSI_EXPONENT_CAP,
     Samples,
     _capped_exp,
+    _ground_state_values,
     check_pt_symmetric_on,
     ground_state_pt,
     gudermannian,
@@ -350,16 +353,23 @@ class TestPtVerdict:
         assert pt_defect(v, x) == pytest.approx(0.5, rel=1e-5)
 
     def test_ground_state_pt_overlaps(self):
-        # the states ground_state_pt builds from shared samples are the ones
-        # built one by one, and its overlaps, which take the PT image's norm
-        # once, are overlap_ratio's, bit for bit: also where the exponent is
-        # capped (c_pt / alpha = 400 on verify's default grid), where c_pt < 0,
-        # and at the first unbroken and broken analytic-suite draws of seed 99
-        # on verify's default grid
+        # the overlaps are taken from the unnormalized states, the capped
+        # exponentials that ground_state_wavefunction normalizes:
+        # |sum psi_0(-x) psi_k(x)| / (||psi_0|| ||psi_k||), bit for bit, with
+        # numpy's sums; also where the exponent is capped (c_pt / alpha = 400
+        # on verify's default grid), where c_pt < 0, and at the first unbroken
+        # and broken analytic-suite draws of seed 99 on verify's default grid
         unbroken_draw = Params(1.0030028240335696, 0.3270687194933797, 1.2012852883263538)
         broken_draw = Params(
             2.9221218419813964, 3.6332991984582392, 1.4223547129536858, 0.8955968970524063
         )
+
+        def norm(psi):
+            return math.sqrt(float(np.sum(psi.view(float) ** 2)))
+
+        def pt_overlap(psi_0, psi_k):
+            return abs(complex(np.sum(psi_0[::-1] * psi_k))) / (norm(psi_0) * norm(psi_k))
+
         for p, g in (
             (Params(2.5, 1.0), FINE_GRID),
             (unbroken_draw, Grid(20.0 / unbroken_draw.alpha, 4001)),
@@ -369,16 +379,35 @@ class TestPtVerdict:
             (broken_draw, Grid(20.0 / broken_draw.alpha, 4001)),
         ):
             ws = superpotentials(p)
+            raw = [_ground_state_values(w, g, g.x()) for _, w in ws]
+            for (_, w), psi in zip(ws, raw):
+                normalized = Wavefunction(g, psi).normalized().values
+                assert normalized.tobytes() == ground_state_wavefunction(w, g).values.tobytes()
             self_overlap, swap, passed = ground_state_pt(ws, g)
+            assert self_overlap == pt_overlap(raw[0], raw[0])
             if len(ws) == 1:
-                psi = ground_state_wavefunction(ws[0][1], g)
-                assert self_overlap == overlap_ratio(pt_apply(psi), psi) >= 1.0 - GS_PT_TOL
+                assert self_overlap >= 1.0 - GS_PT_TOL
                 assert swap is None and passed
                 continue
-            psi_p, psi_m = (ground_state_wavefunction(w, g) for _, w in ws)
-            assert self_overlap == overlap_ratio(pt_apply(psi_p), psi_p) < 0.9
-            assert swap == overlap_ratio(pt_apply(psi_p), psi_m) >= 1.0 - GS_PT_TOL
+            assert self_overlap < 0.9
+            assert swap == pt_overlap(raw[0], raw[1]) >= 1.0 - GS_PT_TOL
             assert passed
+
+    def test_ground_state_pt_is_overlap_ratio_of_the_normalized_states(self, rng):
+        # to 4 ulps of 1, the scale of an overlap: the normalized states round
+        # each sample once more, and their norms are summed again
+        capped = Params(1.0, 1.005, 0.01, 4.0)
+        g = Grid(2000.0, 4001)
+        peak = np.max(np.abs(_ground_state_values(superpotentials(capped)[0][1], g, g.x())))
+        assert float(peak) == pytest.approx(math.exp(PSI_EXPONENT_CAP), rel=1e-12)
+        for p in [*random_unbroken(rng, 50), *random_broken(rng, 50), capped]:
+            for g in (Grid(20.0 / p.alpha, 4001), Grid(20.0 / p.alpha, 601)):
+                ws = superpotentials(p)
+                psi = [ground_state_wavefunction(w, g) for _, w in ws]
+                expected = [overlap_ratio(pt_apply(psi[0]), s) for s in psi]
+                got = ground_state_pt(ws, g)[: len(ws)]
+                for a, b in zip(got, expected):
+                    assert abs(a - b) <= 4.0 * np.finfo(float).eps, (p, g)
         # near the exceptional point the self overlap alone cannot tell a
         # broken state from an invariant one; its non-real energy -a^2 does
         near_ep = [Params(1.5, 2.0, 1.0, c) for c in (0.01, 1e-3, 1e-4, -1e-3)]
@@ -407,6 +436,17 @@ class TestPtVerdict:
         tilted = Superpotential(a=2.5, b=0.5 + 1.0j, alpha=1.0)
         self_overlap, swap, passed = ground_state_pt((("unbroken", tilted),), FINE_GRID)
         assert swap is None and self_overlap < 1.0 - GS_PT_TOL and not passed
+
+    def test_ground_state_pt_refuses_a_non_finite_state(self):
+        # W overflows on the grid, and the exponent with it: the sum of |psi|^2
+        # refuses the state with the message of a Wavefunction's samples
+        finite = build_unbroken(Params(2.5, 1.0))
+        for b in (1e308j, complex(1e308, 1e308)):
+            w = Superpotential(1.0, b, 1.0)
+            for ws in ((("unbroken", w),), (("plus", finite), ("minus", w))):
+                with np.errstate(all="ignore"), pytest.raises(GridError) as refused:
+                    ground_state_pt(ws, Grid(20.0, 401))
+                assert str(refused.value) == "wavefunction samples must be finite"
 
     def test_ground_state_pt_refuses_a_non_normalizable_state(self):
         with pytest.raises(NonNormalizableError):
