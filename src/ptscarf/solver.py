@@ -8,8 +8,8 @@ artifacts, and the survivors are matched one-to-one against the analytic
 families (match_spectrum, all that a scan point runs).  The report's PT
 verdict (the potential's PT defect on the grid, the ground-state PT
 overlaps) comes from superpotential.pt_superpotentials,
-check_pt_symmetric_on and ground_state_pt, which the CLI also uses; they
-read the Samples of the grid that the solve read.
+check_pt_symmetric_on and ground_state_pt, which the CLI also uses; the
+first reads the Samples of the grid that the solve read.
 
 Notes on the numerics:
   * H is built as its band (half-bandwidth <= 2) in O(n); only discretize()
@@ -554,9 +554,10 @@ class LevelMatch:
     """A point's analytic levels matched one-to-one against the solver's.
 
     superpotentials and potential are the point's pt_superpotentials, and
-    samples the Samples of the grid's points that the solve read; the PT
-    checks of verify_spectrum take them up.  Samples compare by identity,
-    so equality leaves them out: two checks of one point compare equal.
+    samples the Samples of the grid's points that the solve read; the
+    potential's PT check in verify_spectrum takes them up.  Samples compare
+    by identity, so equality leaves them out: two checks of one point
+    compare equal.
     """
 
     params: Params
@@ -666,9 +667,7 @@ def verify_spectrum(
     """
     levels = match_spectrum(p, g, order, match_tol)
     pt_symmetric, defect = check_pt_symmetric_on(levels.potential, levels.samples)
-    gs_overlap, swap_overlap, gs_passed = ground_state_pt(
-        levels.superpotentials, g, levels.samples
-    )
+    gs_overlap, swap_overlap, gs_passed = ground_state_pt(levels.superpotentials, g)
     report = SpectrumReport(
         **vars(levels),
         pairing=conjugate_pairing_check(levels.numerical),

@@ -20,10 +20,18 @@ is fixed by requiring that the unbroken-regime coefficients come out as
 expansion identity is verified pointwise in the test suite.
 
 The annihilation condition (d/dx + W) psi_0 = 0 gives the V_- ground state
-psi_0 = exp(-int_0^x W), computed here by cumulative trapezoidal quadrature
-with the closed form cosh(alpha*x)^(-a/alpha) * exp(-(b/alpha)*gd(alpha*x))
-available as an independent cross-check (gd is the Gudermannian, the
-antiderivative of sech).
+psi_0 = exp(-int_0^x W).  On a grid of spacing h, with z = alpha*x,
+
+    int_0^x W = (a/alpha) * int_0^z tanh + (b/alpha) * int_0^z sech,
+
+and the two basis integrals are taken once per grid by cumulative
+trapezoidal quadrature on the half grid z_k = k*alpha*h, k >= 0, and cached
+(_basis_integrals): the first is even in x and the second odd, so the x < 0
+half of every state comes from the same two products with the sign of the
+second flipped, and each further state costs one exponential.  The closed
+form cosh(alpha*x)^(-a/alpha) * exp(-(b/alpha)*gd(alpha*x)) is an
+independent cross-check (gd is the Gudermannian, the antiderivative of
+sech).
 
 The PT verdict on a parameter point lives here too, for the verify suite
 (cli) and solver.verify_spectrum alike: superpotentials() picks the
@@ -34,16 +42,16 @@ ground_state_pt() gives the PT overlaps of their ground states, taken from
 the unnormalized states, and the one verdict on them (GS_PT_TOL; a broken
 pair also needs a non-real energy).
 
-Every evaluator of the {tanh, sech} basis (Superpotential.evaluate and
-.derivative, PotentialCoeffs.evaluate, pt_defect, ground_state_wavefunction)
-takes either the points x or Samples of them: sech(alpha*x) and
-tanh(alpha*x) computed once, which the callers that evaluate several
-functions at one set of points share.  The arithmetic is the same either
-way, and so are the bits.
+Every evaluator of the {tanh, sech} basis at points (Superpotential.evaluate
+and .derivative, PotentialCoeffs.evaluate, pt_defect) takes either the
+points x or Samples of them: sech(alpha*x) and tanh(alpha*x) computed once,
+which the callers that evaluate several functions at one set of points
+share.  The arithmetic is the same either way, and so are the bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -90,8 +98,7 @@ def gudermannian(z):
 class Samples:
     """sech(alpha*x) and tanh(alpha*x) at points x, computed once.
 
-    An evaluator at this alpha reads them in place of x; -samples holds the
-    same at -x (sech is even, tanh odd bit for bit, as the tests check).
+    An evaluator at this alpha reads them in place of x.
     """
 
     alpha: float
@@ -109,9 +116,6 @@ class Samples:
         m = (g.n_points - 1) // 2
         s, th = _sech_tanh(np.arange(m + 1, dtype=float) * g.h, alpha)
         return cls(alpha, np.concatenate((s[:0:-1], s)), np.concatenate((-th[:0:-1], th)))
-
-    def __neg__(self) -> "Samples":
-        return Samples(self.alpha, self.sech, -self.tanh)
 
 
 def _sech_tanh(x, alpha: float):
@@ -246,42 +250,56 @@ def ground_state_energy(w: Superpotential) -> complex:
     return -w.a * w.a
 
 
-def ground_state_wavefunction(
-    w: Superpotential, g: Grid, samples: Optional[Samples] = None
-) -> Wavefunction:
+def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
     """Ground state psi_0 = exp(-int_0^x W), unit discrete L2 norm.
 
-    The integral is accumulated by trapezoidal quadrature outward from
-    x = 0.  Quadrature (rather than the closed form) is the primary path
-    because it works for any W sampled on the grid; the closed form is kept
-    in ground_state_closed_form as an independent check.  samples, if given,
-    are Samples of g.x() that the caller shares between states.
+    The integral is the trapezoid rule's, accumulated outward from x = 0 on
+    the basis integrals of the grid (_basis_integrals).  Quadrature (rather
+    than the closed form) is the primary path because it works for any W on
+    the {tanh, sech} basis; the closed form is kept in
+    ground_state_closed_form as an independent check.
 
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
-    values = _ground_state_values(w, g, g.x() if samples is None else samples)
-    return Wavefunction(g, values).normalized()
+    return Wavefunction(g, _ground_state_values(w, g)).normalized()
 
 
-def _ground_state_values(w: Superpotential, g: Grid, x) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _basis_integrals(m: int, step: float) -> np.ndarray:
+    """The trapezoid rule's int_0^z tanh and int_0^z sech, the rows, at
+    z_k = k*step, k = 0..m, accumulated outward from 0, read-only."""
+    z = np.arange(m + 1, dtype=float) * step
+    f = np.stack((np.tanh(z), sech(z)))
+    steps = f[:, :-1] + f[:, 1:]
+    steps *= 0.5 * step
+    integrals = np.zeros((2, m + 1))
+    np.cumsum(steps, axis=1, out=integrals[:, 1:])
+    integrals.flags.writeable = False
+    return integrals
+
+
+def _ground_state_values(w: Superpotential, g: Grid) -> np.ndarray:
     """exp(-int_0^x W) on g by the trapezoid rule, unnormalized: the capped
-    exponential of the exponent (_capped_exp).  x is g.x() or its Samples.
+    exponential of the exponent (_capped_exp).
+
+    With I_tanh and I_sech the basis integrals on g's x >= 0 half, the
+    exponent is -((a/alpha) I_tanh + (b/alpha) I_sech) at x >= 0 and, as
+    I_tanh is even in x and I_sech odd, -((a/alpha) I_tanh - (b/alpha) I_sech)
+    at the mirrored x < 0.
 
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
     ground_state_energy(w)  # refuses Re(a) <= 0
-    mid = (g.n_points - 1) // 2
-    values = w.evaluate(x)
-    # trapezoid steps, accumulated to the right and to the left of x = 0; the
-    # left sums are -int_0^x W already, the right ones and x = 0 are negated
-    steps = values[:-1] + values[1:]
-    steps *= 0.5 * g.h
-    exponent = np.zeros(g.n_points, dtype=complex)
-    np.cumsum(steps[mid:], out=exponent[mid + 1 :])
-    np.cumsum(steps[mid - 1 :: -1], out=exponent[mid - 1 :: -1])
-    np.negative(exponent[mid:], out=exponent[mid:])
+    m = (g.n_points - 1) // 2
+    i_tanh, i_sech = _basis_integrals(m, w.alpha * g.h)
+    even = (w.a / w.alpha) * i_tanh
+    odd = (w.b / w.alpha) * i_sech
+    exponent = np.empty(g.n_points, dtype=complex)
+    np.subtract(even[:0:-1], odd[:0:-1], out=exponent[:m])
+    np.add(even, odd, out=exponent[m:])
+    np.negative(exponent, out=exponent)
     return _capped_exp(exponent)
 
 
@@ -362,9 +380,16 @@ def pt_superpotentials(
 
 
 def pt_defect(v: PotentialCoeffs, x) -> float:
-    """max |conj V(-x) - V(x)| over the points x (or their Samples); 0 for a PT-symmetric V."""
-    samples = Samples.at(x, v.alpha)
-    return float(np.max(np.abs(np.conj(v.evaluate(-samples)) - v.evaluate(samples))))
+    """max |conj V(-x) - V(x)| over the points x (or their Samples); 0 for a PT-symmetric V.
+
+    V's even part s*sech^2 and odd part t*sech*tanh are sampled once:
+    V(x) = even + odd + c0 and V(-x) = even - odd + c0, the bits of
+    v.evaluate at x and -x (tanh is odd bit for bit).
+    """
+    sch, th = _sech_tanh(x, v.alpha)
+    even = v.s * sch * sch
+    odd = v.t * sch * th
+    return float(np.max(np.abs(np.conj(even - odd + v.c0) - (even + odd + v.c0))))
 
 
 def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
@@ -379,7 +404,7 @@ def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
 
 
 def ground_state_pt(
-    ws: Sequence[tuple[str, Superpotential]], g: Grid, samples: Optional[Samples] = None
+    ws: Sequence[tuple[str, Superpotential]], g: Grid
 ) -> tuple[float, Optional[float], bool]:
     """PT overlaps of the ground states of superpotentials(p) on g, and their verdict.
 
@@ -391,8 +416,7 @@ def ground_state_pt(
     passes iff its swap overlap is, and the energy -a^2 of psi_+ is not
     real: H PT psi = E* PT psi, so a state with non-real E is never
     PT-invariant, however close to 1 its self overlap reads near the
-    exceptional point.  samples, if given, are Samples of g.x() that the
-    caller shares.
+    exceptional point.
 
     The overlaps are overlap_ratio's, taken from the unnormalized states
     that ground_state_wavefunction normalizes: PT psi_0 is conj(psi_0(-x)),
@@ -405,9 +429,7 @@ def ground_state_pt(
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
       GridError: if a ground state has a non-finite sample.
     """
-    if samples is None:
-        samples = Samples.on(g, ws[0][1].alpha)
-    psi = [_ground_state_values(w, g, samples) for _, w in ws]
+    psi = [_ground_state_values(w, g) for _, w in ws]
     # pairwise sums: a BLAS dot product rounded up to twice as far from
     # overlap_ratio on the normalized states (7 against 3.5 ulps of 1)
     norms = []

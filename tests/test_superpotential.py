@@ -33,6 +33,7 @@ from ptscarf.superpotential import (
     GS_PT_TOL,
     PSI_EXPONENT_CAP,
     Samples,
+    _basis_integrals,
     _capped_exp,
     _ground_state_values,
     check_pt_symmetric_on,
@@ -220,16 +221,43 @@ class TestGroundStateWavefunction:
         ],
     )
     def test_quadrature_is_the_trapezoid_written_out(self, w, g):
-        # the exponent is built in place; these are its operations, out of
-        # place, in the same order, so the state keeps its bits (also capped)
+        # the basis integrals and the exponent are built in place; these are
+        # their operations, out of place, in the same order, so the state
+        # keeps its bits (also capped): the trapezoid rule for int_0^z tanh
+        # and int_0^z sech on z_k = k*alpha*h, k = 0..m, then the exponent
+        # -((a/alpha) I_tanh +- (b/alpha) I_sech) on x >= 0 and, mirrored, x < 0
         mid = (g.n_points - 1) // 2
-        values = w.evaluate(g.x())
-        integral = np.zeros(g.n_points, dtype=complex)
-        steps = 0.5 * g.h * (values[:-1] + values[1:])
-        integral[mid + 1 :] = np.cumsum(steps[mid:])
-        integral[mid - 1 :: -1] = -np.cumsum(steps[mid - 1 :: -1])
-        written_out = Wavefunction(g, _capped_exp(-integral)).normalized()
+        step = w.alpha * g.h
+        z = np.arange(mid + 1, dtype=float) * step
+        i_tanh, i_sech = np.zeros(mid + 1), np.zeros(mid + 1)
+        for integral, f in ((i_tanh, np.tanh(z)), (i_sech, sech(z))):
+            integral[1:] = np.cumsum(0.5 * step * (f[:-1] + f[1:]))
+        even, odd = (w.a / w.alpha) * i_tanh, (w.b / w.alpha) * i_sech
+        exponent = np.concatenate((-(even - odd)[:0:-1], -(even + odd)))
+        written_out = Wavefunction(g, _capped_exp(exponent)).normalized()
         np.testing.assert_array_equal(ground_state_wavefunction(w, g).values, written_out.values)
+
+    def test_the_basis_integrals_are_a_pure_function_of_the_grid(self, rng):
+        # cached per (m, alpha*h) and read-only: a state is the same on a cold
+        # cache and a warm one, and on another grid of equal n_points and
+        # alpha*h (alpha and the coefficients scaled by 2 or 1/2, exactly)
+        for p in [*random_unbroken(rng, 5), *random_broken(rng, 5)]:
+            for n_points in (4001, 601):
+                g = Grid(20.0 / p.alpha, n_points)
+                for _, w in superpotentials(p):
+                    _basis_integrals.cache_clear()
+                    cold = _ground_state_values(w, g)
+                    warm = _ground_state_values(w, g)
+                    assert cold.tobytes() == warm.tobytes()
+                    for k in (2.0, 0.5):
+                        scaled = Superpotential(w.a * k, w.b * k, w.alpha * k)
+                        other = Grid(g.half_width / k, n_points)
+                        assert scaled.alpha * other.h == w.alpha * g.h
+                        got = _ground_state_values(scaled, other)
+                        assert got.tobytes() == cold.tobytes()
+        for integral in _basis_integrals(2000, 0.01):
+            with pytest.raises(ValueError):
+                integral[0] = 1.0
 
     def test_closed_form_below_the_cap_is_the_plain_exponential(self):
         w = Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0)
@@ -352,6 +380,23 @@ class TestPtVerdict:
         v = PotentialCoeffs(-6.0, 0.5 + 6.0j, 0.0, 1.0)
         assert pt_defect(v, x) == pytest.approx(0.5, rel=1e-5)
 
+    def test_pt_defect_reads_the_even_and_odd_parts_once(self, rng):
+        # V(x) = even + odd + c0 and V(-x) = even - odd + c0 are the bits of
+        # v.evaluate at x and at -x, so the defect is the two calls' defect;
+        # V_+ is a second potential, and a complex c0 breaks PT symmetry
+        for p in [*random_unbroken(rng, 15), *random_broken(rng, 15)]:
+            x = rng.uniform(-10.0 / p.alpha, 10.0 / p.alpha, size=1000)
+            for _, w in superpotentials(p):
+                v_minus, v_plus = partner_potential_minus(w), partner_potential_plus(w)
+                c0 = complex(*rng.normal(size=2))
+                for v in (v_minus, v_plus, PotentialCoeffs(v_minus.s, v_minus.t, c0, p.alpha)):
+                    z = x * v.alpha
+                    even, odd = v.s * sech(z) * sech(z), v.t * sech(z) * np.tanh(z)
+                    assert (even + odd + v.c0).tobytes() == v.evaluate(x).tobytes()
+                    assert (even - odd + v.c0).tobytes() == v.evaluate(-x).tobytes()
+                    defect = float(np.max(np.abs(np.conj(v.evaluate(-x)) - v.evaluate(x))))
+                    assert pt_defect(v, x) == pt_defect(v, Samples.at(x, v.alpha)) == defect
+
     def test_ground_state_pt_overlaps(self):
         # the overlaps are taken from the unnormalized states, the capped
         # exponentials that ground_state_wavefunction normalizes:
@@ -379,7 +424,7 @@ class TestPtVerdict:
             (broken_draw, Grid(20.0 / broken_draw.alpha, 4001)),
         ):
             ws = superpotentials(p)
-            raw = [_ground_state_values(w, g, g.x()) for _, w in ws]
+            raw = [_ground_state_values(w, g) for _, w in ws]
             for (_, w), psi in zip(ws, raw):
                 normalized = Wavefunction(g, psi).normalized().values
                 assert normalized.tobytes() == ground_state_wavefunction(w, g).values.tobytes()
@@ -398,7 +443,7 @@ class TestPtVerdict:
         # each sample once more, and their norms are summed again
         capped = Params(1.0, 1.005, 0.01, 4.0)
         g = Grid(2000.0, 4001)
-        peak = np.max(np.abs(_ground_state_values(superpotentials(capped)[0][1], g, g.x())))
+        peak = np.max(np.abs(_ground_state_values(superpotentials(capped)[0][1], g)))
         assert float(peak) == pytest.approx(math.exp(PSI_EXPONENT_CAP), rel=1e-12)
         for p in [*random_unbroken(rng, 50), *random_broken(rng, 50), capped]:
             for g in (Grid(20.0 / p.alpha, 4001), Grid(20.0 / p.alpha, 601)):
@@ -438,15 +483,32 @@ class TestPtVerdict:
         assert swap is None and self_overlap < 1.0 - GS_PT_TOL and not passed
 
     def test_ground_state_pt_refuses_a_non_finite_state(self):
-        # W overflows on the grid, and the exponent with it: the sum of |psi|^2
-        # refuses the state with the message of a Wavefunction's samples
+        # (b/alpha) I_sech overflows, and the exponent with it, as I_sech
+        # reaches ~pi/2: the sum of |psi|^2 refuses the state with the message
+        # of a Wavefunction's samples
         finite = build_unbroken(Params(2.5, 1.0))
-        for b in (1e308j, complex(1e308, 1e308)):
+        for b in (1.2e308j, 1.2e308):
             w = Superpotential(1.0, b, 1.0)
             for ws in ((("unbroken", w),), (("plus", finite), ("minus", w))):
                 with np.errstate(all="ignore"), pytest.raises(GridError) as refused:
                     ground_state_pt(ws, Grid(20.0, 401))
                 assert str(refused.value) == "wavefunction samples must be finite"
+
+    def test_a_huge_but_finite_exponent_gives_a_finite_state(self):
+        # b = 1e308j: |b/alpha| I_sech <= 1e308 * pi/2 stays finite, so the
+        # state is exp(-I_tanh), the state of b = 0, times a unit-modulus
+        # phase.  W is finite too; only the sum W_j + W_j+1 of a trapezoid
+        # step in x, which the build no longer forms, would overflow
+        w = Superpotential(1.0, 1e308j, 1.0)
+        g = Grid(20.0, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = _ground_state_values(w, g)
+            self_overlap, swap, _ = ground_state_pt((("unbroken", w),), g)
+        modulus = _ground_state_values(Superpotential(1.0, 0.0, 1.0), g)
+        assert np.all(np.isfinite(psi))
+        np.testing.assert_allclose(np.abs(psi), modulus.real, rtol=1e-12, atol=0.0)
+        assert math.isfinite(self_overlap) and swap is None
 
     def test_ground_state_pt_refuses_a_non_normalizable_state(self):
         with pytest.raises(NonNormalizableError):
@@ -488,7 +550,7 @@ class TestSharedSamples:
         w = Superpotential(a, b, alpha)
         v = partner_potential_minus(w)
         samples = Samples.at(x, alpha)
-        # -samples negates tanh: pt_defect reads V(-x) through that identity
+        # tanh is odd bit for bit: pt_defect reads V(-x) as even - odd + c0
         assert np.array_equal(np.tanh(-x * alpha), -np.tanh(x * alpha))
         for got in (w.evaluate(samples), w.evaluate(x)):
             assert np.array_equal(got, _w(a, b, alpha, x))
@@ -511,7 +573,7 @@ class TestSharedSamples:
     @example(n=3, half_width=20.0, alpha=1.0)
     @example(n=4001, half_width=20.0, alpha=1.0)
     def test_grid_samples_mirror_their_nonnegative_half(self, n, half_width, alpha):
-        # what ground_state_pt and match_spectrum read: the x >= 0 half
+        # what match_spectrum reads: the x >= 0 half
         # computed, the rest mirrored, the bits of sampling every node
         g = Grid(half_width, n)
         mirrored, direct = Samples.on(g, alpha), Samples.at(g.x(), alpha)
