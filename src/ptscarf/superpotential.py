@@ -26,12 +26,12 @@ psi_0 = exp(-int_0^x W).  On a grid of spacing h, with z = alpha*x,
 
 and the two basis integrals are taken once per grid by cumulative
 trapezoidal quadrature on the half grid z_k = k*alpha*h, k >= 0, and cached
-(_basis_integrals): the first is even in x and the second odd, so the x < 0
-half of every state comes from the same two products with the sign of the
-second flipped, and each further state costs one exponential.  The closed
-form cosh(alpha*x)^(-a/alpha) * exp(-(b/alpha)*gd(alpha*x)) is an
-independent cross-check (gd is the Gudermannian, the antiderivative of
-sech).
+(_basis_integrals): the first is even in x and the second odd.  The complex
+exponential runs once per PT mirror: an unbroken state's x < 0 half and a
+broken pair's psi_- are conjugate mirrors of values already taken
+(_conjugate_mirror).  The closed form
+cosh(alpha*x)^(-a/alpha) * exp(-(b/alpha)*gd(alpha*x)) is an independent
+cross-check (gd is the Gudermannian, the antiderivative of sech).
 
 The PT verdict on a parameter point lives here too, for the verify suite
 (cli) and solver.verify_spectrum alike: superpotentials() picks the
@@ -280,13 +280,20 @@ def _basis_integrals(m: int, step: float) -> np.ndarray:
 
 
 def _ground_state_values(w: Superpotential, g: Grid) -> np.ndarray:
-    """exp(-int_0^x W) on g by the trapezoid rule, unnormalized: the capped
-    exponential of the exponent (_capped_exp).
+    """exp(-int_0^x W) on g by the trapezoid rule, unnormalized (_ground_state)."""
+    return _ground_state(w, g)[0]
+
+
+def _ground_state(w: Superpotential, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The capped exponential of the exponent (_capped_exp), and where the
+    exponent is real.
 
     With I_tanh and I_sech the basis integrals on g's x >= 0 half, the
     exponent is -((a/alpha) I_tanh + (b/alpha) I_sech) at x >= 0 and, as
     I_tanh is even in x and I_sech odd, -((a/alpha) I_tanh - (b/alpha) I_sech)
-    at the mirrored x < 0.
+    at the mirrored x < 0.  For real a and imaginary b, an unbroken W, that
+    is the x >= 0 exponent conjugated, with the same real parts and cap, so
+    the x < 0 half is _conjugate_mirror of the x >= 0 half.
 
     Raises:
       NonNormalizableError: if Re(a) <= 0.
@@ -296,11 +303,28 @@ def _ground_state_values(w: Superpotential, g: Grid) -> np.ndarray:
     i_tanh, i_sech = _basis_integrals(m, w.alpha * g.h)
     even = (w.a / w.alpha) * i_tanh
     odd = (w.b / w.alpha) * i_sech
+    if w.a.imag == 0.0 and w.b.real == 0.0:
+        half = np.negative(np.add(even, odd, out=even), out=even)
+        psi, real = _capped_exp(half), half.imag == 0.0
+        mirror = _conjugate_mirror(psi[1:], real[1:])
+        return np.concatenate((mirror, psi)), np.concatenate((real[:0:-1], real))
     exponent = np.empty(g.n_points, dtype=complex)
     np.subtract(even[:0:-1], odd[:0:-1], out=exponent[:m])
     np.add(even, odd, out=exponent[m:])
     np.negative(exponent, out=exponent)
-    return _capped_exp(exponent)
+    return _capped_exp(exponent), exponent.imag == 0.0
+
+
+def _conjugate_mirror(psi: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The state whose exponent is the conjugate mirror of psi's, real where psi's is.
+
+    numpy's complex exp keeps exp(conj z) == conj(exp z) bit for bit, so it
+    is conj(psi[::-1]) but where the exponent is real: there the build's
+    imaginary part is -0 in both states, which conj would turn to +0.
+    """
+    out = np.conjugate(psi[::-1])
+    np.copyto(out, psi[::-1], where=real[::-1])
+    return out
 
 
 def _capped_exp(exponent: np.ndarray) -> np.ndarray:
@@ -425,11 +449,21 @@ def ground_state_pt(
     and each state's scale cancelled: one sum of |psi|^2 per state and one
     sum of products per overlap, all of them numpy's pairwise sums.
 
+    A further W with psi_0's alpha, a == conj(a_0) and b == -conj(b_0), as
+    build_broken_pair's W_- to W_+, has psi_0's exponent conjugated and
+    mirrored, so its state is _conjugate_mirror(psi_0); any other W's is built.
+
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
       GridError: if a ground state has a non-finite sample.
     """
-    psi = [_ground_state_values(w, g) for _, w in ws]
+    w0 = ws[0][1]
+    psi0, real0 = _ground_state(w0, g)
+    partner = Superpotential(w0.a.conjugate(), -w0.b.conjugate(), w0.alpha)
+    psi = [psi0] + [
+        _conjugate_mirror(psi0, real0) if w == partner else _ground_state_values(w, g)
+        for _, w in ws[1:]
+    ]
     # pairwise sums: a BLAS dot product rounded up to twice as far from
     # overlap_ratio on the normalized states (7 against 3.5 ulps of 1)
     norms = []

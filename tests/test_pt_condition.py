@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +35,6 @@ from ptscarf import (
     partner_potential_minus,
 )
 from ptscarf.superpotential import PT_ROUNDING_TOL, coefficient_scale
-
-sympy = pytest.importorskip("sympy")
 
 A, B, C, ALPHA = sympy.symbols("A B c alpha", real=True)
 FACTOR = C * (2 * (A - B) + ALPHA)

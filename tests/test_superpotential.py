@@ -16,6 +16,7 @@ from ptscarf import (
     RegimeError,
     Superpotential,
     Wavefunction,
+    broken_constraint_params,
     build_broken_pair,
     build_unbroken,
     check_pt_symmetric_potential,
@@ -29,12 +30,15 @@ from ptscarf import (
     pt_apply,
 )
 from ptscarf import cli
+from ptscarf import superpotential as superpotential_module
 from ptscarf.superpotential import (
     GS_PT_TOL,
     PSI_EXPONENT_CAP,
     Samples,
     _basis_integrals,
     _capped_exp,
+    _conjugate_mirror,
+    _ground_state,
     _ground_state_values,
     check_pt_symmetric_on,
     ground_state_pt,
@@ -513,6 +517,142 @@ class TestPtVerdict:
     def test_ground_state_pt_refuses_a_non_normalizable_state(self):
         with pytest.raises(NonNormalizableError):
             ground_state_pt(superpotentials(Params(-1.0, -0.5, 1.0, 0.5)), FINE_GRID)
+
+
+def _fully_exponentiated(w, g):
+    """The unnormalized state with every node exponentiated: the full-grid
+    exponent -((a/alpha) I_tanh -+ (b/alpha) I_sech) written out, capped."""
+    m = (g.n_points - 1) // 2
+    i_tanh, i_sech = _basis_integrals(m, w.alpha * g.h)
+    even, odd = (w.a / w.alpha) * i_tanh, (w.b / w.alpha) * i_sech
+    return _capped_exp(np.concatenate((-(even - odd)[:0:-1], -(even + odd))))
+
+
+def _pt_overlaps(ws, psi):
+    """ground_state_pt's result from the given states, written out."""
+    norms = [math.sqrt(float(np.sum(s.view(float) ** 2))) for s in psi]
+    overlaps = [
+        abs(complex(np.sum(psi[0][::-1] * s))) / (norms[0] * n) for s, n in zip(psi, norms)
+    ]
+    if len(psi) == 1:
+        return overlaps[0], None, overlaps[0] >= 1.0 - GS_PT_TOL
+    energy = ground_state_energy(ws[0][1])
+    return overlaps[0], overlaps[1], overlaps[1] >= 1.0 - GS_PT_TOL and energy.imag != 0.0
+
+
+class TestConjugateMirror:
+    """An unbroken state's x < 0 half and a broken pair's psi_- are the
+    conjugate mirrors of values already exponentiated, with the bits of
+    exponentiating every node, sign bits included (tobytes compares them;
+    assert_array_equal takes -0 == +0)."""
+
+    def test_numpy_complex_exp_is_conjugate_symmetric(self):
+        # _conjugate_mirror rests on exp(conj z) == conj(exp z) byte for byte;
+        # a numpy or libm that breaks it fails here, not as a golden diff
+        rng = np.random.default_rng(29)
+        parts = rng.uniform(-700.0, 700.0, (2, 200_000))
+        parts[:, :1000] *= 10.0 ** rng.uniform(-320.0, -300.0, (2, 1000))
+        z = parts[0] + 1j * parts[1]
+        zeros = [0.0, -0.0]
+        z = np.concatenate(
+            (z, [complex(r, i) for r in [*zeros, 1.0, -1.0, 700.0, -745.5] for i in zeros])
+        )
+        z = np.concatenate((z, [complex(r, i) for r in zeros for i in [1.0, -1.0, 5e-324]]))
+        assert np.exp(np.conjugate(z)).tobytes() == np.conjugate(np.exp(z)).tobytes(), (
+            "numpy's complex exp is not conjugate-symmetric bit for bit: "
+            "_conjugate_mirror's states no longer equal the fully exponentiated ones"
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["unbroken", "broken"]),
+        A=st.floats(0.05, 5.0),
+        alpha=st.sampled_from([0.01, 0.3, 1.0, 2.5]),
+        B=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            st.floats(-6.0, -1e-6),
+            st.floats(1e-6, 6.0),
+        ),
+        c=st.floats(0.05, 1000.0),
+        c_sign=st.sampled_from([1.0, -1.0]),
+        zero_signs=st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)]),
+        n_points=st.sampled_from([3, 5, 601, 4001]),
+        widths=st.sampled_from([1.0, 20.0, 200.0]),
+    )
+    # cap-hitting broken pairs, |c| / alpha = 400, the state's peak at e^300
+    @example("broken", 1.0, 0.01, 0.0, 4.0, 1.0, (0.0, 0.0), 4001, 20.0)
+    @example("broken", 1.0, 0.01, 0.0, 4.0, -1.0, (0.0, 0.0), 601, 20.0)
+    @example("unbroken", 1.5, 1.0, 0.0, 1.0, 1.0, (0.0, 0.0), 4001, 20.0)
+    def test_mirrors_are_the_fully_exponentiated_states(
+        self, kind, A, alpha, B, c, c_sign, zero_signs, n_points, widths
+    ):
+        g = Grid(widths / alpha, n_points)
+        if kind == "unbroken":
+            # real a and imaginary b, with either sign of their zero parts
+            w = Superpotential(complex(A, zero_signs[0]), complex(zero_signs[1], B), alpha)
+            ws = (("unbroken", w),)
+            assert _ground_state_values(w, g).tobytes() == _fully_exponentiated(w, g).tobytes()
+        else:
+            ws = superpotentials(broken_constraint_params(A, alpha, c_sign * c))
+            (_, w_plus), (_, w_minus) = ws
+            assert _ground_state_values(w_plus, g).tobytes() == (
+                _fully_exponentiated(w_plus, g).tobytes()
+            )
+            mirror = _conjugate_mirror(*_ground_state(w_plus, g))
+            assert mirror.tobytes() == _fully_exponentiated(w_minus, g).tobytes()
+        full = [_fully_exponentiated(w, g) for _, w in ws]
+        assert repr(ground_state_pt(ws, g)) == repr(_pt_overlaps(ws, full))
+
+    def _count_exps(self, monkeypatch):
+        lengths = []
+
+        def counted(exponent):
+            lengths.append(len(exponent))
+            return _capped_exp(exponent)
+
+        monkeypatch.setattr(superpotential_module, "_capped_exp", counted)
+        return lengths
+
+    def test_each_pt_mirror_is_exponentiated_once(self, monkeypatch):
+        g = Grid(20.0, 4001)
+        m = (g.n_points - 1) // 2
+        unbroken = superpotentials(Params(2.5, 1.0))
+        broken = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
+        lengths = self._count_exps(monkeypatch)
+        ground_state_pt(unbroken, g)
+        assert lengths == [m + 1]
+        lengths.clear()
+        got = ground_state_pt(broken, g)
+        assert lengths == [g.n_points]
+        assert repr(got) == repr(_pt_overlaps(broken, [_fully_exponentiated(w, g) for _, w in broken]))
+
+    def test_an_inexact_partner_or_a_w_off_both_mirrors_is_built(self, monkeypatch):
+        g = Grid(20.0, 4001)
+        (_, w_plus), (_, w_minus) = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
+        b = complex(np.nextafter(w_minus.b.real, np.inf), w_minus.b.imag)
+        ws = (("plus", w_plus), ("minus", Superpotential(w_minus.a, b, w_minus.alpha)))
+        lengths = self._count_exps(monkeypatch)
+        got = ground_state_pt(ws, g)
+        assert lengths == [g.n_points, g.n_points]
+        assert repr(got) == repr(_pt_overlaps(ws, [_fully_exponentiated(w, g) for _, w in ws]))
+        lengths.clear()
+        off = Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0)
+        assert _ground_state_values(off, g).tobytes() == _fully_exponentiated(off, g).tobytes()
+        assert lengths == [g.n_points]
+
+    def test_a_real_exponent_is_mirrored_unconjugated(self):
+        # the build leaves a zero imaginary exponent at -0 on both sides of a
+        # mirror, which conj would turn to +0: at psi_-(0) of every broken
+        # pair, and on the whole x < 0 half of an unbroken state with B = 0
+        g = Grid(20.0, 401)
+        m = (g.n_points - 1) // 2
+        (_, w_plus), (_, w_minus) = superpotentials(Params(1.5, 2.0, 1.0, 0.5))
+        psi_plus, real = _ground_state(w_plus, g)
+        assert real[m] and math.copysign(1.0, _fully_exponentiated(w_minus, g)[m].imag) == -1.0
+        assert math.copysign(1.0, np.conjugate(psi_plus[m]).imag) == 1.0
+        w = Superpotential(1.5, 0.0j, 1.0)
+        psi, real = _ground_state(w, g)
+        assert real.all() and np.signbit(psi.imag).all()
 
 
 # The per-call forms of W, W', V_- and their defects, in the evaluators' own
