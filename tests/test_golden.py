@@ -238,6 +238,24 @@ CASES = [
         )
         for command in ("verify", "potential")
     ),
+    # seed-drawn points in the analytic suite's ranges and argv form (seed 30):
+    # unbroken with B < 0, B = +0 and B = -0 (the B of a draw zeroed), broken
+    # with c_pt < 0 and > 0, deep wells (A/alpha ~ 5.8) unbroken and broken,
+    # and a point off the PT condition
+    *(
+        _case(command, *(f"--{k}={v!r}" for k, v in zip(("A", "B", "alpha", "cpt"), point)))
+        for point in (
+            (0.8602366534750918, -0.4253580080051331, 0.6384095248299382, 0.0),
+            (1.8592877194731887, 0.0, 1.8013669956216984, 0.0),
+            (1.1140735973672353, -0.0, 1.0982142232204544, 0.0),
+            (1.760348351714533, 2.2597049279656884, 0.9987131525023112, -1.2114423664682579),
+            (2.889106202321503, 3.4807570891674464, 1.183301773691887, 0.7414476324188891),
+            (2.97788396458402, 0.11377192099323974, 0.5114811127397612, 0.0),
+            (2.9379626746657164, 3.1916395586834088, 0.507353768035385, 0.7312799888866114),
+            (2.7312484566570334, 3.241237999368703, 0.569200347756883, 0.6908163910577086),
+        )
+        for command in ("verify", "potential")
+    ),
 ]
 
 
