@@ -71,7 +71,7 @@ from .reporting import (
 )
 from .spectrum import bifurcated_spectrum
 from .superpotential import (
-    Samples,
+    SampledPotential,
     Superpotential,
     check_pt_symmetric_on,
     check_pt_symmetric_potential,
@@ -479,38 +479,40 @@ def _verify_points(alpha: float) -> np.ndarray:
     return low + (high - low) * _unit_uniforms()
 
 
-def _pt_condition(p: Params, ws, x, g):
-    return check_pt_condition(p), abs(p.c_pt * (2.0 * (p.A - p.B) + p.alpha)), ""
+def _pt_condition(p: Params, ws, sampled, g):
+    # check_pt_condition(p): superpotentials(p) is () iff the condition fails
+    return bool(ws), abs(p.c_pt * (2.0 * (p.A - p.B) + p.alpha)), ""
 
 
-def _potential_expansion(p: Params, ws, x, g):
+def _potential_expansion(p: Params, ws, sampled, g):
     """The closed-form coefficients reproduce W^2 - W' - a^2 pointwise.
 
-    W, W' and V_- all read the one Samples x.  The bound is relative to
-    max(1, max |V|) on the samples: a deep well (|V| ~ 1e4) leaves a few
-    1e-12 of rounding between the two forms.
+    W, W' and V_- all read the one Samples, and the first W's V_- is the
+    point's, already sampled.  The bound is relative to max(1, max |V|) on
+    the samples: a deep well (|V| ~ 1e4) leaves a few 1e-12 of rounding
+    between the two forms.
     """
-    defect, scale = 0.0, 1.0
-    for _, w in ws:
-        v = partner_potential_minus(w).evaluate(x)
+    x, defect, scale = sampled.samples, 0.0, 1.0
+    for k, (_, w) in enumerate(ws):
+        v = sampled.values if k == 0 else partner_potential_minus(w).evaluate(x)
         direct = w.evaluate(x) ** 2 - w.derivative(x) - w.a * w.a
-        defect = max(defect, float(np.max(np.abs(v - direct))))
-        scale = max(scale, float(np.max(np.abs(v))))
+        defect = max(defect, float(np.abs(v - direct).max()))
+        scale = max(scale, float(np.abs(v).max()))
     return defect <= EXPANSION_TOL * scale, defect, ""
 
 
-def _unique_broken_potential(p: Params, ws, x, g):
+def _unique_broken_potential(p: Params, ws, sampled, g):
     """Both broken-sector superpotentials share one potential.
 
     The bound is relative to max(1, |s|, |t|, |c0|): at |s| ~ 1.5e3 the two
     forms differ by 1.4e-14 of rounding in Im s.
     """
-    vp, vm = (partner_potential_minus(w) for _, w in ws)
+    vp, vm = sampled.v, partner_potential_minus(ws[1][1])
     defect = max(abs(vp.s - vm.s), abs(vp.t - vm.t), abs(vp.c0 - vm.c0))
     return defect <= UNIQUENESS_TOL * coefficient_scale(vp), defect, ""
 
 
-def _exchange_negates_cpt(p: Params, ws, x, g):
+def _exchange_negates_cpt(p: Params, ws, sampled, g):
     """The parameter exchange reduces to c_pt negation, and is an involution."""
     q = sl2_exchange(p, Sector.PLUS)
     r = sl2_exchange(q, Sector.PLUS)
@@ -521,7 +523,7 @@ def _exchange_negates_cpt(p: Params, ws, x, g):
     return defect <= TAU_PARAM, defect, ""
 
 
-def _exchange_swaps_sectors(p: Params, ws, x, g):
+def _exchange_swaps_sectors(p: Params, ws, sampled, g):
     """The exchange swaps the two bifurcated families and nothing else.
 
     Levels pair up by n.  A level that only one family of a pair has must
@@ -554,18 +556,17 @@ def _exchange_swaps_sectors(p: Params, ws, x, g):
     return defect <= TAU_PARAM, defect, "; ".join(details)
 
 
-def _pt_symmetric_potential(p: Params, ws, x, g):
+def _pt_symmetric_potential(p: Params, ws, sampled, g):
     """The potential itself is PT-symmetric, in its coefficients and sampled.
 
     Both are judged to rounding relative to the potential's size
     (check_pt_symmetric_on); the defect is the larger of the two.
     """
-    v = partner_potential_minus(ws[0][1])
-    symmetric, sampled = check_pt_symmetric_on(v, x)
-    return symmetric, max(sampled, pt_coefficient_defect(v)), ""
+    symmetric, defect = check_pt_symmetric_on(sampled.v, sampled)
+    return symmetric, max(defect, pt_coefficient_defect(sampled.v)), ""
 
 
-def _ground_state_pt(p: Params, ws, x, g):
+def _ground_state_pt(p: Params, ws, sampled, g):
     """ground_state_pt's verdict; the defect is 1 - the overlap that decides it."""
     self_overlap, swap, passed = ground_state_pt(ws, g)
     if swap is None:
@@ -577,9 +578,9 @@ def _ground_state_pt(p: Params, ws, x, g):
 _PT_REGIMES = frozenset({Regime.UNBROKEN, Regime.BROKEN})
 _BROKEN_ONLY = frozenset({Regime.BROKEN})
 # The verify suite: (name, the regimes it applies to, check), skipped in the
-# others.  A check takes (p, superpotentials(p), x, grid), x being the Samples
-# of the sample points (None where there is no superpotential), and returns
-# (passed, defect, detail).
+# others.  A check takes (p, superpotentials(p), sampled, grid), sampled being
+# the first superpotential's V_- at the Samples of the sample points (None
+# where there is no superpotential), and returns (passed, defect, detail).
 _PROPERTIES = (
     ("pt_condition", frozenset(Regime), _pt_condition),
     ("potential_expansion", _PT_REGIMES, _potential_expansion),
@@ -596,8 +597,9 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     p = cfg.params
     regime = classify_regime(p)
     ws = superpotentials(p)
-    # sech and tanh once for every check; none reads them at a non-PT point
-    x = Samples.at(_verify_points(p.alpha), p.alpha) if ws else None
+    # sech, tanh and V_- sampled once for every check; none reads them at a non-PT point
+    v = partner_potential_minus(ws[0][1]) if ws else None
+    sampled = SampledPotential.at(v, _verify_points(p.alpha)) if ws else None
     props: list[dict] = []
     for name, regimes, check in _PROPERTIES:
         defect = None
@@ -606,7 +608,7 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
             detail = "broken regime only" if regimes is _BROKEN_ONLY else "no regime"
         else:
             try:
-                passed, defect, detail = check(p, ws, x, cfg.grid)
+                passed, defect, detail = check(p, ws, sampled, cfg.grid)
                 status = "pass" if passed else "fail"
             except NonNormalizableError as exc:
                 status, detail = "fail", str(exc)

@@ -46,7 +46,8 @@ Every evaluator of the {tanh, sech} basis at points (Superpotential.evaluate
 and .derivative, PotentialCoeffs.evaluate, pt_defect) takes either the
 points x or Samples of them: sech(alpha*x) and tanh(alpha*x) computed once,
 which the callers that evaluate several functions at one set of points
-share.  The arithmetic is the same either way, and so are the bits.
+share, as pt_defect and verify share a SampledPotential, V's parts sampled
+once.  The arithmetic is the same either way, and so are the bits.
 """
 
 from __future__ import annotations
@@ -180,8 +181,26 @@ class PotentialCoeffs:
 
     def evaluate(self, x):
         """Pointwise V(x) at points x or Samples."""
-        sch, th = _sech_tanh(x, self.alpha)
-        return self.s * sch * sch + self.t * sch * th + self.c0
+        return SampledPotential.at(self, x).values
+
+
+@dataclass(frozen=True, eq=False)
+class SampledPotential:
+    """V at Samples, each part formed once: its even part s*sech^2, its odd
+    part t*sech*tanh and its values even + odd + c0, the bits of v.evaluate."""
+
+    v: PotentialCoeffs
+    samples: Samples
+    even: np.ndarray
+    odd: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def at(cls, v: PotentialCoeffs, x) -> "SampledPotential":
+        samples = x if isinstance(x, Samples) else Samples.at(x, v.alpha)
+        sch, th = _sech_tanh(samples, v.alpha)
+        even, odd = v.s * sch * sch, v.t * sch * th
+        return cls(v, samples, even, odd, even + odd + v.c0)
 
 
 def build_unbroken(p: Params) -> Superpotential:
@@ -262,7 +281,7 @@ def ground_state_wavefunction(w: Superpotential, g: Grid) -> Wavefunction:
     Raises:
       NonNormalizableError: if Re(a) <= 0.
     """
-    return Wavefunction(g, _ground_state_values(w, g)).normalized()
+    return Wavefunction(g, _ground_state(w, g)[0]).normalized()
 
 
 @functools.lru_cache(maxsize=8)
@@ -279,21 +298,17 @@ def _basis_integrals(m: int, step: float) -> np.ndarray:
     return integrals
 
 
-def _ground_state_values(w: Superpotential, g: Grid) -> np.ndarray:
-    """exp(-int_0^x W) on g by the trapezoid rule, unnormalized (_ground_state)."""
-    return _ground_state(w, g)[0]
-
-
-def _ground_state(w: Superpotential, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _ground_state(w: Superpotential, g: Grid) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The capped exponential of the exponent (_capped_exp), and where the
-    exponent is real.
+    exponent is real, or None for a state that is its own conjugate mirror.
 
     With I_tanh and I_sech the basis integrals on g's x >= 0 half, the
     exponent is -((a/alpha) I_tanh + (b/alpha) I_sech) at x >= 0 and, as
     I_tanh is even in x and I_sech odd, -((a/alpha) I_tanh - (b/alpha) I_sech)
     at the mirrored x < 0.  For real a and imaginary b, an unbroken W, that
     is the x >= 0 exponent conjugated, with the same real parts and cap, so
-    the x < 0 half is _conjugate_mirror of the x >= 0 half.
+    the x < 0 half is _conjugate_mirror of the x >= 0 half, written beside it,
+    and the whole state its own conjugate mirror.
 
     Raises:
       NonNormalizableError: if Re(a) <= 0.
@@ -301,35 +316,36 @@ def _ground_state(w: Superpotential, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     ground_state_energy(w)  # refuses Re(a) <= 0
     m = (g.n_points - 1) // 2
     i_tanh, i_sech = _basis_integrals(m, w.alpha * g.h)
-    even = (w.a / w.alpha) * i_tanh
     odd = (w.b / w.alpha) * i_sech
     if w.a.imag == 0.0 and w.b.real == 0.0:
-        half = np.negative(np.add(even, odd, out=even), out=even)
-        psi, real = _capped_exp(half), half.imag == 0.0
-        mirror = _conjugate_mirror(psi[1:], real[1:])
-        return np.concatenate((mirror, psi)), np.concatenate((real[:0:-1], real))
+        half = np.negative(np.add((w.a / w.alpha) * i_tanh, odd, out=odd), out=odd)
+        psi = np.empty(g.n_points, dtype=complex)
+        psi[m:] = _capped_exp(half)
+        _conjugate_mirror(psi[m + 1:], half[1:].imag == 0.0, out=psi[:m])
+        return psi, None
     exponent = np.empty(g.n_points, dtype=complex)
+    even = np.multiply(w.a / w.alpha, i_tanh, out=exponent[m:])
     np.subtract(even[:0:-1], odd[:0:-1], out=exponent[:m])
-    np.add(even, odd, out=exponent[m:])
+    np.add(even, odd, out=even)
     np.negative(exponent, out=exponent)
     return _capped_exp(exponent), exponent.imag == 0.0
 
 
-def _conjugate_mirror(psi: np.ndarray, real: np.ndarray) -> np.ndarray:
+def _conjugate_mirror(psi: np.ndarray, real: np.ndarray, out=None) -> np.ndarray:
     """The state whose exponent is the conjugate mirror of psi's, real where psi's is.
 
     numpy's complex exp keeps exp(conj z) == conj(exp z) bit for bit, so it
     is conj(psi[::-1]) but where the exponent is real: there the build's
     imaginary part is -0 in both states, which conj would turn to +0.
     """
-    out = np.conjugate(psi[::-1])
+    out = np.conjugate(psi[::-1], out=out)
     np.copyto(out, psi[::-1], where=real[::-1])
     return out
 
 
 def _capped_exp(exponent: np.ndarray) -> np.ndarray:
     """exp(exponent), shifted so its real part peaks at most at PSI_EXPONENT_CAP."""
-    shift = float(np.max(exponent.real)) - PSI_EXPONENT_CAP
+    shift = float(exponent.real.max()) - PSI_EXPONENT_CAP
     return np.exp(exponent - shift if shift > 0.0 else exponent)
 
 
@@ -404,16 +420,12 @@ def pt_superpotentials(
 
 
 def pt_defect(v: PotentialCoeffs, x) -> float:
-    """max |conj V(-x) - V(x)| over the points x (or their Samples); 0 for a PT-symmetric V.
-
-    V's even part s*sech^2 and odd part t*sech*tanh are sampled once:
-    V(x) = even + odd + c0 and V(-x) = even - odd + c0, the bits of
-    v.evaluate at x and -x (tanh is odd bit for bit).
+    """max |conj V(-x) - V(x)| over the points x, their Samples or V's
+    SampledPotential at them; 0 for a PT-symmetric V.  V(-x) = even - odd + c0
+    from V's sampled parts, the bits of v.evaluate at -x (tanh is odd bit for bit).
     """
-    sch, th = _sech_tanh(x, v.alpha)
-    even = v.s * sch * sch
-    odd = v.t * sch * th
-    return float(np.max(np.abs(np.conj(even - odd + v.c0) - (even + odd + v.c0))))
+    sampled = x if isinstance(x, SampledPotential) else SampledPotential.at(v, x)
+    return float(np.abs(np.conj(sampled.even - sampled.odd + v.c0) - sampled.values).max())
 
 
 def check_pt_symmetric_on(v: PotentialCoeffs, x) -> tuple[bool, float]:
@@ -449,9 +461,13 @@ def ground_state_pt(
     and each state's scale cancelled: one sum of |psi|^2 per state and one
     sum of products per overlap, all of them numpy's pairwise sums.
 
-    A further W with psi_0's alpha, a == conj(a_0) and b == -conj(b_0), as
-    build_broken_pair's W_- to W_+, has psi_0's exponent conjugated and
-    mirrored, so its state is _conjugate_mirror(psi_0); any other W's is built.
+    A further W with psi_0's alpha, a == conj(a_0) and b == -conj(b_0) has
+    psi_0's exponent conjugated and mirrored, so its state is
+    _conjugate_mirror(psi_0), psi_0 itself for an unbroken W; any other W's is
+    built.  build_broken_pair's W_- is always exactly that partner of W_+, so
+    the swap overlap is sum |psi_+|^2 over that sum taken in another order, 1
+    by construction: a broken pair's verdict tests that W_- is W_+'s partner
+    and that Im E != 0, not a numerical overlap.
 
     Raises:
       NonNormalizableError: if a ground state does not decay (Re(a) <= 0).
@@ -459,9 +475,11 @@ def ground_state_pt(
     """
     w0 = ws[0][1]
     psi0, real0 = _ground_state(w0, g)
-    partner = Superpotential(w0.a.conjugate(), -w0.b.conjugate(), w0.alpha)
+    partner = (w0.a.conjugate(), -w0.b.conjugate(), w0.alpha)
     psi = [psi0] + [
-        _conjugate_mirror(psi0, real0) if w == partner else _ground_state_values(w, g)
+        (psi0 if real0 is None else _conjugate_mirror(psi0, real0))
+        if (w.a, w.b, w.alpha) == partner
+        else _ground_state(w, g)[0]
         for _, w in ws[1:]
     ]
     # pairwise sums: a BLAS dot product rounded up to twice as far from
@@ -471,12 +489,12 @@ def ground_state_pt(
         parts = s.view(float)
         # the cap bounds every finite |psi|^2 by e^600, so the sum of |psi|^2
         # is finite iff every sample is
-        sum_sq = float(np.sum(parts * parts))
+        sum_sq = float((parts * parts).sum())
         if not math.isfinite(sum_sq):
             raise GridError("wavefunction samples must be finite")
         norms.append(math.sqrt(sum_sq))
     image = psi[0][::-1]  # PT psi_0, unconjugated: <PT psi_0, .> conjugates it back
-    overlaps = [abs(complex(np.sum(image * s))) / (norms[0] * n) for s, n in zip(psi, norms)]
+    overlaps = [abs(complex((image * s).sum())) / (norms[0] * n) for s, n in zip(psi, norms)]
     self_overlap = overlaps[0]
     if len(psi) == 1:
         return self_overlap, None, self_overlap >= 1.0 - GS_PT_TOL

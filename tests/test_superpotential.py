@@ -34,12 +34,12 @@ from ptscarf import superpotential as superpotential_module
 from ptscarf.superpotential import (
     GS_PT_TOL,
     PSI_EXPONENT_CAP,
+    SampledPotential,
     Samples,
     _basis_integrals,
     _capped_exp,
     _conjugate_mirror,
     _ground_state,
-    _ground_state_values,
     check_pt_symmetric_on,
     ground_state_pt,
     gudermannian,
@@ -250,14 +250,14 @@ class TestGroundStateWavefunction:
                 g = Grid(20.0 / p.alpha, n_points)
                 for _, w in superpotentials(p):
                     _basis_integrals.cache_clear()
-                    cold = _ground_state_values(w, g)
-                    warm = _ground_state_values(w, g)
+                    cold = _ground_state(w, g)[0]
+                    warm = _ground_state(w, g)[0]
                     assert cold.tobytes() == warm.tobytes()
                     for k in (2.0, 0.5):
                         scaled = Superpotential(w.a * k, w.b * k, w.alpha * k)
                         other = Grid(g.half_width / k, n_points)
                         assert scaled.alpha * other.h == w.alpha * g.h
-                        got = _ground_state_values(scaled, other)
+                        got = _ground_state(scaled, other)[0]
                         assert got.tobytes() == cold.tobytes()
         for integral in _basis_integrals(2000, 0.01):
             with pytest.raises(ValueError):
@@ -428,7 +428,7 @@ class TestPtVerdict:
             (broken_draw, Grid(20.0 / broken_draw.alpha, 4001)),
         ):
             ws = superpotentials(p)
-            raw = [_ground_state_values(w, g) for _, w in ws]
+            raw = [_ground_state(w, g)[0] for _, w in ws]
             for (_, w), psi in zip(ws, raw):
                 normalized = Wavefunction(g, psi).normalized().values
                 assert normalized.tobytes() == ground_state_wavefunction(w, g).values.tobytes()
@@ -447,7 +447,7 @@ class TestPtVerdict:
         # each sample once more, and their norms are summed again
         capped = Params(1.0, 1.005, 0.01, 4.0)
         g = Grid(2000.0, 4001)
-        peak = np.max(np.abs(_ground_state_values(superpotentials(capped)[0][1], g)))
+        peak = np.max(np.abs(_ground_state(superpotentials(capped)[0][1], g)[0]))
         assert float(peak) == pytest.approx(math.exp(PSI_EXPONENT_CAP), rel=1e-12)
         for p in [*random_unbroken(rng, 50), *random_broken(rng, 50), capped]:
             for g in (Grid(20.0 / p.alpha, 4001), Grid(20.0 / p.alpha, 601)):
@@ -507,9 +507,9 @@ class TestPtVerdict:
         g = Grid(20.0, 401)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            psi = _ground_state_values(w, g)
+            psi = _ground_state(w, g)[0]
             self_overlap, swap, _ = ground_state_pt((("unbroken", w),), g)
-        modulus = _ground_state_values(Superpotential(1.0, 0.0, 1.0), g)
+        modulus = _ground_state(Superpotential(1.0, 0.0, 1.0), g)[0]
         assert np.all(np.isfinite(psi))
         np.testing.assert_allclose(np.abs(psi), modulus.real, rtol=1e-12, atol=0.0)
         assert math.isfinite(self_overlap) and swap is None
@@ -591,11 +591,11 @@ class TestConjugateMirror:
             # real a and imaginary b, with either sign of their zero parts
             w = Superpotential(complex(A, zero_signs[0]), complex(zero_signs[1], B), alpha)
             ws = (("unbroken", w),)
-            assert _ground_state_values(w, g).tobytes() == _fully_exponentiated(w, g).tobytes()
+            assert _ground_state(w, g)[0].tobytes() == _fully_exponentiated(w, g).tobytes()
         else:
             ws = superpotentials(broken_constraint_params(A, alpha, c_sign * c))
             (_, w_plus), (_, w_minus) = ws
-            assert _ground_state_values(w_plus, g).tobytes() == (
+            assert _ground_state(w_plus, g)[0].tobytes() == (
                 _fully_exponentiated(w_plus, g).tobytes()
             )
             mirror = _conjugate_mirror(*_ground_state(w_plus, g))
@@ -637,7 +637,7 @@ class TestConjugateMirror:
         assert repr(got) == repr(_pt_overlaps(ws, [_fully_exponentiated(w, g) for _, w in ws]))
         lengths.clear()
         off = Superpotential(1.5 + 0.5j, 0.5 + 2.0j, 1.0)
-        assert _ground_state_values(off, g).tobytes() == _fully_exponentiated(off, g).tobytes()
+        assert _ground_state(off, g)[0].tobytes() == _fully_exponentiated(off, g).tobytes()
         assert lengths == [g.n_points]
 
     def test_a_real_exponent_is_mirrored_unconjugated(self):
@@ -650,9 +650,12 @@ class TestConjugateMirror:
         psi_plus, real = _ground_state(w_plus, g)
         assert real[m] and math.copysign(1.0, _fully_exponentiated(w_minus, g)[m].imag) == -1.0
         assert math.copysign(1.0, np.conjugate(psi_plus[m]).imag) == 1.0
+        # an unbroken state is its own conjugate mirror, its -0s kept
         w = Superpotential(1.5, 0.0j, 1.0)
         psi, real = _ground_state(w, g)
-        assert real.all() and np.signbit(psi.imag).all()
+        assert real is None and np.signbit(psi.imag).all()
+        real = np.ones(g.n_points, dtype=bool)
+        assert _conjugate_mirror(psi, real).tobytes() == psi.tobytes()
 
 
 # The per-call forms of W, W', V_- and their defects, in the evaluators' own
@@ -700,7 +703,8 @@ class TestSharedSamples:
             assert np.array_equal(got, _v(v, x))
         direct = _w(a, b, alpha, x) ** 2 - _w_prime(a, b, alpha, x) - w.a * w.a
         expansion = float(np.max(np.abs(_v(v, x) - direct)))
-        assert cli._potential_expansion(None, (("w", w),), samples, None)[1] == expansion
+        sampled = SampledPotential.at(v, samples)
+        assert cli._potential_expansion(None, (("w", w),), sampled, None)[1] == expansion
         defect = float(np.max(np.abs(np.conj(_v(v, -x)) - _v(v, x))))
         assert pt_defect(v, samples) == pt_defect(v, x) == defect
 
