@@ -519,13 +519,17 @@ class TestPtVerdict:
             ground_state_pt(superpotentials(Params(-1.0, -0.5, 1.0, 0.5)), FINE_GRID)
 
 
-def _fully_exponentiated(w, g):
-    """The unnormalized state with every node exponentiated: the full-grid
-    exponent -((a/alpha) I_tanh -+ (b/alpha) I_sech) written out, capped."""
+def _full_exponent(w, g):
+    """The full-grid exponent -((a/alpha) I_tanh -+ (b/alpha) I_sech) written out."""
     m = (g.n_points - 1) // 2
     i_tanh, i_sech = _basis_integrals(m, w.alpha * g.h)
     even, odd = (w.a / w.alpha) * i_tanh, (w.b / w.alpha) * i_sech
-    return _capped_exp(np.concatenate((-(even - odd)[:0:-1], -(even + odd))))
+    return np.concatenate((-(even - odd)[:0:-1], -(even + odd)))
+
+
+def _fully_exponentiated(w, g):
+    """The unnormalized state with every node exponentiated: _full_exponent, capped."""
+    return _capped_exp(_full_exponent(w, g))
 
 
 def _pt_overlaps(ws, psi):
@@ -601,6 +605,39 @@ class TestConjugateMirror:
             mirror = _conjugate_mirror(*_ground_state(w_plus, g))
             assert mirror.tobytes() == _fully_exponentiated(w_minus, g).tobytes()
         full = [_fully_exponentiated(w, g) for _, w in ws]
+        assert repr(ground_state_pt(ws, g)) == repr(_pt_overlaps(ws, full))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["unbroken", "broken"]),
+        n_points=st.sampled_from([3, 601, 4001]),
+    )
+    def test_states_built_in_place_are_the_fully_exponentiated_ones(self, seed, kind, n_points):
+        # conftest's draws on verify's default width 20/alpha: the unbroken
+        # state's two halves written into one array, and the broken exponent
+        # written into its output, carry the bits of exponentiating every node
+        # and the exponent's real mask; an unbroken state is its own conjugate
+        # mirror, so ground_state_pt reads it for an exact partner unbuilt
+        draw = random_unbroken if kind == "unbroken" else random_broken
+        p = draw(np.random.default_rng(seed), 1)[0]
+        g = Grid(20.0 / p.alpha, n_points)
+        ws = superpotentials(p)
+        w = ws[0][1]
+        psi, real = _ground_state(w, g)
+        full_real = _full_exponent(w, g).imag == 0.0
+        assert psi.tobytes() == _fully_exponentiated(w, g).tobytes()
+        if kind == "unbroken":
+            assert real is None
+            assert _conjugate_mirror(psi, full_real).tobytes() == psi.tobytes()
+            ws = (("plus", w), ("minus", w))
+            full = [_fully_exponentiated(w, g)] * 2
+        else:
+            assert real.tobytes() == full_real.tobytes()
+            full = [_fully_exponentiated(w, g) for _, w in ws]
+            out = np.full(g.n_points, np.nan + 0j)
+            mirror = _conjugate_mirror(psi, real, out=out)
+            assert mirror is out and mirror.tobytes() == full[1].tobytes()
         assert repr(ground_state_pt(ws, g)) == repr(_pt_overlaps(ws, full))
 
     def _count_exps(self, monkeypatch):
@@ -707,6 +744,48 @@ class TestSharedSamples:
         assert cli._potential_expansion(None, (("w", w),), sampled, None)[1] == expansion
         defect = float(np.max(np.abs(np.conj(_v(v, -x)) - _v(v, x))))
         assert pt_defect(v, samples) == pt_defect(v, x) == defect
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["unbroken", "broken"]),
+        c0=st.one_of(
+            st.just(0j),
+            st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_verify_samples_the_potential_once_with_the_evaluators_bits(self, seed, kind, c0):
+        # on verify's own samples, for conftest's draws and a complex c0: the
+        # shared parts are the even and odd parts pt_defect formed and the
+        # values PotentialCoeffs.evaluate gave, written out; the defects that
+        # verify reports from them are pt_defect's and the expansion's
+        draw = random_unbroken if kind == "unbroken" else random_broken
+        p = draw(np.random.default_rng(seed), 1)[0]
+        ws = superpotentials(p)
+        v_minus = partner_potential_minus(ws[0][1])
+        x = cli._verify_points(p.alpha)
+        samples = Samples.at(x, p.alpha)
+        for v in (v_minus, PotentialCoeffs(v_minus.s, v_minus.t, c0, p.alpha)):
+            sampled = SampledPotential.at(v, samples)
+            z = x * p.alpha
+            assert sampled.samples is samples
+            assert sampled.even.tobytes() == (v.s * sech(z) * sech(z)).tobytes()
+            assert sampled.odd.tobytes() == (v.t * sech(z) * np.tanh(z)).tobytes()
+            assert sampled.values.tobytes() == _v(v, x).tobytes() == v.evaluate(x).tobytes()
+            defect = float(np.max(np.abs(np.conj(_v(v, -x)) - _v(v, x))))
+            assert pt_defect(v, sampled) == pt_defect(v, samples) == pt_defect(v, x) == defect
+            assert check_pt_symmetric_on(v, sampled) == check_pt_symmetric_on(v, x)
+        sampled = SampledPotential.at(v_minus, samples)
+        symmetric, got, _ = cli._pt_symmetric_potential(p, ws, sampled, None)
+        assert symmetric and got == max(pt_defect(v_minus, x), abs(v_minus.s.imag), abs(v_minus.t.real))
+        expansion = max(
+            float(np.max(np.abs(
+                _v(partner_potential_minus(w), x)
+                - (_w(w.a, w.b, w.alpha, x) ** 2 - _w_prime(w.a, w.b, w.alpha, x) - w.a * w.a)
+            )))
+            for _, w in ws
+        )
+        assert cli._potential_expansion(p, ws, sampled, None)[1] == expansion
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
