@@ -186,8 +186,8 @@ class PotentialCoeffs:
 
 @dataclass(frozen=True, eq=False)
 class SampledPotential:
-    """V at Samples, each part formed once: its even part s*sech^2, its odd
-    part t*sech*tanh and its values even + odd + c0, the bits of v.evaluate."""
+    """V = s*sech^2 + t*sech*tanh + c0 at Samples, each part formed once: the
+    even part, the odd part and the values even + odd + c0 (v.evaluate's)."""
 
     v: PotentialCoeffs
     samples: Samples
